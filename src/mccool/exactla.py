@@ -36,6 +36,7 @@ import numpy as np
 __all__ = [
     "SparseMat",
     "SNFResult",
+    "CertificateError",
     "rank",
     "kernel_lattice",
     "smith_normal_form",
@@ -231,7 +232,8 @@ def _rank_bareiss(m: SparseMat) -> int:
         row = rows[r]
         for c in list(row):
             val = row[c] * num
-            assert val % den == 0
+            if val % den:
+                raise CertificateError("Bareiss rescale is not exact")
             row[c] = val // den
         stamp[r] = target
 
@@ -262,7 +264,8 @@ def _rank_bareiss(m: SparseMat) -> int:
             for c, pv in prow.items():
                 val = piv * row.get(c, 0) - f * pv
                 if val:
-                    assert val % prev == 0
+                    if val % prev:
+                        raise CertificateError("Bareiss step is not exact")
                     row[c] = val // prev
                     colocc.setdefault(c, set()).add(r)
                 elif c in row:
@@ -270,7 +273,8 @@ def _rank_bareiss(m: SparseMat) -> int:
                     colocc[c].discard(r)
             for c in [c for c in row if c not in prow]:
                 val = row[c] * piv
-                assert val % prev == 0
+                if val % prev:
+                    raise CertificateError("Bareiss rescale is not exact")
                 row[c] = val // prev
             stamp[r] = t
             if not row:
@@ -634,6 +638,10 @@ def _left_nullspace_mod(v: np.ndarray, q: int) -> np.ndarray:
     return aug[r:, ncols:]
 
 
+class CertificateError(RuntimeError):
+    """An exact check that certifies a result failed."""
+
+
 class _SaturationTooHard(RuntimeError):
     """Entries or pivots too large for the fast saturation loop."""
 
@@ -677,20 +685,21 @@ def _saturate_rows(v_rows: list, columns, nrows: int) -> list:
                 yr = y % q
                 piv_pos = _rref_mod_small(yr, q)  # distinct replacement rows
                 w = yr @ vnp
-                assert (w % q == 0).all()
+                if (w % q).any():
+                    raise CertificateError("saturation repair is not divisible by q")
                 w //= q
                 for t, pos in enumerate(piv_pos):
                     v[pos] = [int(x) for x in w[t]]
                 v = [list(r) for r in hnf_rows(v)]
                 if len(v) != d:
-                    raise AssertionError("saturation repair lost rank")
+                    raise CertificateError("saturation repair lost rank")
                 fixed_any = True
         if not fixed_any:
             break
     out = [tuple(r) for r in hnf_rows(v)]
     for row in out:
         if not _verify_kernel_vector(columns, nrows, row):
-            raise AssertionError("saturated basis row left the kernel")
+            raise CertificateError("saturated basis row left the kernel")
     return out
 
 
@@ -736,7 +745,8 @@ def _kernel_exact(columns, nrows: int) -> list:
         active.remove(occ[0])
     vecs = []
     for r in active:
-        assert all(k >= nrows for k in rows[r]), "left part not eliminated"
+        if any(k < nrows for k in rows[r]):
+            raise CertificateError("exact kernel: left part not eliminated")
         vecs.append([rows[r].get(nrows + j, 0) for j in range(ncols)])
     return [list(v) for v in hnf_rows(vecs)]
 
@@ -748,7 +758,68 @@ def _pivot_signature_key(pivots) -> tuple:
 
 
 def _kernel_lattice_columns(columns, nrows: int) -> list:
-    """Certified Hermite basis of the integer kernel lattice of the columns."""
+    """Certified Hermite basis of the integer kernel lattice of the columns.
+
+    The columns are split into the connected components of their
+    column-row incidence graph: two columns are in one block when they
+    share a row, and all zero columns form one block.  Up to a permutation
+    of rows and columns the matrix is then block diagonal, so its kernel
+    lattice is the direct sum of the blocks' kernel lattices.  Each block
+    is solved on its own by _kernel_block, rows renumbered locally and
+    columns kept in ascending order.  Embedded back in global coordinates,
+    a block's Hermite rows keep their pivots and are zero in every other
+    block's columns, so the rows of all blocks sorted by pivot column
+    satisfy the Hermite conditions for the whole lattice.  The Hermite
+    normal form is unique, hence this is exactly the basis one solve of
+    the unsplit matrix returns.
+    """
+    blocks = _column_blocks(columns, nrows)
+    if len(blocks) <= 1:
+        return _kernel_block(columns, nrows)
+    ncols = len(columns)
+    out = []
+    for block in blocks:
+        rows = sorted({i for j in block for i, _ in columns[j]})
+        local = {i: t for t, i in enumerate(rows)}
+        sub = [[(local[i], v) for i, v in columns[j]] for j in block]
+        for vec in _kernel_block(sub, len(rows)):
+            full = [0] * ncols
+            for j, x in zip(block, vec):
+                full[j] = x
+            pivot = next(j for j, x in zip(block, vec) if x)
+            out.append((pivot, tuple(full)))
+    out.sort()
+    return [vec for _, vec in out]
+
+
+def _column_blocks(columns, nrows: int) -> list:
+    """Column indices of each connected component, by a union-find on rows.
+
+    Columns sharing a row are in one component; zero columns form one.
+    """
+    parent = list(range(nrows))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for col in columns:
+        if col:
+            root = find(col[0][0])
+            for i, _ in col[1:]:
+                other = find(i)
+                if other != root:
+                    parent[other] = root
+    blocks: dict = {}
+    for j, col in enumerate(columns):
+        blocks.setdefault(find(col[0][0]) if col else -1, []).append(j)
+    return list(blocks.values())
+
+
+def _kernel_block(columns, nrows: int) -> list:
+    """Certified Hermite basis of the kernel lattice of one block."""
     ncols = len(columns)
     if ncols == 0:
         return []
@@ -756,18 +827,31 @@ def _kernel_lattice_columns(columns, nrows: int) -> list:
         return [tuple(1 if j == k else 0 for j in range(ncols)) for k in range(ncols)]
     compress = nrows * ncols > _DENSE_CELLS and nrows > ncols + 40
     attempts = 4 if compress else 1
+    cause = "no attempt certified within the prime pool"
     try:
         for attempt in range(attempts):
             result = _kernel_attempt(columns, nrows, compress, attempt)
             if result is not None:
                 return result
-    except (_SaturationTooHard, RuntimeError):
-        pass
+    except _SaturationTooHard as exc:
+        cause = str(exc)
     # modular route exhausted (entries beyond the fast range, or the
     # prime pool ran out): fall back to the independent exact reduction
-    if ncols <= 600:
+    shape = f"{nrows}x{ncols} block"
+    if ncols > 600:
+        raise RuntimeError(
+            f"modular kernel failed to certify a {shape} ({cause}); "
+            "too many columns for the exact route"
+        )
+    try:
         return [tuple(v) for v in _kernel_exact(columns, nrows)]
-    raise RuntimeError("modular kernel failed to certify")
+    except CertificateError:
+        raise
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"kernel of a {shape} failed on both routes: modular ({cause}), "
+            f"exact ({exc})"
+        ) from exc
 
 
 def _kernel_attempt(columns, nrows: int, compress: bool, attempt: int):

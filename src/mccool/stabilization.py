@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 from .derivations import Derivation
+from .exactla import CertificateError
 from .freelie import LieElement, lie_bracket, x_alphabet
 from .johnson import LiePolynomial, McCoolSymbols, omega, tau_evaluate
 from .words import is_lyndon, standard_factorization
@@ -157,7 +158,8 @@ def embed_abc(p: LiePolynomial) -> LiePolynomial:
 
 def _relabel_word(word, mapping) -> tuple:
     moved = tuple(mapping[t] for t in word)
-    assert is_lyndon(moved), "monotone relabelling must preserve Lyndon words"
+    if not is_lyndon(moved):
+        raise CertificateError("monotone relabelling must preserve Lyndon words")
     return moved
 
 

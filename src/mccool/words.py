@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 
+from .exactla import CertificateError
+
 Word = tuple  # tuple of int letter indices
 
 
@@ -89,7 +91,8 @@ def witt_dimension(n: int, k: int) -> int:
     for d in range(1, k + 1):
         if k % d == 0:
             total += _mobius(d) * n ** (k // d)
-    assert total % k == 0
+    if total % k:
+        raise CertificateError(f"necklace sum {total} is not divisible by {k}")
     return total // k
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mccool
 from mccool.cli import main
 
 
@@ -143,3 +148,30 @@ class TestDeterminism:
         assert code == 0
         names = sorted(p.name for p in outdir.iterdir())
         assert "dims.csv" in names and "characters.csv" in names
+
+
+class TestOptimizedInterpreter:
+    """Certification must not depend on assert statements, which -O strips."""
+
+    @staticmethod
+    def _run(flags, args):
+        src = str(Path(mccool.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "mccool.cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+
+    @pytest.mark.parametrize(
+        "args", [["verify-omega"], ["dims", "--max-degree", "7"]], ids=["omega", "dims7"]
+    )
+    def test_same_output_under_O(self, args):
+        plain = self._run([], args)
+        optimized = self._run(["-O"], args)
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout

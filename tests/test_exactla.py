@@ -17,7 +17,7 @@ from mccool.exactla import (
     solve_columns,
     write_matrix_text,
 )
-from mccool.exactla import _verify_kernel_vector
+from mccool.exactla import _column_blocks, _verify_kernel_vector
 
 
 def frac_rank(dense):
@@ -157,6 +157,114 @@ class TestKernel:
         m2 = SparseMat.from_dense(dense)
         assert kernel_lattice(m1) == kernel_lattice(m2)
         assert rank(m1, "modular") == rank(m2, "modular")
+
+
+blocks_strategy = st.lists(
+    st.integers(1, 4).flatmap(
+        lambda nr: st.integers(1, 4).flatmap(
+            lambda nc: st.lists(
+                st.lists(st.integers(-4, 4), min_size=nc, max_size=nc),
+                min_size=nr,
+                max_size=nr,
+            )
+        )
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+class TestBlockSplit:
+    @staticmethod
+    def _build(data):
+        """Random blocks on the diagonal plus zero columns, rows and
+        columns shuffled; also returns each block's column indices."""
+        blocks = data.draw(blocks_strategy)
+        nrows = sum(len(b) for b in blocks)
+        ncols = sum(len(b[0]) for b in blocks) + data.draw(st.integers(0, 2))
+        row_perm = data.draw(st.permutations(range(nrows)))
+        col_perm = data.draw(st.permutations(range(ncols)))
+        dense = [[0] * ncols for _ in range(nrows)]
+        owner = []
+        r0 = c0 = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                for j, v in enumerate(row):
+                    dense[row_perm[r0 + i]][col_perm[c0 + j]] = v
+            owner.append([col_perm[c0 + j] for j in range(len(b[0]))])
+            r0 += len(b)
+            c0 += len(b[0])
+        return dense, owner
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_split_kernel_equals_exact_route(self, data):
+        dense, owner = self._build(data)
+        m = SparseMat.from_dense(dense)
+        components = [set(c) for c in _column_blocks(m.columns(), m.rows)]
+        # every component lies inside one planted block (or the zero columns)
+        planted = [set(o) for o in owner]
+        for comp in components:
+            if all(any(dense[i][j] for i in range(m.rows)) for j in comp):
+                assert any(comp <= b for b in planted)
+        assert kernel_lattice(m) == kernel_lattice(m, "exact")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_row_merges_two_blocks(self, data):
+        dense, owner = self._build(data)
+        ja = data.draw(st.sampled_from(owner[0]))
+        jb = data.draw(st.sampled_from(owner[1]))
+        shared = [0] * len(dense[0])
+        shared[ja], shared[jb] = data.draw(st.integers(1, 3)), data.draw(st.integers(-3, -1))
+        dense.insert(data.draw(st.integers(0, len(dense))), shared)
+        m = SparseMat.from_dense(dense)
+        components = _column_blocks(m.columns(), m.rows)
+        assert any(ja in comp and jb in comp for comp in components)
+        assert kernel_lattice(m) == kernel_lattice(m, "exact")
+
+
+class TestFallback:
+    def test_runtime_error_in_modular_route_is_not_hidden(self, monkeypatch):
+        from mccool import exactla
+
+        def broken(*args):
+            raise RuntimeError("hnf_rows entries exceed the supported range")
+
+        def exact(*args):
+            raise AssertionError("exact route must not run")
+
+        monkeypatch.setattr(exactla, "_kernel_attempt", broken)
+        monkeypatch.setattr(exactla, "_kernel_exact", exact)
+        with pytest.raises(RuntimeError, match="supported range"):
+            kernel_lattice(SparseMat.from_dense([[1, 1]]))
+
+    def test_saturation_too_hard_falls_back_to_exact(self, monkeypatch):
+        from mccool import exactla
+
+        def too_hard(*args):
+            raise exactla._SaturationTooHard("entries exceed int64 range")
+
+        monkeypatch.setattr(exactla, "_kernel_attempt", too_hard)
+        assert kernel_lattice(SparseMat.from_dense([[2, 4]])) == [(2, -1)]
+
+    def test_both_routes_failing_names_route_shape_and_cause(self, monkeypatch):
+        from mccool import exactla
+
+        def too_hard(*args):
+            raise exactla._SaturationTooHard("entries exceed int64 range")
+
+        def exact(*args):
+            raise RuntimeError("exact kernel entries exceed the supported range")
+
+        monkeypatch.setattr(exactla, "_kernel_attempt", too_hard)
+        monkeypatch.setattr(exactla, "_kernel_exact", exact)
+        with pytest.raises(RuntimeError) as info:
+            kernel_lattice(SparseMat.from_dense([[1, 1, 0], [0, 0, 0]]))
+        msg = str(info.value)
+        assert "1x2 block" in msg
+        assert "modular (entries exceed int64 range)" in msg
+        assert "exact (exact kernel entries" in msg
 
 
 class TestBlockedElimination:

@@ -153,6 +153,25 @@ class TestKernelReports:
         with pytest.raises(ValueError):
             kernel_report(10)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_block_split_matches_unsplit_solve(self, k):
+        # the basis assembled block by block is the one a single solve of
+        # the whole tau matrix gives, tuple for tuple
+        from mccool import exactla
+        from mccool.johnson import _abc_columns, _vector_to_polynomial
+
+        cols, nrows = _abc_columns().matrix_columns(k)
+        if k > 1:
+            assert len(exactla._column_blocks(cols, nrows)) > 1
+        unsplit = exactla._kernel_block(cols, nrows)
+        assert exactla._kernel_lattice_columns(cols, nrows) == unsplit
+        domain = lyndon_tuples(3, k)
+        expected = tuple(
+            sign_normalize(_vector_to_polynomial(v, domain, abc_alphabet()))
+            for v in unsplit
+        )
+        assert kernel_report(k).kernel_basis == expected
+
 
 class TestBracketMap:
     def test_degree5(self):

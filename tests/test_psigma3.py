@@ -99,7 +99,7 @@ class TestSDTau:
             u, v = random_sd(rng, du), random_sd(rng, dv)
             assert sd_tau(sd_bracket(u, v)) == der_bracket(sd_tau(u), sd_tau(v))
 
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_kernel_lives_in_the_section(self, k):
         ker = sd_tau_kernel(k)
         assert len(ker) == kernel_report(k).kernel_dim
@@ -201,9 +201,9 @@ class TestS3ActionOnSD:
 
 
 class TestIntersection:
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_kernel_dimension(self, k):
-        assert intersection_kappa(k) == kernel_report(k).kernel_dim
+        assert intersection_kappa(k, degree_cap=8) == kernel_report(k).kernel_dim
 
     def test_cap(self):
         with pytest.raises(ValueError):
