@@ -11,7 +11,8 @@ Everything reported by this module is exact.  Two engines cooperate:
     matmul; products stay below 2^53, hence exact in float64), optional
     deterministic row compression, CRT + rational reconstruction of
     kernel vectors.  Its output is never trusted as such: every kernel
-    vector is re-verified with exact integer arithmetic, independence
+    vector is re-verified by an exact product with the columns (int64
+    within a bound checked at run time, Python ints beyond it), independence
     comes from an exact Hermite reduction, and the kernel dimension is
     certified by the sandwich
 
@@ -291,28 +292,120 @@ def _rank_bareiss(m: SparseMat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense modular elimination (numpy; exact residues mod p < 2^23)
+# integer columns as arrays: residues mod p and exact products
 
 
-def _mod_columns(columns, p: int):
-    """Columns as (int64 row indices, int64 residues)."""
-    out = []
-    for col in columns:
-        if col:
-            idx = np.fromiter((i for i, _ in col), dtype=np.int64, count=len(col))
-            val = np.fromiter((v % p for _, v in col), dtype=np.int64, count=len(col))
-        else:
-            idx = np.zeros(0, dtype=np.int64)
-            val = np.zeros(0, dtype=np.int64)
-        out.append((idx, val))
-    return out
+def _exact_array(values) -> np.ndarray:
+    """Integers as an int64 array when every one fits, else dtype=object."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _dense_mod(columns, nrows: int, p: int) -> np.ndarray:
-    a = np.zeros((nrows, len(columns)), dtype=np.int64)
-    for j, (idx, val) in enumerate(_mod_columns(columns, p)):
-        np.add.at(a[:, j], idx, val)
-    return a % p
+def _abs_max(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+class _ColumnArrays:
+    """Integer columns in compressed sparse column form.
+
+    Column j has the entries rows[indptr[j]:indptr[j+1]] (int32) with the
+    values vals[indptr[j]:indptr[j+1]]: int16 when every entry fits, else
+    int64 or a dtype=object array of Python ints.  Built once per block
+    (or per degree), the arrays give the dense residues mod each prime
+    and the exact products that certify kernel vectors.
+    """
+
+    __slots__ = ("rows", "vals", "nrows", "ncols", "indptr", "amax")
+
+    def __init__(self, columns, nrows: int, nnz: int | None = None):
+        # nnz (the number of entries) lets an iterator of columns be
+        # streamed into preallocated arrays, one column at a time; without
+        # it, columns must be a sequence
+        if nnz is None:
+            nnz = sum(len(col) for col in columns)
+        self.rows = np.empty(nnz, dtype=np.int32 if nrows < 1 << 31 else np.int64)
+        self.vals = np.empty(nnz, dtype=np.int16)
+        big = None  # the values as Python ints, once one does not fit int16
+        lengths = []
+        end = 0
+        for col in columns:
+            lengths.append(len(col))
+            if not col:
+                continue
+            start, end = end, end + len(col)
+            r, v = zip(*col)
+            self.rows[start:end] = r
+            if big is None:
+                if -(1 << 15) <= min(v) and max(v) < 1 << 15:
+                    self.vals[start:end] = v
+                    continue
+                big = self.vals[:start].tolist()
+            big.extend(v)
+        if end != nnz:
+            raise ValueError(f"columns hold {end} entries, not the {nnz} announced")
+        if big is not None:
+            self.vals = _exact_array(big)
+        self.nrows = nrows
+        self.ncols = len(lengths)
+        self.indptr = np.zeros(self.ncols + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.amax = _abs_max(self.vals)
+
+    def entry_columns(self) -> np.ndarray:
+        """The column index of every entry."""
+        return np.repeat(np.arange(self.ncols), np.diff(self.indptr))
+
+    def values_mod(self, p: int) -> np.ndarray:
+        """The value of every entry mod p, as int64."""
+        v = self.vals if self.vals.dtype == object else self.vals.astype(np.int64)
+        return (v % p).astype(np.int64)
+
+    def residues(self, p: int) -> np.ndarray:
+        """The dense nrows x ncols int64 matrix mod p."""
+        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
+        np.add.at(a, (self.rows, self.entry_columns()), self.values_mod(p))
+        return a % p
+
+    def kills(self, vectors) -> bool:
+        """Exact check that sum_j x_j * column_j == 0 for every vector x.
+
+        Each vector is a pair (col_index, coeffs) of its nonzero entries.
+        A row of its product sums at most n products, n the number of
+        entries in the vector's columns, so the product is accumulated in
+        int64 when n * max|a| * max|x| < 2^63 holds for this data, and in
+        Python ints (dtype=object) when it does not; either way it is exact.
+        """
+        for col_index, coeffs in vectors:
+            x = _exact_array(coeffs)
+            j = np.asarray(col_index, dtype=np.int64)
+            lengths = self.indptr[j + 1] - self.indptr[j]
+            # positions of the entries of the vector's columns, concatenated
+            pos = np.repeat(self.indptr[j] - (np.cumsum(lengths) - lengths), lengths)
+            pos += np.arange(pos.size)
+            fits = (
+                self.vals.dtype != object
+                and x.dtype != object
+                and pos.size * self.amax * _abs_max(x) < 1 << 63
+            )
+            dtype = np.int64 if fits else object
+            prod = self.vals[pos].astype(dtype)
+            prod *= np.repeat(x.astype(dtype), lengths)
+            acc = np.zeros(self.nrows, dtype=dtype)
+            np.add.at(acc, self.rows[pos], prod)
+            if acc.any():
+                return False
+        return True
+
+    def kills_rows(self, vecs) -> bool:
+        """kills() for dense integer vectors of length ncols."""
+        sparse = []
+        for vec in vecs:
+            v = _exact_array(vec)
+            j = np.flatnonzero(v)
+            sparse.append((j, v[j]))
+        return self.kills(sparse)
 
 
 def _lcg_stream(seed: int):
@@ -322,8 +415,9 @@ def _lcg_stream(seed: int):
         yield state >> 16
 
 
-def _compressed_mod(columns, nrows: int, p: int, s: int, seed: int) -> np.ndarray:
+def _compressed_mod(arrays: _ColumnArrays, p: int, s: int, seed: int) -> np.ndarray:
     """Deterministic 2-bucket row compression of the matrix, mod p."""
+    nrows = arrays.nrows
     gen = _lcg_stream(seed)
     b1 = np.empty(nrows, dtype=np.int64)
     b2 = np.empty(nrows, dtype=np.int64)
@@ -335,10 +429,11 @@ def _compressed_mod(columns, nrows: int, p: int, s: int, seed: int) -> np.ndarra
         b2[r] = (x >> 24) % s
         c1[r] = 1 + ((x >> 48) % 9)
         c2[r] = 1 + ((x >> 56) % 9)
-    a = np.zeros((s, len(columns)), dtype=np.int64)
-    for j, (idx, val) in enumerate(_mod_columns(columns, p)):
-        np.add.at(a[:, j], b1[idx], c1[idx] * val)
-        np.add.at(a[:, j], b2[idx], c2[idx] * val)
+    a = np.zeros((s, arrays.ncols), dtype=np.int64)
+    idx, cols = arrays.rows, arrays.entry_columns()
+    val = arrays.values_mod(p)
+    np.add.at(a, (b1[idx], cols), c1[idx] * val)
+    np.add.at(a, (b2[idx], cols), c2[idx] * val)
     return a % p
 
 
@@ -559,18 +654,12 @@ def hnf_rows(rows: list) -> list:
 
 
 def _verify_kernel_vector(columns, nrows: int, vec) -> bool:
-    """Exact check that sum_j vec[j] * column_j == 0."""
-    acc: dict = {}
-    for j, vj in enumerate(vec):
-        if not vj:
-            continue
-        for i, a in columns[j]:
-            val = acc.get(i, 0) + vj * a
-            if val:
-                acc[i] = val
-            elif i in acc:
-                del acc[i]
-    return not acc
+    """Exact check that sum_j vec[j] * column_j == 0.
+
+    The one-vector call of _ColumnArrays.kills_rows; the certified kernel
+    builds the arrays once per block and checks all its vectors at once.
+    """
+    return _ColumnArrays(columns, nrows).kills_rows([vec])
 
 
 def _prime_factors(n: int) -> list:
@@ -646,7 +735,7 @@ class _SaturationTooHard(RuntimeError):
     """Entries or pivots too large for the fast saturation loop."""
 
 
-def _saturate_rows(v_rows: list, columns, nrows: int) -> list:
+def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
     """Certified saturation of an integer row basis of a rational kernel.
 
     Each input row must lie in the exact kernel of the columns; so does
@@ -697,9 +786,8 @@ def _saturate_rows(v_rows: list, columns, nrows: int) -> list:
         if not fixed_any:
             break
     out = [tuple(r) for r in hnf_rows(v)]
-    for row in out:
-        if not _verify_kernel_vector(columns, nrows, row):
-            raise CertificateError("saturated basis row left the kernel")
+    if not arrays.kills_rows(out):
+        raise CertificateError("saturated basis row left the kernel")
     return out
 
 
@@ -828,9 +916,10 @@ def _kernel_block(columns, nrows: int) -> list:
     compress = nrows * ncols > _DENSE_CELLS and nrows > ncols + 40
     attempts = 4 if compress else 1
     cause = "no attempt certified within the prime pool"
+    arrays = _ColumnArrays(columns, nrows)
     try:
         for attempt in range(attempts):
-            result = _kernel_attempt(columns, nrows, compress, attempt)
+            result = _kernel_attempt(arrays, compress, attempt)
             if result is not None:
                 return result
     except _SaturationTooHard as exc:
@@ -854,8 +943,8 @@ def _kernel_block(columns, nrows: int) -> list:
         ) from exc
 
 
-def _kernel_attempt(columns, nrows: int, compress: bool, attempt: int):
-    ncols = len(columns)
+def _kernel_attempt(arrays: _ColumnArrays, compress: bool, attempt: int):
+    nrows, ncols = arrays.nrows, arrays.ncols
     computed: dict = {}
     cursor = 0
 
@@ -867,9 +956,9 @@ def _kernel_attempt(columns, nrows: int, compress: bool, attempt: int):
         cursor += 1
         if compress:
             s = min(nrows, ncols + 200)
-            a = _compressed_mod(columns, nrows, p, s, seed=1 + attempt)
+            a = _compressed_mod(arrays, p, s, seed=1 + attempt)
         else:
-            a = _dense_mod(columns, nrows, p)
+            a = arrays.residues(p)
         computed[p] = _nullspace_mod(a, p)
         return True
 
@@ -894,7 +983,7 @@ def _kernel_attempt(columns, nrows: int, compress: bool, attempt: int):
             if target > len(_PRIMES):
                 return None
             continue
-        if not all(_verify_kernel_vector(columns, nrows, v) for v in cands):
+        if not arrays.kills_rows(cands):
             if compress:
                 return None  # compression artifact; retry with a new seed
             target += max(1, target // 2)
@@ -912,7 +1001,7 @@ def _kernel_attempt(columns, nrows: int, compress: bool, attempt: int):
             continue
         # sandwich: rank_p = ncols - d with d verified independent integer
         # kernel vectors forces rank_Q = ncols - d exactly
-        return list(_saturate_rows(basis, columns, nrows))
+        return list(_saturate_rows(basis, arrays))
 
 
 def _reconstruct_candidates(per_prime, primes):

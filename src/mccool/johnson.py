@@ -200,6 +200,7 @@ class _AbcTauColumns:
             (t,): tuple(dict(d.coeffs) for d in tm.generators[t].images) for t in range(3)
         }
         self._aw: dict = {}
+        self._arrays: dict = {}
 
     def images_of_word(self, word) -> tuple:
         hit = self._imgs.get(word)
@@ -255,21 +256,31 @@ class _AbcTauColumns:
         self._aw[key] = res
         return res
 
-    def matrix_columns(self, k: int):
-        """Columns of the degree-k tau matrix, row index i*witt(3,k+1)+word."""
+    def _columns(self, k: int):
         idx = lyndon_index(3, k + 1)
         wd = len(idx)
-        cols = []
         for w in lyndon_tuples(3, k):
             imgs = self.images_of_word(w)
-            col = []
-            for i in range(3):
-                base = i * wd
-                for ww, c in imgs[i].items():
-                    col.append((base + idx[ww], c))
+            col = [(i * wd + idx[ww], c) for i in range(3) for ww, c in imgs[i].items()]
             col.sort()
-            cols.append(col)
-        return cols, 3 * wd
+            yield col
+
+    def matrix_columns(self, k: int):
+        """Columns of the degree-k tau matrix, row index i*witt(3,k+1)+word."""
+        return list(self._columns(k)), 3 * len(lyndon_index(3, k + 1))
+
+    def tau_arrays(self, k: int) -> exactla._ColumnArrays:
+        """The degree-k tau matrix as column arrays, built once per degree.
+
+        The columns are streamed into the arrays one at a time, so no list
+        of all columns is alive while they are built.
+        """
+        hit = self._arrays.get(k)
+        if hit is None:
+            nnz = sum(len(d) for w in lyndon_tuples(3, k) for d in self.images_of_word(w))
+            nrows = 3 * len(lyndon_index(3, k + 1))
+            hit = self._arrays[k] = exactla._ColumnArrays(self._columns(k), nrows, nnz)
+        return hit
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,20 +344,19 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
     cols, nrows = engine.matrix_columns(k)
     domain = lyndon_tuples(3, k)
     basis_vecs = exactla._kernel_lattice_columns(cols, nrows)
+    divisors = None
+    if with_divisors:
+        divisors = exactla.smith_normal_form(SparseMat.from_columns(cols, nrows)).divisors
+    del cols  # release the lists before the degree's arrays are built
     alphabet = abc_alphabet()
     basis = tuple(
         sign_normalize(_vector_to_polynomial(v, domain, alphabet)) for v in basis_vecs
     )
     # certify by re-evaluation: tau of each basis element must vanish
-    for p in basis:
-        if p.is_zero():
-            raise AssertionError("zero vector reported in kernel basis")
-        if not _tau_vanishes(engine, p):
-            raise AssertionError("kernel basis vector not killed by tau")
-    divisors = None
-    if with_divisors:
-        mat = SparseMat.from_columns(cols, nrows)
-        divisors = exactla.smith_normal_form(mat).divisors
+    if any(p.is_zero() for p in basis):
+        raise exactla.CertificateError("zero vector reported in kernel basis")
+    if not _tau_kills(engine, k, basis):
+        raise exactla.CertificateError("kernel basis vector not killed by tau")
     dim = len(basis)
     return KernelReport(
         n=3,
@@ -359,19 +369,16 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
     )
 
 
-def _tau_vanishes(engine: _AbcTauColumns, p: LiePolynomial) -> bool:
-    acc = [dict(), dict(), dict()]
-    for word, c in p.coeffs.items():
-        imgs = engine.images_of_word(word)
-        for i in range(3):
-            a = acc[i]
-            for w, cc in imgs[i].items():
-                val = a.get(w, 0) + c * cc
-                if val:
-                    a[w] = val
-                elif w in a:
-                    del a[w]
-    return all(not a for a in acc)
+def _tau_kills(engine: _AbcTauColumns, k: int, polys) -> bool:
+    """Exact check that tau kills every degree-k polynomial in polys.
+
+    Each polynomial's Lyndon coefficients become a vector through
+    lyndon_index, which is multiplied exactly with the degree's tau
+    arrays (exactla._ColumnArrays.kills).
+    """
+    idx = lyndon_index(3, k)
+    vectors = [([idx[w] for w in p.coeffs], list(p.coeffs.values())) for p in polys]
+    return not vectors or engine.tau_arrays(k).kills(vectors)
 
 
 @dataclass(frozen=True)
@@ -405,10 +412,9 @@ def bracket_map_rank(k: int) -> BracketMapReport:
     for lab in alphabet.labels:
         x = LieElement.generator(alphabet, lab)
         for v in kappa_k.kernel_basis:
-            el = lie_bracket(x, v)
-            if not _tau_vanishes(engine, el):
-                raise AssertionError("bracket of a kernel element left the kernel")
-            family.append(el)
+            family.append(lie_bracket(x, v))
+    if not _tau_kills(engine, k + 1, family):
+        raise exactla.CertificateError("bracket of a kernel element left the kernel")
     cols = []
     for el in family:
         cols.append(sorted((idx[w], c) for w, c in el.coeffs.items()))

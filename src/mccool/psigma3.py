@@ -239,7 +239,7 @@ def sd_tau_kernel(k: int):
         )
     for u in out:
         if not sd_tau(u).is_zero():
-            raise AssertionError("sd_tau kernel vector failed re-evaluation")
+            raise exactla.CertificateError("sd_tau kernel vector failed re-evaluation")
     return out
 
 

@@ -72,26 +72,31 @@ _ABC_PAIRS = {"a": (1, 2), "b": (2, 1), "c": (1, 3)}
 
 
 @functools.lru_cache(maxsize=None)
-def _sym_substitution_word(word, letter_images, alphabet):
+def _sym_substitution_word(word, letter_targets, alphabet):
     """Renormalizing generator substitution on a Lyndon word.
 
-    letter_images maps letter index -> LieElement over the target
-    alphabet (or None for a killed generator).
+    letter_targets maps letter index -> the index of its image generator
+    in the target alphabet (or None for a killed generator); the cache
+    key is this tuple of small ints, and generators are built at the
+    leaves.
     """
     if len(word) == 1:
-        return letter_images[word[0]]
+        target = letter_targets[word[0]]
+        if target is None:
+            return None
+        return LieElement(alphabet, 1, {(target,): 1}, _trust=True)
     u, v = standard_factorization(word)
-    iu = _sym_substitution_word(u, letter_images, alphabet)
-    iv = _sym_substitution_word(v, letter_images, alphabet)
+    iu = _sym_substitution_word(u, letter_targets, alphabet)
+    iv = _sym_substitution_word(v, letter_targets, alphabet)
     if iu is None or iv is None:
         return None
     return lie_bracket(iu, iv)
 
 
-def _substitute(p: LiePolynomial, letter_images: tuple, target_alphabet, degree: int):
+def _substitute(p: LiePolynomial, letter_targets: tuple, target_alphabet, degree: int):
     acc: dict = {}
     for word, c in p.coeffs.items():
-        img = _sym_substitution_word(word, letter_images, target_alphabet)
+        img = _sym_substitution_word(word, letter_targets, target_alphabet)
         if img is None:
             continue
         for ww, cc in img.coeffs.items():
@@ -112,7 +117,7 @@ def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
     triple = _as_triple(i, n)
     sym_n = McCoolSymbols(n)
     labels = p.alphabet.labels
-    images = []
+    targets = []
     for lab in labels:
         if lab in _ABC_PAIRS:
             s, t = _ABC_PAIRS[lab]
@@ -120,8 +125,8 @@ def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
             s, t = int(lab[1]), int(lab[2])
         its = triple.indices[s - 1]
         itt = triple.indices[t - 1]
-        images.append(LieElement.generator(sym_n.alphabet, f"k{its}{itt}"))
-    return _substitute(p, tuple(images), sym_n.alphabet, p.degree)
+        targets.append(sym_n.alphabet.index(f"k{its}{itt}"))
+    return _substitute(p, tuple(targets), sym_n.alphabet, p.degree)
 
 
 def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
@@ -136,15 +141,13 @@ def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
     if q.alphabet != sym_n.alphabet:
         raise ValueError("polynomial is not over the rank-n symbols")
     inset = set(triple.indices)
-    images = []
+    targets = []
     for a, b in sym_n.pairs:
         if a in inset and b in inset:
-            images.append(
-                LieElement.generator(sym_3.alphabet, f"k{triple.position(a)}{triple.position(b)}")
-            )
+            targets.append(sym_3.alphabet.index(f"k{triple.position(a)}{triple.position(b)}"))
         else:
-            images.append(None)
-    return _substitute(q, tuple(images), sym_3.alphabet, q.degree)
+            targets.append(None)
+    return _substitute(q, tuple(targets), sym_3.alphabet, q.degree)
 
 
 def embed_abc(p: LiePolynomial) -> LiePolynomial:

@@ -233,6 +233,11 @@ class _StaircaseBasis:
         self.lead = [col[0] for col in self.cols]
 
     def coords(self, target: LiePolynomial):
+        """Exact coordinates of target, or None if it is outside the span.
+
+        A coordinate is an int when its pivot divides exactly and a
+        Fraction only when it does not.
+        """
         if not self.cols:
             return [] if target.is_zero() else None
         residue: dict = {}
@@ -240,7 +245,10 @@ class _StaircaseBasis:
             residue[self.idx[w]] = c
         coords = []
         for col, (lead_row, piv) in zip(self.cols, self.lead):
-            x = Fraction(residue.get(lead_row, 0), piv)
+            val = residue.get(lead_row, 0)
+            x, rem = divmod(val, piv)
+            if rem:
+                x = Fraction(val, piv)
             coords.append(x)
             if x:
                 for r, v in col:

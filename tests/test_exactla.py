@@ -267,6 +267,126 @@ class TestFallback:
         assert "exact (exact kernel entries" in msg
 
 
+def reference_residual(columns, nrows, vec):
+    """Independent oracle: M @ vec in plain Python ints."""
+    out = [0] * nrows
+    for col, x in zip(columns, vec):
+        for i, a in col:
+            out[i] += a * x
+    return out
+
+
+sparse_columns = st.integers(1, 6).flatmap(
+    lambda nrows: st.tuples(
+        st.just(nrows),
+        st.lists(
+            st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(-3, 3)), max_size=4),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+)
+
+
+class TestColumnArrays:
+    def test_wraparound_is_rejected(self):
+        # 2^32 * 2^32 = 2^64 wraps to 0 in int64; the bound must send this
+        # product to Python ints, where the residual is 2^64, not 0
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            assert np.int64(1 << 32) * np.int64(1 << 32) == 0
+        assert not _verify_kernel_vector([[(0, 1 << 32)]], 1, [1 << 32])
+        assert _verify_kernel_vector([[(0, 1 << 32)], [(0, -1)]], 1, [1 << 32, 1 << 64])
+
+    @pytest.mark.parametrize("shift", [0, 20, 32, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_product_agrees_with_python_ints(self, shift, data):
+        # entries are multiples of 2^shift, up to 2^70: shifts 0 and 20 stay
+        # inside the int64 bound; at 32 every product is a multiple of 2^64,
+        # so int64 wraparound would call any vector a kernel vector; at 64
+        # the entries themselves need Python ints
+        from mccool.exactla import _ColumnArrays
+
+        nrows, shape = data.draw(sparse_columns)
+        entry = st.integers(-63, 63).map(lambda v: v << shift)
+        columns = [sorted({i: data.draw(entry) for i, _ in col}.items()) for col in shape]
+        vecs = [[data.draw(entry) for _ in columns] for _ in range(2)]
+        arrays = _ColumnArrays(columns, nrows)
+        killed = [not any(reference_residual(columns, nrows, v)) for v in vecs]
+        for vec, expected in zip(vecs, killed):
+            assert arrays.kills_rows([vec]) == expected
+            assert _verify_kernel_vector(columns, nrows, vec) == expected
+        assert arrays.kills_rows(vecs) == all(killed)
+        # one more column, -M @ vec, puts (vec, 1) in the kernel exactly;
+        # moving one coordinate by 1 then adds its column to the residual
+        vec = vecs[0]
+        residual = reference_residual(columns, nrows, vec)
+        columns.append([(i, -r) for i, r in enumerate(residual) if r])
+        planted = _ColumnArrays(columns, nrows)
+        assert planted.kills_rows([vec + [1]])
+        moved = vec + [1]
+        moved[data.draw(st.integers(0, len(moved) - 1))] += 1
+        expected = not any(reference_residual(columns, nrows, moved))
+        assert planted.kills_rows([moved]) == expected
+        assert planted.kills_rows([vec + [1], moved]) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_columns, st.sampled_from([8, 70]))
+    def test_residues_match_python_ints(self, shaped, bits):
+        from mccool.exactla import _PRIMES, _ColumnArrays
+
+        nrows, shape = shaped
+        columns = [[(i, v << bits) for i, v in col] for col in shape]  # repeats add up
+        p = _PRIMES[0]
+        dense = _ColumnArrays(columns, nrows).residues(p)
+        for i in range(nrows):
+            for j, col in enumerate(columns):
+                assert dense[i, j] == sum(v for r, v in col if r == i) % p
+
+    def test_row_compression_matches_python_ints(self):
+        from mccool.exactla import _PRIMES, _ColumnArrays, _compressed_mod, _lcg_stream
+
+        rng = random.Random(5)
+        nrows, ncols, s, seed = 40, 7, 12, 3
+        columns = [
+            sorted({rng.randrange(nrows): rng.randint(-9, 9) for _ in range(5)}.items())
+            for _ in range(ncols)
+        ]
+        p = _PRIMES[1]
+        got = _compressed_mod(_ColumnArrays(columns, nrows), p, s, seed)
+        gen = _lcg_stream(seed)
+        want = [[0] * ncols for _ in range(s)]
+        for r in range(nrows):
+            x = next(gen)
+            for j, col in enumerate(columns):
+                v = dict(col).get(r, 0)
+                want[x % s][j] += (1 + ((x >> 48) % 9)) * v
+                want[(x >> 24) % s][j] += (1 + ((x >> 56) % 9)) * v
+        assert got.tolist() == [[v % p for v in row] for row in want]
+
+    def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
+        from mccool import exactla
+        from mccool.johnson import kernel_report
+
+        solve = exactla._kernel_lattice_columns
+
+        def corrupted(columns, nrows):
+            basis = [list(v) for v in solve(columns, nrows)]
+            j = next(j for j, x in enumerate(basis[0]) if x)
+            basis[0][j] += 1
+            return [tuple(v) for v in basis]
+
+        kernel_report.cache_clear()
+        monkeypatch.setattr(exactla, "_kernel_lattice_columns", corrupted)
+        try:
+            with pytest.raises(exactla.CertificateError, match="not killed by tau"):
+                kernel_report(7)
+        finally:
+            kernel_report.cache_clear()
+
+
 class TestBlockedElimination:
     def test_blocked_engine_matches_small_engine(self):
         # same matrix, both mod-p nullspace engines: identical pivots and

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_lie_element
@@ -17,6 +19,7 @@ from mccool.symmetry import (
     equivariance_check,
     kernel_character,
 )
+from mccool.symmetry import _StaircaseBasis
 
 
 class TestGroup:
@@ -160,6 +163,52 @@ class TestKernelCharacter:
     def test_multiplicities_reject_bad_character(self):
         with pytest.raises(ValueError):
             Character(1, 1, -1).multiplicities()
+
+
+def fraction_coords(stair, target):
+    """Oracle: the staircase solve carried out in Fractions throughout."""
+    residue = {stair.idx[w]: Fraction(c) for w, c in target.coeffs.items()}
+    coords = []
+    for col, (lead_row, piv) in zip(stair.cols, stair.lead):
+        x = residue.get(lead_row, Fraction(0)) / piv
+        coords.append(x)
+        for r, v in col:
+            residue[r] = residue.get(r, 0) - x * v
+    return None if any(residue.values()) else coords
+
+
+class TestStaircaseCoords:
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_integer_coords_equal_fraction_route(self, k):
+        basis = kernel_report(k).kernel_basis
+        stair = _StaircaseBasis(basis, k)
+        for sigma in S3_ALL:
+            for p in basis:
+                image = act_on_polynomial(sigma, p)
+                coords = stair.coords(image)
+                assert coords == fraction_coords(stair, image)
+                # the kernel lattice is stable, so every pivot divides
+                assert all(type(x) is int for x in coords)
+
+    def test_non_dividing_pivot_gives_fraction(self):
+        alphabet = abc_alphabet()
+        a, b, c = (LieElement.generator(alphabet, lab) for lab in "abc")
+        ab, ac = lie_bracket(a, b), lie_bracket(a, c)
+        stair = _StaircaseBasis([ab.scale(2) + ac, ac.scale(3)], 2)
+        target = ab.scale(3) + ac.scale(3)
+        coords = stair.coords(target)
+        assert coords == [Fraction(3, 2), Fraction(1, 2)]
+        assert coords == fraction_coords(stair, target)
+        assert all(isinstance(x, Fraction) for x in coords)
+        assert stair.coords(ab.scale(4) + ac.scale(5)) == [2, 1]
+        assert stair.coords(lie_bracket(b, c)) is None
+
+    def test_target_outside_kernel_span(self):
+        basis = kernel_report(7).kernel_basis
+        stair = _StaircaseBasis(basis, 7)
+        outside = basis[0] + LieElement(abc_alphabet(), 7, {(0, 0, 0, 0, 0, 0, 1): 1})
+        assert stair.coords(outside) is None
+        assert fraction_coords(stair, outside) is None
 
 
 class TestEquivariance:
