@@ -6,9 +6,13 @@ Everything reported by this module is exact.  Two engines cooperate:
     pivoting, lazy telescoped rescaling of rows that miss the pivot
     column), used directly for small matrices and as the arbiter;
 
-  * a modular fast path for large matrices: dense Gaussian elimination
-    mod 23-bit primes (blocked panels so the trailing update is a BLAS
-    matmul; products stay below 2^53, hence exact in float64), optional
+  * a modular fast path for large matrices: the matrix is held once as
+    compressed column arrays and cut into the connected blocks of its
+    column-row incidence graph; each block gets dense Gaussian
+    elimination mod 23-bit primes (int64 with deferred reduction, entries
+    below ncols * p^2 + p < 2^63; above _BLOCKED_CELLS cells, blocked
+    panels so the trailing update is a BLAS matmul, products below 2^53,
+    hence exact in float64; both bounds checked at run time), optional
     deterministic row compression, CRT + rational reconstruction of
     kernel vectors.  Its output is never trusted as such: every kernel
     vector is re-verified by an exact product with the columns (int64
@@ -307,14 +311,35 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def _row_dtype(nrows: int):
+    return np.int32 if nrows < 1 << 31 else np.int64
+
+
+def _narrowest(vals: np.ndarray) -> np.ndarray:
+    """Integer values in the dtype a fresh build would give them: int16
+    when every one fits, else int64 when every one fits, else object."""
+    if vals.dtype == np.int16:
+        return vals
+    if not vals.size:
+        return vals.astype(np.int16)
+    lo, hi = int(vals.min()), int(vals.max())
+    if -(1 << 15) <= lo and hi < 1 << 15:
+        return vals.astype(np.int16)
+    if vals.dtype == object and -(1 << 63) <= lo and hi < 1 << 63:
+        return vals.astype(np.int64)
+    return vals
+
+
 class _ColumnArrays:
     """Integer columns in compressed sparse column form.
 
     Column j has the entries rows[indptr[j]:indptr[j+1]] (int32) with the
     values vals[indptr[j]:indptr[j+1]]: int16 when every entry fits, else
-    int64 or a dtype=object array of Python ints.  Built once per block
-    (or per degree), the arrays give the dense residues mod each prime
-    and the exact products that certify kernel vectors.
+    int64 or a dtype=object array of Python ints.  Built once per matrix,
+    the arrays are cut into the blocks of the certified kernel, give the
+    dense residues mod each prime and the exact products that certify
+    kernel vectors.  As a sequence, the arrays are their columns: len() is
+    ncols and item j is column j as a list of (row, value) pairs.
     """
 
     __slots__ = ("rows", "vals", "nrows", "ncols", "indptr", "amax")
@@ -325,7 +350,7 @@ class _ColumnArrays:
         # it, columns must be a sequence
         if nnz is None:
             nnz = sum(len(col) for col in columns)
-        self.rows = np.empty(nnz, dtype=np.int32 if nrows < 1 << 31 else np.int64)
+        self.rows = np.empty(nnz, dtype=_row_dtype(nrows))
         self.vals = np.empty(nnz, dtype=np.int16)
         big = None  # the values as Python ints, once one does not fit int16
         lengths = []
@@ -347,11 +372,50 @@ class _ColumnArrays:
             raise ValueError(f"columns hold {end} entries, not the {nnz} announced")
         if big is not None:
             self.vals = _exact_array(big)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        self._set(indptr, self.rows, self.vals, nrows)
+
+    def _set(self, indptr, rows, vals, nrows) -> None:
+        self.indptr, self.rows, self.vals = indptr, rows, vals
         self.nrows = nrows
-        self.ncols = len(lengths)
-        self.indptr = np.zeros(self.ncols + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.indptr[1:])
-        self.amax = _abs_max(self.vals)
+        self.ncols = len(indptr) - 1
+        self.amax = _abs_max(vals)
+
+    def __len__(self) -> int:
+        return self.ncols
+
+    def __getitem__(self, j: int) -> list:
+        if not 0 <= j < self.ncols:
+            raise IndexError("column index out of range")
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return list(zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()))
+
+    def __iter__(self):
+        rows, vals = self.rows.tolist(), self.vals.tolist()
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield list(zip(rows[lo:hi], vals[lo:hi]))
+
+    def _positions(self, j: np.ndarray):
+        """Entry positions of the columns j, concatenated, and their lengths."""
+        lengths = self.indptr[j + 1] - self.indptr[j]
+        pos = np.repeat(self.indptr[j] - (np.cumsum(lengths) - lengths), lengths)
+        pos += np.arange(pos.size)
+        return pos, lengths
+
+    def block(self, cols) -> "_ColumnArrays":
+        """The submatrix of the columns cols, in that order, with the rows
+        they touch renumbered 0.. in ascending order."""
+        j = np.asarray(cols, dtype=np.int64)
+        pos, lengths = self._positions(j)
+        touched, local = np.unique(self.rows[pos], return_inverse=True)
+        indptr = np.zeros(j.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        out = _ColumnArrays.__new__(_ColumnArrays)
+        rows = local.astype(_row_dtype(touched.size))
+        out._set(indptr, rows, _narrowest(self.vals[pos]), touched.size)
+        return out
 
     def entry_columns(self) -> np.ndarray:
         """The column index of every entry."""
@@ -379,11 +443,7 @@ class _ColumnArrays:
         """
         for col_index, coeffs in vectors:
             x = _exact_array(coeffs)
-            j = np.asarray(col_index, dtype=np.int64)
-            lengths = self.indptr[j + 1] - self.indptr[j]
-            # positions of the entries of the vector's columns, concatenated
-            pos = np.repeat(self.indptr[j] - (np.cumsum(lengths) - lengths), lengths)
-            pos += np.arange(pos.size)
+            pos, lengths = self._positions(np.asarray(col_index, dtype=np.int64))
             fits = (
                 self.vals.dtype != object
                 and x.dtype != object
@@ -519,44 +579,98 @@ def _forward_elim_blocked(a: np.ndarray, p: int) -> list:
     return pivots
 
 
+def _forward_elim_deferred(a: np.ndarray, p: int) -> list:
+    """Forward elimination mod p on an int64 matrix, reducing late.
+
+    A column is reduced mod p when it is searched for a pivot, and a row
+    when it becomes the pivot row; the rows below a pivot are updated
+    without reduction.  Pivot rows end up in rows 0..rank-1 with their
+    pivots and every entry right of them in [0, p).  An update adds less
+    than p^2 to an entry, at most once per pivot, so every entry stays
+    below ncols * p^2 + p in absolute value (checked by the caller).
+    """
+    nrows, ncols = a.shape
+    pivots: list = []
+    r = 0
+    for j in range(ncols):
+        if r == nrows:
+            break
+        col = a[r:, j] % p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        piv = int(col[nz[0]])
+        a[r, j] = piv
+        prow = a[r, j + 1 :]
+        prow %= p
+        if nz.size > 1:
+            # after the swap, the rows below with a nonzero entry mod p are
+            # exactly the other rows of nz (row r held a zero if it moved)
+            mults = col[nz[1:]] * pow(piv, p - 2, p) % p
+            below = r + nz[1:]
+            a[below, j + 1 :] -= np.outer(mults, prow)
+        pivots.append(j)
+        r += 1
+    return pivots
+
+
+def _back_substitute(u: np.ndarray, pivots: list, p: int) -> np.ndarray:
+    """Canonical nullspace basis mod p from echelon rows.
+
+    Row i of u has its pivot in column pivots[i], and its pivot and every
+    entry right of it lie in [0, p).  The basis has one row per free
+    column f: x_f = 1, the other free coordinates 0, and the pivot
+    coordinates solved from the last pivot up.  A row sum adds fewer than
+    ncols products below p^2, which the caller checks against 2^63.
+    """
+    ncols = u.shape[1]
+    pivset = set(pivots)
+    free = [j for j in range(ncols) if j not in pivset]
+    x = np.zeros((ncols, len(free)), dtype=np.int64)
+    if not free:
+        return x.T
+    x[free, np.arange(len(free))] = 1
+    for i in range(len(pivots) - 1, -1, -1):
+        j = pivots[i]
+        s = (u[i, j + 1 :] @ x[j + 1 :]) % p
+        x[j] = (p - s) * pow(int(u[i, j]), p - 2, p) % p
+    return x.T.copy()
+
+
 def _nullspace_mod(a_int: np.ndarray, p: int):
     """Pivot columns and canonical nullspace basis mod p.
 
     The basis has one row per free column f: the vector with x_f = 1,
-    other free coordinates 0, pivot coordinates solved mod p.
+    other free coordinates 0, pivot coordinates solved mod p.  It is
+    unique, so both engines return the same basis: deferred-reduction
+    int64 elimination up to _BLOCKED_CELLS cells, the blocked float64
+    engine above; both back-substitute over the free columns.  Their
+    exactness bounds (int64 entries and row sums below ncols * p^2 + p <
+    2^63, float64 panel products below _PANEL * p^2 + p < 2^53) are
+    checked at run time, once per call.
     """
     nrows, ncols = a_int.shape
+    if ncols * p * p + p >= 1 << 63:
+        raise RuntimeError(
+            f"int64 elimination bound ncols * p^2 + p < 2^63 fails "
+            f"for {ncols} columns mod {p}"
+        )
     if a_int.size <= _BLOCKED_CELLS:
         a = a_int % p
-        pivots = _rref_mod_small(a, p)
-        pivset = set(pivots)
-        free = [j for j in range(ncols) if j not in pivset]
-        basis = np.zeros((len(free), ncols), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis[k, f] = 1
-            for i, j in enumerate(pivots):
-                basis[k, j] = (-int(a[i, f])) % p
-        return pivots, basis
+        pivots = _forward_elim_deferred(a, p)
+        return pivots, _back_substitute(a, pivots, p)
+    if _PANEL * p * p + p >= 1 << 53:
+        raise RuntimeError(
+            f"float64 panel bound _PANEL * p^2 + p < 2^53 fails "
+            f"for a panel of {_PANEL} mod {p}"
+        )
     a = (a_int % p).astype(np.float64)
     pivots = _forward_elim_blocked(a, p)
-    rank_ = len(pivots)
-    u = np.rint(a[:rank_]).astype(np.int64)
+    u = np.rint(a[: len(pivots)]).astype(np.int64)
     del a
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    x = np.zeros((ncols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        x[f, k] = 1
-    # back-substitution: row sums stay below ncols * p^2 < 2^63
-    for i in range(rank_ - 1, -1, -1):
-        j = pivots[i]
-        if j + 1 < ncols:
-            s = (u[i, j + 1 :] @ x[j + 1 :]) % p
-        else:
-            s = np.zeros(len(free), dtype=np.int64)
-        inv = pow(int(u[i, j]), p - 2, p)
-        x[j] = ((p - s) * inv) % p
-    return pivots, x.T.copy()
+    return pivots, _back_substitute(u, pivots, p)
 
 
 # ---------------------------------------------------------------------------
@@ -848,75 +962,89 @@ def _pivot_signature_key(pivots) -> tuple:
 def _kernel_lattice_columns(columns, nrows: int) -> list:
     """Certified Hermite basis of the integer kernel lattice of the columns.
 
-    The columns are split into the connected components of their
-    column-row incidence graph: two columns are in one block when they
-    share a row, and all zero columns form one block.  Up to a permutation
-    of rows and columns the matrix is then block diagonal, so its kernel
-    lattice is the direct sum of the blocks' kernel lattices.  Each block
-    is solved on its own by _kernel_block, rows renumbered locally and
-    columns kept in ascending order.  Embedded back in global coordinates,
-    a block's Hermite rows keep their pivots and are zero in every other
-    block's columns, so the rows of all blocks sorted by pivot column
-    satisfy the Hermite conditions for the whole lattice.  The Hermite
-    normal form is unique, hence this is exactly the basis one solve of
-    the unsplit matrix returns.
+    columns is a list of columns, each a list of (row, value) pairs, or a
+    _ColumnArrays; a list is converted to arrays once, and every block
+    below is cut from those arrays.  The columns are split into the
+    connected components of their column-row incidence graph: two columns
+    are in one block when they share a row, and all zero columns form one
+    block.  Up to a permutation of rows and columns the matrix is then
+    block diagonal, so its kernel lattice is the direct sum of the blocks'
+    kernel lattices.  Each block is solved on its own by _kernel_block,
+    rows renumbered locally and columns kept in ascending order.  Embedded
+    back in global coordinates, a block's Hermite rows keep their pivots
+    and are zero in every other block's columns, so the rows of all blocks
+    sorted by pivot column satisfy the Hermite conditions for the whole
+    lattice.  The Hermite normal form is unique, hence this is exactly the
+    basis one solve of the unsplit matrix returns.
     """
-    blocks = _column_blocks(columns, nrows)
+    if isinstance(columns, _ColumnArrays):
+        if columns.nrows != nrows:
+            raise ValueError(f"arrays have {columns.nrows} rows, not {nrows}")
+        arrays = columns
+    else:
+        arrays = _ColumnArrays(columns, nrows)
+    blocks = _column_blocks(arrays)
     if len(blocks) <= 1:
-        return _kernel_block(columns, nrows)
-    ncols = len(columns)
+        return _kernel_block(arrays)
     out = []
     for block in blocks:
-        rows = sorted({i for j in block for i, _ in columns[j]})
-        local = {i: t for t, i in enumerate(rows)}
-        sub = [[(local[i], v) for i, v in columns[j]] for j in block]
-        for vec in _kernel_block(sub, len(rows)):
-            full = [0] * ncols
-            for j, x in zip(block, vec):
+        block_cols = block.tolist()
+        for vec in _kernel_block(arrays.block(block)):
+            full = [0] * arrays.ncols
+            for j, x in zip(block_cols, vec):
                 full[j] = x
-            pivot = next(j for j, x in zip(block, vec) if x)
+            pivot = next(j for j, x in zip(block_cols, vec) if x)
             out.append((pivot, tuple(full)))
     out.sort()
     return [vec for _, vec in out]
 
 
-def _column_blocks(columns, nrows: int) -> list:
-    """Column indices of each connected component, by a union-find on rows.
+def _column_blocks(arrays: _ColumnArrays) -> list:
+    """Column indices of each connected component, as ascending int arrays.
 
     Columns sharing a row are in one component; zero columns form one.
+    Every column carries the label of a column of its component.  Each
+    round takes the smallest label over the columns of each row, gives
+    each column the smallest label over its rows, hooks the column a label
+    names onto the smaller label (union by index) and jumps every label to
+    its root (path compression).  Labels only fall, and a round that
+    changes none leaves one label per component.
     """
-    parent = list(range(nrows))
+    ncols = arrays.ncols
+    cols = arrays.entry_columns()
+    rows = arrays.rows
+    label = np.arange(ncols)
+    row_min = np.empty(arrays.nrows, dtype=np.int64)
+    while True:
+        row_min.fill(ncols)
+        np.minimum.at(row_min, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, row_min[rows])
+        np.minimum.at(new, label, new)
+        while True:
+            jumped = new[new]
+            if (jumped == new).all():
+                break
+            new = jumped
+        if (new == label).all():
+            break
+        label = new
+    label[np.diff(arrays.indptr) == 0] = -1
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order])) + 1
+    return np.split(order, starts) if ncols else []
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for col in columns:
-        if col:
-            root = find(col[0][0])
-            for i, _ in col[1:]:
-                other = find(i)
-                if other != root:
-                    parent[other] = root
-    blocks: dict = {}
-    for j, col in enumerate(columns):
-        blocks.setdefault(find(col[0][0]) if col else -1, []).append(j)
-    return list(blocks.values())
-
-
-def _kernel_block(columns, nrows: int) -> list:
+def _kernel_block(arrays: _ColumnArrays) -> list:
     """Certified Hermite basis of the kernel lattice of one block."""
-    ncols = len(columns)
+    nrows, ncols = arrays.nrows, arrays.ncols
     if ncols == 0:
         return []
-    if all(len(c) == 0 for c in columns):
+    if not arrays.rows.size:
         return [tuple(1 if j == k else 0 for j in range(ncols)) for k in range(ncols)]
     compress = nrows * ncols > _DENSE_CELLS and nrows > ncols + 40
     attempts = 4 if compress else 1
     cause = "no attempt certified within the prime pool"
-    arrays = _ColumnArrays(columns, nrows)
     try:
         for attempt in range(attempts):
             result = _kernel_attempt(arrays, compress, attempt)
@@ -933,7 +1061,7 @@ def _kernel_block(columns, nrows: int) -> list:
             "too many columns for the exact route"
         )
     try:
-        return [tuple(v) for v in _kernel_exact(columns, nrows)]
+        return [tuple(v) for v in _kernel_exact(list(arrays), nrows)]
     except CertificateError:
         raise
     except RuntimeError as exc:

@@ -62,7 +62,7 @@ class McCoolSymbols:
         if n > 9:
             raise ValueError("symbol labels support n <= 9")
         self.n = n
-        self.pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        self.pairs = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
         self.alphabet = Alphabet(tuple(f"k{i}{j}" for i, j in self.pairs))
 
     def symbol(self, i: int, j: int) -> LiePolynomial:
@@ -70,6 +70,12 @@ class McCoolSymbols:
 
     def pair_of_letter(self, letter: int) -> tuple:
         return self.pairs[letter]
+
+
+@functools.lru_cache(maxsize=None)
+def mccool_symbols(n: int) -> McCoolSymbols:
+    """The symbols of rank n, built once per n."""
+    return McCoolSymbols(n)
 
 
 def tau_generator(n: int, i: int, j: int) -> Derivation:
@@ -129,7 +135,7 @@ def _abc_tau_map() -> TauMap:
 
 @functools.lru_cache(maxsize=None)
 def _mccool_tau_map(n: int) -> TauMap:
-    sym = McCoolSymbols(n)
+    sym = mccool_symbols(n)
     pairs = {f"k{i}{j}": (i, j) for i, j in sym.pairs}
     return TauMap(sym.alphabet, n, pairs)
 
@@ -140,7 +146,7 @@ def tau_map_for(alphabet: Alphabet) -> TauMap:
         return _abc_tau_map()
     if all(lab.startswith("k") and len(lab) == 3 for lab in alphabet.labels):
         n = max(int(ch) for lab in alphabet.labels for ch in lab[1:])
-        if McCoolSymbols(n).alphabet == alphabet:
+        if mccool_symbols(n).alphabet == alphabet:
             return _mccool_tau_map(n)
     raise ValueError(f"no tau context for alphabet {alphabet!r}")
 
@@ -265,15 +271,13 @@ class _AbcTauColumns:
             col.sort()
             yield col
 
-    def matrix_columns(self, k: int):
-        """Columns of the degree-k tau matrix, row index i*witt(3,k+1)+word."""
-        return list(self._columns(k)), 3 * len(lyndon_index(3, k + 1))
-
     def tau_arrays(self, k: int) -> exactla._ColumnArrays:
         """The degree-k tau matrix as column arrays, built once per degree.
 
-        The columns are streamed into the arrays one at a time, so no list
-        of all columns is alive while they are built.
+        Row index i*witt(3,k+1)+word.  The columns are streamed into the
+        arrays one at a time, so no list of all columns is alive while
+        they are built; the kernel solve and every kernel check of the
+        degree read these arrays.
         """
         hit = self._arrays.get(k)
         if hit is None:
@@ -341,13 +345,13 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
             "call the engine directly to go higher"
         )
     engine = _abc_columns()
-    cols, nrows = engine.matrix_columns(k)
+    arrays = engine.tau_arrays(k)
     domain = lyndon_tuples(3, k)
-    basis_vecs = exactla._kernel_lattice_columns(cols, nrows)
+    basis_vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
     divisors = None
     if with_divisors:
-        divisors = exactla.smith_normal_form(SparseMat.from_columns(cols, nrows)).divisors
-    del cols  # release the lists before the degree's arrays are built
+        mat = SparseMat.from_columns(list(arrays), arrays.nrows)
+        divisors = exactla.smith_normal_form(mat).divisors
     alphabet = abc_alphabet()
     basis = tuple(
         sign_normalize(_vector_to_polynomial(v, domain, alphabet)) for v in basis_vecs

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .derivations import Derivation
 from .exactla import CertificateError
 from .freelie import LieElement, lie_bracket, x_alphabet
-from .johnson import LiePolynomial, McCoolSymbols, omega, tau_evaluate
+from .johnson import LiePolynomial, mccool_symbols, omega, tau_evaluate
 from .words import is_lyndon, standard_factorization
 
 __all__ = [
@@ -115,7 +115,7 @@ def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
     generator k_st goes to k_{i_s i_t}.
     """
     triple = _as_triple(i, n)
-    sym_n = McCoolSymbols(n)
+    sym_n = mccool_symbols(n)
     labels = p.alphabet.labels
     targets = []
     for lab in labels:
@@ -136,8 +136,8 @@ def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
     killed otherwise.
     """
     triple = _as_triple(j, n)
-    sym_n = McCoolSymbols(n)
-    sym_3 = McCoolSymbols(3)
+    sym_n = mccool_symbols(n)
+    sym_3 = mccool_symbols(3)
     if q.alphabet != sym_n.alphabet:
         raise ValueError("polynomial is not over the rank-n symbols")
     inset = set(triple.indices)

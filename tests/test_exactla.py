@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from mccool.exactla import (
     solve_columns,
     write_matrix_text,
 )
-from mccool.exactla import _column_blocks, _verify_kernel_vector
+from mccool.exactla import _ColumnArrays, _column_blocks, _verify_kernel_vector
 
 
 def frac_rank(dense):
@@ -173,6 +174,14 @@ blocks_strategy = st.lists(
     max_size=4,
 )
 
+# the rows each column touches, for up to 12 columns over up to 12 rows
+incidence_patterns = st.integers(1, 12).flatmap(
+    lambda nrows: st.tuples(
+        st.just(nrows),
+        st.lists(st.lists(st.integers(0, nrows - 1), max_size=3), max_size=12),
+    )
+)
+
 
 class TestBlockSplit:
     @staticmethod
@@ -201,7 +210,7 @@ class TestBlockSplit:
     def test_split_kernel_equals_exact_route(self, data):
         dense, owner = self._build(data)
         m = SparseMat.from_dense(dense)
-        components = [set(c) for c in _column_blocks(m.columns(), m.rows)]
+        components = [set(c) for c in _column_blocks(_ColumnArrays(m.columns(), m.rows))]
         # every component lies inside one planted block (or the zero columns)
         planted = [set(o) for o in owner]
         for comp in components:
@@ -219,9 +228,33 @@ class TestBlockSplit:
         shared[ja], shared[jb] = data.draw(st.integers(1, 3)), data.draw(st.integers(-3, -1))
         dense.insert(data.draw(st.integers(0, len(dense))), shared)
         m = SparseMat.from_dense(dense)
-        components = _column_blocks(m.columns(), m.rows)
+        components = _column_blocks(_ColumnArrays(m.columns(), m.rows))
         assert any(ja in comp and jb in comp for comp in components)
         assert kernel_lattice(m) == kernel_lattice(m, "exact")
+
+    @settings(max_examples=100, deadline=None)
+    @given(incidence_patterns)
+    def test_blocks_match_plain_union_find(self, shaped):
+        nrows, shape = shaped
+        columns = [[(i, 1) for i in sorted(set(col))] for col in shape]
+        blocks = _column_blocks(_ColumnArrays(columns, nrows))
+        assert all((b == np.sort(b)).all() for b in blocks)
+        assert sorted(b.tolist() for b in blocks) == sorted(reference_blocks(columns, nrows))
+
+    def test_long_chain_is_one_block(self):
+        # column j shares row j with column j - 1: one component whose
+        # labels must travel the whole chain, shuffled so that no ordering
+        # of rows or columns shortens the path
+        rng = random.Random(3)
+        n = 500
+        row_perm, col_perm = list(range(n + 1)), list(range(n))
+        rng.shuffle(row_perm)
+        rng.shuffle(col_perm)
+        columns = [None] * n
+        for j in range(n):
+            columns[col_perm[j]] = sorted([(row_perm[j], 1), (row_perm[j + 1], -1)])
+        blocks = _column_blocks(_ColumnArrays(columns, n + 1))
+        assert [b.tolist() for b in blocks] == [list(range(n))]
 
 
 class TestFallback:
@@ -267,6 +300,24 @@ class TestFallback:
         assert "exact (exact kernel entries" in msg
 
 
+def reference_blocks(columns, nrows):
+    """Independent oracle: connected components by a plain union-find."""
+    parent = list(range(nrows))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for col in columns:
+        for i, _ in col[1:]:
+            parent[find(i)] = find(col[0][0])
+    blocks: dict = {}
+    for j, col in enumerate(columns):
+        blocks.setdefault(find(col[0][0]) if col else -1, []).append(j)
+    return list(blocks.values())
+
+
 def reference_residual(columns, nrows, vec):
     """Independent oracle: M @ vec in plain Python ints."""
     out = [0] * nrows
@@ -292,8 +343,6 @@ class TestColumnArrays:
     def test_wraparound_is_rejected(self):
         # 2^32 * 2^32 = 2^64 wraps to 0 in int64; the bound must send this
         # product to Python ints, where the residual is 2^64, not 0
-        import numpy as np
-
         with np.errstate(over="ignore"):
             assert np.int64(1 << 32) * np.int64(1 << 32) == 0
         assert not _verify_kernel_vector([[(0, 1 << 32)]], 1, [1 << 32])
@@ -366,6 +415,52 @@ class TestColumnArrays:
                 want[(x >> 24) % s][j] += (1 + ((x >> 56) % 9)) * v
         assert got.tolist() == [[v % p for v in row] for row in want]
 
+    @pytest.mark.parametrize(
+        "scale, dtype", [(1, np.int16), (1 << 40, np.int64), (1 << 70, object)]
+    )
+    def test_arrays_are_their_columns(self, scale, dtype):
+        columns = [[(0, 3 * scale), (2, -scale)], [], [(1, 7), (2, -(1 << 15))]]
+        arrays = _ColumnArrays(columns, 3)
+        assert arrays.vals.dtype == dtype
+        assert len(arrays) == 3
+        assert list(arrays) == columns
+        assert [arrays[j] for j in range(3)] == columns
+        assert all(type(v) is int for col in arrays for _, v in col)
+        for j in (-1, 3):
+            with pytest.raises(IndexError):
+                arrays[j]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_columns, st.sampled_from([0, 20, 62, 70]), st.data())
+    def test_block_equals_fresh_build(self, shaped, bits, data):
+        nrows, shape = shaped
+        columns = [sorted({i: v << bits for i, v in col}.items()) for col in shape]
+        columns.append([(0, data.draw(st.sampled_from([1, 1 << 20, 1 << 70])))])
+        sel = data.draw(
+            st.lists(st.integers(0, len(columns) - 1), unique=True, max_size=len(columns))
+        )
+        block = _ColumnArrays(columns, nrows).block(sel)
+        touched = sorted({i for j in sel for i, _ in columns[j]})
+        local = {i: t for t, i in enumerate(touched)}
+        fresh = _ColumnArrays([[(local[i], v) for i, v in columns[j]] for j in sel], len(touched))
+        for name in ("indptr", "rows", "vals"):
+            got, want = getattr(block, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+        assert (block.nrows, block.ncols, block.amax) == (fresh.nrows, fresh.ncols, fresh.amax)
+        assert list(block) == [[(local[i], v) for i, v in columns[j]] for j in sel]
+
+    def test_block_beyond_int64_keeps_python_ints(self):
+        columns = [[(0, 1), (3, 1 << 70)], [(1, 1 << 40)], [(2, 5)]]
+        arrays = _ColumnArrays(columns, 4)
+        assert arrays.vals.dtype == object
+        big = arrays.block([0])
+        assert big.vals.dtype == object
+        assert list(big) == [[(0, 1), (1, 1 << 70)]]
+        assert big.kills_rows([[0]]) and not big.kills_rows([[1]])
+        assert arrays.block([1]).vals.dtype == np.int64
+        assert arrays.block([2]).vals.dtype == np.int16
+
     def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
         from mccool import exactla
         from mccool.johnson import kernel_report
@@ -391,9 +486,7 @@ class TestBlockedElimination:
     def test_blocked_engine_matches_small_engine(self):
         # same matrix, both mod-p nullspace engines: identical pivots and
         # identical canonical basis
-        import numpy as np
-
-        from mccool.exactla import _BLOCKED_CELLS, _PRIMES, _nullspace_mod, _rref_mod_small
+        from mccool.exactla import _BLOCKED_CELLS, _PRIMES, _nullspace_mod
 
         rng = random.Random(12)
         nrows, ncols = 640, 520  # above the blocked threshold
@@ -403,17 +496,100 @@ class TestBlockedElimination:
         for _ in range(9000):
             a[rng.randrange(nrows), rng.randrange(ncols)] = rng.randint(1, p - 1)
         pivots_blocked, basis_blocked = _nullspace_mod(a.copy(), p)
-        small = a.copy() % p
-        piv_small = _rref_mod_small(small, p)
-        pivset = set(piv_small)
-        free = [j for j in range(ncols) if j not in pivset]
-        basis_small = np.zeros((len(free), ncols), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis_small[k, f] = 1
-            for i, j in enumerate(piv_small):
-                basis_small[k, j] = (-int(small[i, f])) % p
+        piv_small, basis_small = rref_nullspace(a, p)
         assert pivots_blocked == piv_small
         assert (basis_blocked == basis_small).all()
+
+    def test_panel_bound_is_checked(self, monkeypatch):
+        from mccool import exactla
+
+        monkeypatch.setattr(exactla, "_BLOCKED_CELLS", 0)
+        monkeypatch.setattr(exactla, "_PANEL", 1 << 10)  # 2^10 * p^2 > 2^53
+        with pytest.raises(RuntimeError, match=r"_PANEL \* p\^2 \+ p < 2\^53"):
+            exactla._nullspace_mod(np.eye(2, dtype=np.int64), exactla._PRIMES[0])
+
+
+def rref_nullspace(a, p):
+    """Reference: pivots and canonical nullspace basis read off the full
+    reduced row echelon form of _rref_mod_small."""
+    from mccool.exactla import _rref_mod_small
+
+    small = a % p
+    pivots = _rref_mod_small(small, p)
+    pivset = set(pivots)
+    free = [j for j in range(a.shape[1]) if j not in pivset]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for i, j in enumerate(pivots):
+            basis[k, j] = (-int(small[i, f])) % p
+    return pivots, basis
+
+
+@st.composite
+def mod_p_matrices(draw):
+    """Random matrices mod _PRIMES[0]: tall, wide or square, sparse to
+    dense, with zero columns and columns that are multiples or sums of
+    others (rank deficiency)."""
+    from mccool.exactla import _PRIMES
+
+    p = _PRIMES[0]
+    nrows, ncols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < density)
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        a[:, j] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        j, k, l = (draw(st.integers(0, ncols - 1)) for _ in range(3))
+        a[:, j] = (a[:, k] * draw(st.integers(1, p - 1)) + a[:, l]) % p
+    return a
+
+
+class TestDeferredElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(mod_p_matrices())
+    def test_matches_rref_basis(self, a):
+        from mccool.exactla import _BLOCKED_CELLS, _PRIMES, _nullspace_mod
+
+        p = _PRIMES[0]
+        assert a.size <= _BLOCKED_CELLS
+        pivots, basis = _nullspace_mod(a.copy(), p)
+        ref_pivots, ref_basis = rref_nullspace(a, p)
+        assert pivots == ref_pivots
+        assert basis.shape == ref_basis.shape
+        assert (basis == ref_basis).all()
+        assert not (a @ basis.T % p).any()
+
+    @pytest.mark.parametrize("shape", [(150, 150), (60, 200), (200, 60)])
+    def test_dense_full_rank(self, shape):
+        # every entry below the pivots is updated once per pivot: the
+        # worst case for the growth of unreduced entries
+        from mccool.exactla import _PRIMES, _nullspace_mod
+
+        p = _PRIMES[0]
+        a = np.random.default_rng(11).integers(1, p, size=shape)
+        pivots, basis = _nullspace_mod(a.copy(), p)
+        assert len(pivots) == min(shape)
+        ref_pivots, ref_basis = rref_nullspace(a, p)
+        assert pivots == ref_pivots
+        assert (basis == ref_basis).all()
+
+    def test_zero_matrix(self):
+        from mccool.exactla import _PRIMES, _nullspace_mod
+
+        pivots, basis = _nullspace_mod(np.zeros((3, 4), dtype=np.int64), _PRIMES[0])
+        assert pivots == []
+        assert (basis == np.eye(4, dtype=np.int64)).all()
+
+    def test_int64_bound_is_checked(self):
+        # 2^17 + 1 columns: (2^17 + 1) * p^2 > 2^63 for the 23-bit primes;
+        # the check runs before any elimination (the matrix is about 1 MB)
+        from mccool.exactla import _PRIMES, _nullspace_mod
+
+        a = np.zeros((1, (1 << 17) + 1), dtype=np.int64)
+        with pytest.raises(RuntimeError, match=r"ncols \* p\^2 \+ p < 2\^63"):
+            _nullspace_mod(a, _PRIMES[0])
 
 
 class TestSNF:

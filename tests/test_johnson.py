@@ -160,11 +160,12 @@ class TestKernelReports:
         from mccool import exactla
         from mccool.johnson import _abc_columns, _vector_to_polynomial
 
-        cols, nrows = _abc_columns().matrix_columns(k)
+        arrays = _abc_columns().tau_arrays(k)
         if k > 1:
-            assert len(exactla._column_blocks(cols, nrows)) > 1
-        unsplit = exactla._kernel_block(cols, nrows)
-        assert exactla._kernel_lattice_columns(cols, nrows) == unsplit
+            assert len(exactla._column_blocks(arrays)) > 1
+        unsplit = exactla._kernel_block(arrays)
+        assert exactla._kernel_lattice_columns(arrays, arrays.nrows) == unsplit
+        assert exactla._kernel_lattice_columns(list(arrays), arrays.nrows) == unsplit
         domain = lyndon_tuples(3, k)
         expected = tuple(
             sign_normalize(_vector_to_polynomial(v, domain, abc_alphabet()))
