@@ -4,8 +4,8 @@
 Usage:
     python scripts/reproduce_tables.py [--max-degree K] [--format md|json|csv]
 
-Degree 9 dominates the runtime (about a minute of kernel computation on
-a laptop); pass --max-degree 7 for a quick run.
+Degree 9 dominates the runtime (a few seconds in all on a 2-core
+machine); pass --max-degree 7 for a quick run.
 """
 
 import argparse

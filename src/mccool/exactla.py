@@ -878,10 +878,9 @@ def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
             if q >= (1 << 31):  # int64 products q^2 below would overflow
                 raise _SaturationTooHard("saturation prime exceeds 31 bits")
             while True:
-                vmax = max(max(abs(x) for x in row) for row in v)
-                if vmax * q * d >= (1 << 62):  # keep int64 matmuls exact
+                vnp = _exact_array(v)
+                if _abs_max(vnp) * q * d >= (1 << 62):  # keep int64 matmuls exact
                     raise _SaturationTooHard("entries exceed int64 range")
-                vnp = np.array(v, dtype=np.int64)
                 y = _left_nullspace_mod(vnp, q)
                 if y.shape[0] == 0:
                     break
@@ -1092,61 +1091,56 @@ def _kernel_attempt(arrays: _ColumnArrays, compress: bool, attempt: int):
 
     def best_primes():
         if not computed:
-            return None, []
-        sig = min((_pivot_signature_key(res[0]) for res in computed.values()))
-        primes = [p for p in computed if _pivot_signature_key(computed[p][0]) == sig]
-        return sig, primes
+            return []
+        sig = min(_pivot_signature_key(res[0]) for res in computed.values())
+        return [p for p in computed if _pivot_signature_key(computed[p][0]) == sig]
 
-    target = 2
-    while True:
-        _, good = best_primes()
+    target = 1  # one prime can certify (the sandwich below)
+    while target <= len(_PRIMES):
+        good = best_primes()
         while len(good) < target:
             if not compute_next():
                 return None  # prime pool exhausted for this attempt
-            _, good = best_primes()
+            good = best_primes()
         sel = good[:target]
         cands = _reconstruct_candidates([computed[p] for p in sel], sel)
-        if cands is None:
-            target += max(1, target // 2)  # more modulus needed
-            if target > len(_PRIMES):
-                return None
-            continue
-        if not arrays.kills_rows(cands):
+        if cands is not None and not arrays.kills_rows(cands):
             if compress:
                 return None  # compression artifact; retry with a new seed
-            target += max(1, target // 2)
-            if target > len(_PRIMES):
-                return None
-            continue
-        if any(abs(x).bit_length() > 60 for v in cands for x in v):
-            # determinant-sized kernel entries: beyond the fast assembly
-            raise _SaturationTooHard("kernel entries exceed the fast range")
-        basis = hnf_rows(cands)
-        if len(basis) != len(cands):
-            target += max(1, target // 2)
-            if target > len(_PRIMES):
-                return None
-            continue
-        # sandwich: rank_p = ncols - d with d verified independent integer
-        # kernel vectors forces rank_Q = ncols - d exactly
-        return list(_saturate_rows(basis, arrays))
+            cands = None
+        if cands is not None:
+            if any(abs(x).bit_length() > 60 for v in cands for x in v):
+                # determinant-sized kernel entries: beyond the fast assembly
+                raise _SaturationTooHard("kernel entries exceed the fast range")
+            basis = hnf_rows(cands)
+            if len(basis) == len(cands):
+                # sandwich: rank_p <= rank_Q, so d = ncols - rank_p verified
+                # independent integer kernel vectors force rank_Q = rank_p
+                return list(_saturate_rows(basis, arrays))
+        target += max(1, target // 2)  # more modulus needed
+    return None
 
 
 def _reconstruct_candidates(per_prime, primes):
+    """Integer candidates lifted from the nullspace bases mod the primes by
+    CRT and rational reconstruction, each distinct residue tuple once."""
     d = per_prime[0][1].shape[0]
     if any(pp[1].shape[0] != d for pp in per_prime[1:]):
         return None
-    ncols = per_prime[0][1].shape[1]
+    residues = np.stack([pp[1] for pp in per_prime], axis=1).tolist()
+    lifted = {(0,) * len(primes): (0, 1)}
     out = []
     for k in range(d):
         vec_fracs = []
-        for j in range(ncols):
-            x, m = int(per_prime[0][1][k, j]), primes[0]
-            for t in range(1, len(primes)):
-                x, m = _crt_pair(x, m, int(per_prime[t][1][k, j]), primes[t])
-            rec = _rat_reconstruct(x, m)
+        for key in zip(*residues[k]):
+            rec = lifted.get(key)
             if rec is None:
-                return None
+                x, m = key[0], primes[0]
+                for t in range(1, len(primes)):
+                    x, m = _crt_pair(x, m, key[t], primes[t])
+                rec = lifted[key] = _rat_reconstruct(x, m)
+                if rec is None:
+                    return None
             vec_fracs.append(rec)
         den = 1
         for _, dd in vec_fracs:
@@ -1202,18 +1196,36 @@ def rank(m: SparseMat, method: str = "auto") -> int:
 
 
 def smith_normal_form(m: SparseMat, max_cols: int = 5000) -> SNFResult:
-    """Elementary divisors d1 | d2 | ... (positive, nonzero ones only)."""
+    """Elementary divisors d1 | d2 | ... (positive, nonzero ones only).
+
+    Up to a permutation of rows and columns the matrix is the direct sum
+    of its _column_blocks, so it is equivalent to the diagonal of all the
+    blocks' pivots, which _invariant_factors turns into the divisor chain.
+    """
     if m.cols > max_cols:
         raise ValueError(
             f"matrix has {m.cols} columns; raise max_cols to run SNF this large"
         )
+    if any(isinstance(v, Fraction) for v in m.entries.values()):
+        raise ValueError("smith_normal_form requires integer entries")
+    arrays = _ColumnArrays(m.columns(), m.rows)
+    diagonal = []
+    for cols in _column_blocks(arrays):
+        block = arrays.block(cols)
+        if block.rows.size:
+            diagonal.extend(_smith_diagonal(block))
+    return SNFResult(_invariant_factors(diagonal))
+
+
+def _smith_diagonal(columns) -> list:
+    """Pivots of a diagonalization of the integer columns by unimodular
+    row and column operations, each pivot the smallest entry left."""
     rows: dict = {}
     colocc: dict = {}
-    for (i, j), v in m.entries.items():
-        if isinstance(v, Fraction):
-            raise ValueError("smith_normal_form requires integer entries")
-        rows.setdefault(i, {})[j] = v
-        colocc.setdefault(j, set()).add(i)
+    for j, col in enumerate(columns):
+        for i, v in col:
+            rows.setdefault(i, {})[j] = v
+            colocc.setdefault(j, set()).add(i)
 
     def set_entry(i, j, v):
         row = rows.setdefault(i, {})
@@ -1231,7 +1243,7 @@ def smith_normal_form(m: SparseMat, max_cols: int = 5000) -> SNFResult:
         if not row:
             del rows[i]
 
-    divisors = []
+    diagonal = []
     while rows:
         piv_i = piv_j = None
         piv_v = None
@@ -1276,8 +1288,14 @@ def smith_normal_form(m: SparseMat, max_cols: int = 5000) -> SNFResult:
             set_entry(piv_i, j, 0)
         for i in list(colocc.get(piv_j, ())):
             set_entry(i, piv_j, 0)
-        divisors.append(p)
-    divisors.sort()
+        diagonal.append(p)
+    return diagonal
+
+
+def _invariant_factors(diagonal) -> tuple:
+    """The divisor chain of a diagonal matrix: sort, then replace
+    neighbours (a, b) by (gcd, lcm) until each divides the next."""
+    divisors = sorted(diagonal)
     changed = True
     while changed:
         changed = False
@@ -1288,7 +1306,7 @@ def smith_normal_form(m: SparseMat, max_cols: int = 5000) -> SNFResult:
                 divisors[i], divisors[i + 1] = g, a * b // g
                 changed = True
         divisors.sort()
-    return SNFResult(tuple(divisors))
+    return tuple(divisors)
 
 
 # ---------------------------------------------------------------------------

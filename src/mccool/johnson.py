@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from . import exactla
-from .derivations import Derivation, der_bracket
+from .derivations import Derivation
 from .exactla import SparseMat
 from .freelie import (
     Alphabet,
@@ -96,36 +96,110 @@ def tau_generator(n: int, i: int, j: int) -> Derivation:
 _ABC_PAIRS = {"a": (1, 2), "b": (2, 1), "c": (1, 3)}
 
 
+def _add_into(acc: dict, items, scalar) -> None:
+    """acc += scalar * items, dropping the words whose coefficients cancel."""
+    for w, c in items:
+        val = acc.get(w, 0) + scalar * c
+        if val:
+            acc[w] = val
+        elif w in acc:
+            del acc[w]
+
+
 class TauMap:
-    """tau on the free Lie ring over a symbol alphabet, memoized per word."""
+    """tau on the free Lie ring over a symbol alphabet, built bottom-up.
+
+    For each Lyndon word w over the symbols the n generator images of
+    tau(b(w)) are kept in _word_cache as one dict {Lyndon word of L[n] :
+    int} per slot.  tau(b(w)) is the derivation bracket of tau(b(u)) and
+    tau(b(v)) for the standard factorization w = (u, v), expanded on the
+    generator images, with a memo of single-word applications (dword,
+    target) shared across all words.
+    """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: dict):
         self.symbol_alphabet = symbol_alphabet
         self.n = n
-        self.generators = tuple(
-            tau_generator(n, *generator_pairs[lab]) for lab in symbol_alphabet.labels
-        )
-        self._word_cache: dict = {}
+        self._word_cache = {
+            (t,): tuple(
+                dict(img.coeffs) for img in tau_generator(n, *generator_pairs[lab]).images
+            )
+            for t, lab in enumerate(symbol_alphabet.labels)
+        }
+        self._aw: dict = {}
+        self._arrays: dict = {}
 
-    def of_word(self, word) -> Derivation:
+    def images_of_word(self, word) -> tuple:
         hit = self._word_cache.get(word)
         if hit is not None:
             return hit
-        if len(word) == 1:
-            res = self.generators[word[0]]
-        else:
-            u, v = standard_factorization(word)
-            res = der_bracket(self.of_word(u), self.of_word(v))
+        u, v = standard_factorization(word)
+        iu, iv = self.images_of_word(u), self.images_of_word(v)
+        res = tuple({} for _ in range(self.n))
+        for acc, du, dv in zip(res, iu, iv):
+            for t, ct in dv.items():
+                _add_into(acc, self._apply_word(u, iu, t), ct)
+            for t, ct in du.items():
+                _add_into(acc, self._apply_word(v, iv, t), -ct)
         self._word_cache[word] = res
         return res
 
     def evaluate(self, p: LiePolynomial) -> Derivation:
         if p.alphabet != self.symbol_alphabet:
             raise ValueError("symbol alphabet mismatch")
-        acc = Derivation.zero(x_alphabet(self.n), p.degree)
-        for word, c in sorted(p.coeffs.items()):
-            acc = acc + self.of_word(word).scale(c)
-        return acc
+        acc = tuple({} for _ in range(self.n))
+        for word, c in p.coeffs.items():
+            for slot, img in zip(acc, self.images_of_word(word)):
+                _add_into(slot, img.items(), c)
+        alphabet = x_alphabet(self.n)
+        images = tuple(LieElement(alphabet, p.degree + 1, d, _trust=True) for d in acc)
+        return Derivation(alphabet, p.degree, images)
+
+    def _apply_word(self, dword, dimgs, target) -> tuple:
+        """tau(b(dword)), given by its generator images dimgs, applied to
+        b(target), as items."""
+        key = (dword, target)
+        hit = self._aw.get(key)
+        if hit is not None:
+            return hit
+        if len(target) == 1:
+            res = tuple(dimgs[target[0]].items())
+        else:
+            t1, t2 = standard_factorization(target)
+            acc: dict = {}
+            for w, c in self._apply_word(dword, dimgs, t1):
+                _add_into(acc, _bw(w, t2), c)
+            for w, c in self._apply_word(dword, dimgs, t2):
+                _add_into(acc, _bw(t1, w), c)
+            res = tuple(acc.items())
+        self._aw[key] = res
+        return res
+
+    def _columns(self, k: int):
+        idx = lyndon_index(self.n, k + 1)
+        wd = len(idx)
+        for w in lyndon_tuples(self.symbol_alphabet.size, k):
+            imgs = self.images_of_word(w)
+            col = [(i * wd + idx[ww], c) for i in range(self.n) for ww, c in imgs[i].items()]
+            col.sort()
+            yield col
+
+    def tau_arrays(self, k: int) -> exactla._ColumnArrays:
+        """The degree-k tau matrix as column arrays, built once per degree.
+
+        Column j is the j-th Lyndon word of degree k over the symbols, row
+        i*witt(n,k+1)+word.  The columns are streamed into the arrays one
+        at a time, so no list of all columns is alive while they are
+        built; the kernel solve and every kernel check of the degree read
+        these arrays.
+        """
+        hit = self._arrays.get(k)
+        if hit is None:
+            domain = lyndon_tuples(self.symbol_alphabet.size, k)
+            nnz = sum(len(d) for w in domain for d in self.images_of_word(w))
+            nrows = self.n * len(lyndon_index(self.n, k + 1))
+            hit = self._arrays[k] = exactla._ColumnArrays(self._columns(k), nrows, nnz)
+        return hit
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,107 +265,6 @@ def omega() -> LiePolynomial:
 # the kernel of tau on g, degree by degree
 
 
-class _AbcTauColumns:
-    """Images of tau on the Lyndon basis of g = Lie(a, b, c), built bottom-up.
-
-    For each Lyndon word w over {a, b, c} the three generator images of
-    tau(b(w)) are kept as dicts {Lyndon word of L[3] : int}.  The
-    recursion is der_bracket on the standard factorization, with a memo
-    of single-word applications shared across columns.
-    """
-
-    def __init__(self):
-        tm = _abc_tau_map()
-        self._imgs = {
-            (t,): tuple(dict(d.coeffs) for d in tm.generators[t].images) for t in range(3)
-        }
-        self._aw: dict = {}
-        self._arrays: dict = {}
-
-    def images_of_word(self, word) -> tuple:
-        hit = self._imgs.get(word)
-        if hit is not None:
-            return hit
-        u, v = standard_factorization(word)
-        iu, iv = self.images_of_word(u), self.images_of_word(v)
-        out = []
-        for i in range(3):
-            acc: dict = {}
-            for t, ct in iv[i].items():
-                self._add_applied(acc, u, iu, t, ct)
-            for t, ct in iu[i].items():
-                self._add_applied(acc, v, iv, t, -ct)
-            out.append(acc)
-        res = tuple(out)
-        self._imgs[word] = res
-        return res
-
-    def _add_applied(self, acc: dict, dword, dimgs, target, scalar):
-        for w, c in self._apply_word(dword, dimgs, target):
-            val = acc.get(w, 0) + scalar * c
-            if val:
-                acc[w] = val
-            elif w in acc:
-                del acc[w]
-
-    def _apply_word(self, dword, dimgs, target) -> tuple:
-        key = (dword, target)
-        hit = self._aw.get(key)
-        if hit is not None:
-            return hit
-        if len(target) == 1:
-            res = tuple(dimgs[target[0]].items())
-        else:
-            t1, t2 = standard_factorization(target)
-            acc: dict = {}
-            for w, c in self._apply_word(dword, dimgs, t1):
-                for w2, c2 in _bw(w, t2):
-                    val = acc.get(w2, 0) + c * c2
-                    if val:
-                        acc[w2] = val
-                    elif w2 in acc:
-                        del acc[w2]
-            for w, c in self._apply_word(dword, dimgs, t2):
-                for w2, c2 in _bw(t1, w):
-                    val = acc.get(w2, 0) + c * c2
-                    if val:
-                        acc[w2] = val
-                    elif w2 in acc:
-                        del acc[w2]
-            res = tuple(acc.items())
-        self._aw[key] = res
-        return res
-
-    def _columns(self, k: int):
-        idx = lyndon_index(3, k + 1)
-        wd = len(idx)
-        for w in lyndon_tuples(3, k):
-            imgs = self.images_of_word(w)
-            col = [(i * wd + idx[ww], c) for i in range(3) for ww, c in imgs[i].items()]
-            col.sort()
-            yield col
-
-    def tau_arrays(self, k: int) -> exactla._ColumnArrays:
-        """The degree-k tau matrix as column arrays, built once per degree.
-
-        Row index i*witt(3,k+1)+word.  The columns are streamed into the
-        arrays one at a time, so no list of all columns is alive while
-        they are built; the kernel solve and every kernel check of the
-        degree read these arrays.
-        """
-        hit = self._arrays.get(k)
-        if hit is None:
-            nnz = sum(len(d) for w in lyndon_tuples(3, k) for d in self.images_of_word(w))
-            nrows = 3 * len(lyndon_index(3, k + 1))
-            hit = self._arrays[k] = exactla._ColumnArrays(self._columns(k), nrows, nnz)
-        return hit
-
-
-@functools.lru_cache(maxsize=None)
-def _abc_columns() -> _AbcTauColumns:
-    return _AbcTauColumns()
-
-
 @dataclass(frozen=True)
 class KernelReport:
     """Per-degree kernel data of tau restricted to g (n = 3)."""
@@ -344,7 +317,7 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
             f"degree {k} outside the default cap {KERNEL_DEGREE_CAP}; "
             "call the engine directly to go higher"
         )
-    engine = _abc_columns()
+    engine = _abc_tau_map()
     arrays = engine.tau_arrays(k)
     domain = lyndon_tuples(3, k)
     basis_vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
@@ -373,7 +346,7 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
     )
 
 
-def _tau_kills(engine: _AbcTauColumns, k: int, polys) -> bool:
+def _tau_kills(engine: TauMap, k: int, polys) -> bool:
     """Exact check that tau kills every degree-k polynomial in polys.
 
     Each polynomial's Lyndon coefficients become a vector through
@@ -408,7 +381,7 @@ def bracket_map_rank(k: int) -> BracketMapReport:
     if not (1 <= k <= KERNEL_DEGREE_CAP - 1):
         raise ValueError("need k+1 within the kernel degree cap")
     alphabet = abc_alphabet()
-    engine = _abc_columns()
+    engine = _abc_tau_map()
     kappa_k = kernel_report(k)
     kappa_k1 = kernel_report(k + 1)
     idx = lyndon_index(3, k + 1)

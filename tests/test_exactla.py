@@ -18,7 +18,20 @@ from mccool.exactla import (
     solve_columns,
     write_matrix_text,
 )
-from mccool.exactla import _ColumnArrays, _column_blocks, _verify_kernel_vector
+from mccool.exactla import (
+    _ColumnArrays,
+    _column_blocks,
+    _crt_pair,
+    _invariant_factors,
+    _kernel_exact,
+    _PRIMES,
+    _rat_reconstruct,
+    _reconstruct_candidates,
+    _saturate_rows,
+    _SaturationTooHard,
+    _smith_diagonal,
+    _verify_kernel_vector,
+)
 
 
 def frac_rank(dense):
@@ -151,6 +164,38 @@ class TestKernel:
         for row in ker:
             assert math.gcd(*[abs(x) for x in row] + [0]) in (0, 1)
 
+    @staticmethod
+    def _count_primes(monkeypatch):
+        from mccool import exactla
+
+        used = []
+        nullspace_mod = exactla._nullspace_mod
+
+        def counted(a, p):
+            used.append(p)
+            return nullspace_mod(a, p)
+
+        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+        return used
+
+    def test_one_prime_certifies_a_small_kernel(self, monkeypatch):
+        used = self._count_primes(monkeypatch)
+        m = SparseMat.from_dense([[1, 2, 0], [0, 3, -3]])
+        assert kernel_lattice(m) == [(2, -1, -1)]
+        assert used == [_PRIMES[0]]
+
+    def test_second_prime_when_one_does_not_reconstruct(self, monkeypatch):
+        # the kernel vector (3000, -1) has 3000 > sqrt(p/2) for every pool
+        # prime p, so one residue cannot be reconstructed and the target
+        # grows to a second prime
+        assert all(3000 * 3000 > p // 2 for p in _PRIMES)
+        used = self._count_primes(monkeypatch)
+        m = SparseMat.from_dense([[1, 3000]])
+        expected = [tuple(v) for v in _kernel_exact(m.columns(), m.rows)]
+        assert expected == [(3000, -1)]
+        assert kernel_lattice(m) == expected
+        assert used == list(_PRIMES[:2])
+
     def test_deterministic(self):
         rng = random.Random(1)
         dense = [[rng.randint(-4, 4) for _ in range(12)] for _ in range(8)]
@@ -158,6 +203,64 @@ class TestKernel:
         m2 = SparseMat.from_dense(dense)
         assert kernel_lattice(m1) == kernel_lattice(m2)
         assert rank(m1, "modular") == rank(m2, "modular")
+
+
+def reconstruct_reference(per_prime, primes):
+    """_reconstruct_candidates with CRT and rational reconstruction run
+    on every coordinate, zero or repeated."""
+    out = []
+    for k in range(per_prime[0][1].shape[0]):
+        fracs = []
+        for j in range(per_prime[0][1].shape[1]):
+            x, m = int(per_prime[0][1][k, j]), primes[0]
+            for t in range(1, len(primes)):
+                x, m = _crt_pair(x, m, int(per_prime[t][1][k, j]), primes[t])
+            rec = _rat_reconstruct(x, m)
+            if rec is None:
+                return None
+            fracs.append(Fraction(*rec))
+        den = math.lcm(*(f.denominator for f in fracs))
+        vec = [int(f * den) for f in fracs]
+        content = math.gcd(*vec)
+        out.append([x // content for x in vec] if content > 1 else vec)
+    return out
+
+
+class TestReconstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.fractions(-50, 50, max_denominator=9), min_size=n, max_size=n),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+    )
+    def test_candidates_match_per_coordinate_route(self, nprimes, rows):
+        # residues of planted rational vectors (zeros and repeated
+        # coordinates included) mod nprimes primes
+        primes = list(_PRIMES[:nprimes])
+        per_prime = [
+            (None, np.array([[f.numerator * pow(f.denominator, -1, p) % p for f in row]
+                             for row in rows], dtype=np.int64))
+            for p in primes
+        ]
+        got = _reconstruct_candidates(per_prime, primes)
+        assert got == reconstruct_reference(per_prime, primes)
+
+    def test_tuples_equal_mod_one_prime_are_told_apart(self):
+        primes = list(_PRIMES[:3])
+        vec = [1, 1 + primes[0], 0, 1]
+        per_prime = [(None, np.array([[x % p for x in vec]], dtype=np.int64)) for p in primes]
+        assert _reconstruct_candidates(per_prime, primes) == [vec]
+
+    def test_unreconstructible_residue_gives_none(self):
+        p = _PRIMES[0]
+        per_prime = [(None, np.array([[0, 1, p - 3000]], dtype=np.int64))]
+        assert _reconstruct_candidates(per_prime, [p]) is None
+        assert reconstruct_reference(per_prime, [p]) is None
 
 
 blocks_strategy = st.lists(
@@ -337,6 +440,24 @@ sparse_columns = st.integers(1, 6).flatmap(
         ),
     )
 )
+
+
+class TestSaturationGuard:
+    def test_planted_lattice_is_saturated(self):
+        # twice the kernel vector (1, 5) of the row (5, -1)
+        arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
+        assert _saturate_rows([(2, 10)], arrays) == [(1, 5)]
+
+    @pytest.mark.parametrize("big", [1 << 61, 1 << 70])
+    def test_large_planted_lattice_is_too_hard(self, big):
+        # the repair mod 2 of twice (1, big) would leave the int64 range
+        arrays = _ColumnArrays([[(0, big)], [(0, -1)]], 1)
+        with pytest.raises(_SaturationTooHard, match="entries exceed int64 range"):
+            _saturate_rows([(2, 2 * big)], arrays)
+
+    def test_large_kernel_entries_take_the_exact_route(self):
+        m = SparseMat.from_dense([[1 << 61, -1]])
+        assert kernel_lattice(m) == [(1, 1 << 61)]
 
 
 class TestColumnArrays:
@@ -638,6 +759,29 @@ class TestSNF:
     def test_column_guard(self):
         with pytest.raises(ValueError):
             smith_normal_form(SparseMat(1, 6000), max_cols=5000)
+
+    def test_fraction_entries_rejected(self):
+        with pytest.raises(ValueError, match="integer entries"):
+            smith_normal_form(SparseMat(1, 1, {(0, 0): Fraction(1, 2)}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_unsplit_elimination(self, data):
+        # shuffled blocks, each scaled so that the divisors differ from
+        # block to block, and a zero column: the blockwise divisors are
+        # those of one elimination of the whole matrix plus the merge pass
+        dense, owner = TestBlockSplit._build(data)
+        for cols in owner:
+            scale = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+            for row in dense:
+                for j in cols:
+                    row[j] *= scale
+        for row in dense:
+            row.insert(data.draw(st.integers(0, len(row))), 0)
+        m = SparseMat.from_dense(dense)
+        snf = smith_normal_form(m)
+        assert snf.divisors == _invariant_factors(_smith_diagonal(m.columns()))
+        assert snf.rank == frac_rank(dense)
 
 
 class TestHNF:

@@ -16,7 +16,7 @@ from mccool.johnson import (
     tau_evaluate,
     tau_generator,
 )
-from mccool.words import lyndon_tuples
+from mccool.words import lyndon_tuples, standard_factorization
 
 
 class TestTauGenerator:
@@ -54,6 +54,14 @@ class TestTauEvaluate:
         p = lie_bracket(sym.symbol(1, 3), sym.symbol(2, 3))
         assert tau_evaluate(p).is_zero()
 
+    def test_alphabet_errors(self):
+        from mccool.johnson import tau_map_for
+
+        with pytest.raises(ValueError, match="no tau context"):
+            tau_evaluate(LieElement.generator(x_alphabet(3), "X1"))
+        with pytest.raises(ValueError, match="symbol alphabet mismatch"):
+            tau_map_for(abc_alphabet()).evaluate(McCoolSymbols(3).symbol(1, 2))
+
     def test_omega_in_kernel(self):
         assert tau_evaluate(omega()).is_zero()
 
@@ -68,6 +76,23 @@ class TestTauEvaluate:
         lhs = tau_evaluate(lie_bracket(p, q))
         rhs = der_bracket(tau_evaluate(p), tau_evaluate(q))
         assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "alphabet, max_degree",
+        [(abc_alphabet(), 7), (McCoolSymbols(4).alphabet, 4)],
+        ids=["abc", "mccool4"],
+    )
+    def test_lyndon_basis_against_der_bracket(self, alphabet, max_degree):
+        # tau(b(w)) = [tau(b(u)), tau(b(v))] for the standard factorization
+        # w = (u, v), with the bracket taken by derivations.der_bracket
+        def b(word):
+            return LieElement.basis_element(alphabet, word)
+
+        for k in range(2, max_degree + 1):
+            for w in lyndon_tuples(alphabet.size, k):
+                u, v = standard_factorization(w)
+                expected = der_bracket(tau_evaluate(b(u)), tau_evaluate(b(v)))
+                assert tau_evaluate(b(w)) == expected
 
     def test_image_is_tangential(self, rng):
         alphabet = abc_alphabet()
@@ -141,6 +166,18 @@ class TestKernelReports:
         rep = kernel_report(6, with_divisors=True)
         assert sorted(rep.elementary_divisors) == [1] * 113 + [2, 2]
 
+    def test_degree7_divisors(self):
+        rep = kernel_report(7, with_divisors=True)
+        assert sorted(rep.elementary_divisors) == [1] * 294 + [2] * 9 + [12] * 3
+
+    def test_word_images_are_memoized(self):
+        from mccool.johnson import _abc_tau_map
+
+        kernel_report(5)
+        cache = _abc_tau_map()._word_cache
+        assert len(cache) > 0
+        assert all(w in cache for w in lyndon_tuples(3, 5))
+
     def test_json_schema(self):
         rep = kernel_report(6)
         data = rep.to_json_dict()
@@ -158,9 +195,9 @@ class TestKernelReports:
         # the basis assembled block by block is the one a single solve of
         # the whole tau matrix gives, tuple for tuple
         from mccool import exactla
-        from mccool.johnson import _abc_columns, _vector_to_polynomial
+        from mccool.johnson import _abc_tau_map, _vector_to_polynomial
 
-        arrays = _abc_columns().tau_arrays(k)
+        arrays = _abc_tau_map().tau_arrays(k)
         if k > 1:
             assert len(exactla._column_blocks(arrays)) > 1
         unsplit = exactla._kernel_block(arrays)
