@@ -12,8 +12,8 @@ the first failing check:
   all           everything above, aggregated
 
 Output is deterministic: no timestamps, sorted keys in JSON.  The
-computation is single-threaded regardless of --threads (accepted for
-interface stability); identical configurations give identical bytes.
+computation is single-threaded; identical configurations give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ class RunConfig:
     n: int = 3
     max_degree: int = 9
     degree: int | None = None
-    ring: str = "z"
     format: str = "json"
     out: str | None = None
-    threads: int = 1
     seed: int = 0
     verbosity: int = 0
     checks: list = field(default_factory=list)
@@ -52,8 +50,6 @@ class RunConfig:
     def __post_init__(self):
         if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        if self.ring not in ("z", "q"):
-            raise ValueError("ring must be z or q")
         if self.format not in ("json", "csv", "md"):
             raise ValueError("format must be json, csv or md")
 
@@ -100,7 +96,7 @@ def cmd_kernel(config: RunConfig):
     rep = johnson.kernel_report(k, with_divisors=config.with_divisors)
     payload = rep.to_json_dict()
     payload["command"] = "kernel"
-    payload["ring"] = config.ring
+    payload["ring"] = "z"  # kernel lattices are over the integers
     return payload, True
 
 
@@ -383,10 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=3)
         if with_degree:
             p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--ring", choices=("z", "q"), default="z")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-v", "--verbose", action="count", default=0, dest="verbosity")
 
@@ -434,10 +428,8 @@ def main(argv=None) -> int:
             n=getattr(args, "n", 3),
             max_degree=args.max_degree,
             degree=getattr(args, "degree", None),
-            ring=args.ring,
             format=args.format,
             out=args.out,
-            threads=args.threads,
             seed=args.seed,
             verbosity=args.verbosity,
             checks=getattr(args, "checks", None) or [],

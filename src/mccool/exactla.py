@@ -8,17 +8,14 @@ Everything reported by this module is exact.  Two engines cooperate:
 
   * a modular fast path for large matrices: the matrix is held once as
     compressed column arrays and cut into the connected blocks of its
-    column-row incidence graph; each block gets dense Gaussian
+    column-row incidence graph; each block gets one dense Gaussian
     elimination mod 23-bit primes (int64 with deferred reduction, entries
-    below ncols * p^2 + p < 2^63; above _BLOCKED_CELLS cells, blocked
-    panels so the trailing update is a BLAS matmul, products below 2^53,
-    hence exact in float64; both bounds checked at run time), optional
-    deterministic row compression, CRT + rational reconstruction of
-    kernel vectors.  Its output is never trusted as such: every kernel
-    vector is re-verified by an exact product with the columns (int64
-    within a bound checked at run time, Python ints beyond it), independence
-    comes from an exact Hermite reduction, and the kernel dimension is
-    certified by the sandwich
+    below ncols * p^2 + p < 2^63, checked at run time), then CRT +
+    rational reconstruction of kernel vectors.  Its output is never
+    trusted as such: every kernel vector is re-verified by an exact
+    product with the columns (int64 within a bound checked at run time,
+    Python ints beyond it), independence comes from an exact Hermite
+    reduction, and the kernel dimension is certified by the sandwich
 
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors.
 
@@ -86,12 +83,9 @@ def _primes_below(bound: int, count: int) -> tuple:
     return tuple(out)
 
 
-# 23-bit primes: panel width 48 keeps 48*p^2 < 2^53, exact in float64
+# 23-bit primes: the deferred int64 elimination stays exact up to
+# ncols * p^2 + p < 2^63, that is about 2^17 columns
 _PRIMES = _primes_below(1 << 23, 96)
-_PANEL = 48
-
-_DENSE_CELLS = 8_000_000  # above this, the modular path compresses rows
-_BLOCKED_CELLS = 300_000  # above this, elimination uses the blocked engine
 
 
 class SparseMat:
@@ -468,35 +462,6 @@ class _ColumnArrays:
         return self.kills(sparse)
 
 
-def _lcg_stream(seed: int):
-    state = (seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) % (1 << 64)
-    while True:
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        yield state >> 16
-
-
-def _compressed_mod(arrays: _ColumnArrays, p: int, s: int, seed: int) -> np.ndarray:
-    """Deterministic 2-bucket row compression of the matrix, mod p."""
-    nrows = arrays.nrows
-    gen = _lcg_stream(seed)
-    b1 = np.empty(nrows, dtype=np.int64)
-    b2 = np.empty(nrows, dtype=np.int64)
-    c1 = np.empty(nrows, dtype=np.int64)
-    c2 = np.empty(nrows, dtype=np.int64)
-    for r in range(nrows):
-        x = next(gen)
-        b1[r] = x % s
-        b2[r] = (x >> 24) % s
-        c1[r] = 1 + ((x >> 48) % 9)
-        c2[r] = 1 + ((x >> 56) % 9)
-    a = np.zeros((s, arrays.ncols), dtype=np.int64)
-    idx, cols = arrays.rows, arrays.entry_columns()
-    val = arrays.values_mod(p)
-    np.add.at(a, (b1[idx], cols), c1[idx] * val)
-    np.add.at(a, (b2[idx], cols), c2[idx] * val)
-    return a % p
-
-
 def _rref_mod_small(a: np.ndarray, p: int):
     """In-place reduced row echelon form mod p; returns pivot column list."""
     nrows, ncols = a.shape
@@ -523,59 +488,6 @@ def _rref_mod_small(a: np.ndarray, p: int):
         above = np.nonzero(a[:i, j])[0]
         if len(above):
             a[above, j:] = (a[above, j:] - np.outer(a[above, j], a[i, j:])) % p
-    return pivots
-
-
-def _forward_elim_blocked(a: np.ndarray, p: int) -> list:
-    """Forward elimination mod p on a float64 matrix, blocked by panels.
-
-    Pivot rows end up in rows 0..rank-1 with unscaled pivots; rows below
-    each pivot are zeroed.  Trailing updates are single matmuls whose
-    accumulated products stay under 2^53, so float64 arithmetic is exact.
-    """
-    nrows, ncols = a.shape
-    pivots: list = []
-    r = 0
-    j0 = 0
-    while j0 < ncols and r < nrows:
-        j1 = min(j0 + _PANEL, ncols)
-        r0 = r
-        mult = np.zeros((nrows - r0, j1 - j0))
-        local = 0
-        for j in range(j0, j1):
-            tgt = r0 + local
-            if tgt == nrows:
-                break
-            col = a[tgt:, j]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            pr = tgt + int(nz[0])
-            if pr != tgt:
-                a[[tgt, pr]] = a[[pr, tgt]]
-                mult[[tgt - r0, pr - r0]] = mult[[pr - r0, tgt - r0]]
-            inv = float(pow(int(a[tgt, j]), p - 2, p))
-            mults = (a[tgt + 1 :, j] * inv) % p
-            mult[tgt + 1 - r0 :, local] = mults
-            if j + 1 < j1:
-                a[tgt + 1 :, j + 1 : j1] = (
-                    a[tgt + 1 :, j + 1 : j1] - np.outer(mults, a[tgt, j + 1 : j1])
-                ) % p
-            a[tgt + 1 :, j] = 0.0
-            pivots.append(j)
-            local += 1
-        if local and j1 < ncols:
-            # finish the pivot rows' trailing parts (triangular pass) ...
-            for s in range(1, local):
-                row = r0 + s
-                a[row, j1:] = (a[row, j1:] - mult[s, :s] @ a[r0 : r0 + s, j1:]) % p
-            # ... then one matmul for everything below the panel
-            if r0 + local < nrows:
-                block = a[r0 + local :, j1:]
-                block -= mult[local:, :local] @ a[r0 : r0 + local, j1:]
-                block %= p
-        r = r0 + local
-        j0 = j1
     return pivots
 
 
@@ -643,34 +555,20 @@ def _nullspace_mod(a_int: np.ndarray, p: int):
     """Pivot columns and canonical nullspace basis mod p.
 
     The basis has one row per free column f: the vector with x_f = 1,
-    other free coordinates 0, pivot coordinates solved mod p.  It is
-    unique, so both engines return the same basis: deferred-reduction
-    int64 elimination up to _BLOCKED_CELLS cells, the blocked float64
-    engine above; both back-substitute over the free columns.  Their
-    exactness bounds (int64 entries and row sums below ncols * p^2 + p <
-    2^63, float64 panel products below _PANEL * p^2 + p < 2^53) are
-    checked at run time, once per call.
+    other free coordinates 0, pivot coordinates solved mod p.  The
+    deferred-reduction int64 elimination and the back-substitution are
+    exact while entries and row sums stay below ncols * p^2 + p < 2^63;
+    that bound is checked here, once per call.
     """
-    nrows, ncols = a_int.shape
+    ncols = a_int.shape[1]
     if ncols * p * p + p >= 1 << 63:
         raise RuntimeError(
             f"int64 elimination bound ncols * p^2 + p < 2^63 fails "
             f"for {ncols} columns mod {p}"
         )
-    if a_int.size <= _BLOCKED_CELLS:
-        a = a_int % p
-        pivots = _forward_elim_deferred(a, p)
-        return pivots, _back_substitute(a, pivots, p)
-    if _PANEL * p * p + p >= 1 << 53:
-        raise RuntimeError(
-            f"float64 panel bound _PANEL * p^2 + p < 2^53 fails "
-            f"for a panel of {_PANEL} mod {p}"
-        )
-    a = (a_int % p).astype(np.float64)
-    pivots = _forward_elim_blocked(a, p)
-    u = np.rint(a[: len(pivots)]).astype(np.int64)
-    del a
-    return pivots, _back_substitute(u, pivots, p)
+    a = a_int % p
+    pivots = _forward_elim_deferred(a, p)
+    return pivots, _back_substitute(a, pivots, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,24 +933,26 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
 
 
 def _kernel_block(arrays: _ColumnArrays) -> list:
-    """Certified Hermite basis of the kernel lattice of one block."""
+    """Certified Hermite basis of the kernel lattice of one block.
+
+    The modular route certifies every block of the paper's matrices.  The
+    independent exact reduction stays as the fallback for what that route
+    refuses: kernel entries above 60 bits, saturation beyond its int64
+    range, or a prime pool that runs out.  Through kernel_lattice these
+    are reachable with small inputs, such as the row (2^61, -1).
+    """
     nrows, ncols = arrays.nrows, arrays.ncols
     if ncols == 0:
         return []
     if not arrays.rows.size:
         return [tuple(1 if j == k else 0 for j in range(ncols)) for k in range(ncols)]
-    compress = nrows * ncols > _DENSE_CELLS and nrows > ncols + 40
-    attempts = 4 if compress else 1
-    cause = "no attempt certified within the prime pool"
+    cause = "no prime set certified within the prime pool"
     try:
-        for attempt in range(attempts):
-            result = _kernel_attempt(arrays, compress, attempt)
-            if result is not None:
-                return result
+        result = _kernel_attempt(arrays)
+        if result is not None:
+            return result
     except _SaturationTooHard as exc:
         cause = str(exc)
-    # modular route exhausted (entries beyond the fast range, or the
-    # prime pool ran out): fall back to the independent exact reduction
     shape = f"{nrows}x{ncols} block"
     if ncols > 600:
         raise RuntimeError(
@@ -1070,8 +970,9 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
         ) from exc
 
 
-def _kernel_attempt(arrays: _ColumnArrays, compress: bool, attempt: int):
-    nrows, ncols = arrays.nrows, arrays.ncols
+def _kernel_attempt(arrays: _ColumnArrays):
+    """The modular route: a certified basis, or None when the prime pool
+    runs out before one is found."""
     computed: dict = {}
     cursor = 0
 
@@ -1081,12 +982,7 @@ def _kernel_attempt(arrays: _ColumnArrays, compress: bool, attempt: int):
             return False
         p = _PRIMES[cursor]
         cursor += 1
-        if compress:
-            s = min(nrows, ncols + 200)
-            a = _compressed_mod(arrays, p, s, seed=1 + attempt)
-        else:
-            a = arrays.residues(p)
-        computed[p] = _nullspace_mod(a, p)
+        computed[p] = _nullspace_mod(arrays.residues(p), p)
         return True
 
     def best_primes():
@@ -1100,15 +996,11 @@ def _kernel_attempt(arrays: _ColumnArrays, compress: bool, attempt: int):
         good = best_primes()
         while len(good) < target:
             if not compute_next():
-                return None  # prime pool exhausted for this attempt
+                return None
             good = best_primes()
         sel = good[:target]
         cands = _reconstruct_candidates([computed[p] for p in sel], sel)
-        if cands is not None and not arrays.kills_rows(cands):
-            if compress:
-                return None  # compression artifact; retry with a new seed
-            cands = None
-        if cands is not None:
+        if cands is not None and arrays.kills_rows(cands):
             if any(abs(x).bit_length() > 60 for v in cands for x in v):
                 # determinant-sized kernel entries: beyond the fast assembly
                 raise _SaturationTooHard("kernel entries exceed the fast range")

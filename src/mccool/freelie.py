@@ -57,6 +57,7 @@ __all__ = [
     "from_tensor",
     "x_alphabet",
     "abc_alphabet",
+    "substitute",
     "witt_dimension",
     "degree_cap",
     "set_degree_cap",
@@ -142,11 +143,13 @@ class Alphabet:
         return f"Alphabet({list(self.labels)!r})"
 
 
+@functools.lru_cache(maxsize=None)
 def x_alphabet(n: int) -> Alphabet:
     """The alphabet X1 < X2 < ... < Xn of free-group generator classes."""
     return Alphabet(tuple(f"X{i}" for i in range(1, n + 1)))
 
 
+@functools.lru_cache(maxsize=None)
 def abc_alphabet() -> Alphabet:
     return Alphabet(("a", "b", "c"))
 
@@ -208,6 +211,16 @@ def standard_bracketing(w: LyndonWord):
     return bracketing_tree(tuple(w))
 
 
+def _add_into(acc: dict, items, scalar) -> None:
+    """acc += scalar * items, dropping the words whose coefficients cancel."""
+    for w, c in items:
+        val = acc.get(w, 0) + scalar * c
+        if val:
+            acc[w] = val
+        elif w in acc:
+            del acc[w]
+
+
 # ---------------------------------------------------------------------------
 # tensor expansions of Lyndon bracketings
 
@@ -215,6 +228,7 @@ def standard_bracketing(w: LyndonWord):
 def _conv(a: dict, b: dict) -> dict:
     out = {}
     for wa, ca in a.items():
+        # inline, not _add_into: a call per word slows the tensor route ~5-10%
         for wb, cb in b.items():
             key = wa + wb
             val = out.get(key, 0) + ca * cb
@@ -233,12 +247,7 @@ def _expand(word: Word) -> dict:
     u, v = standard_factorization(word)
     eu, ev = _expand(u), _expand(v)
     out = _conv(eu, ev)
-    for key, val in _conv(ev, eu).items():
-        cur = out.get(key, 0) - val
-        if cur:
-            out[key] = cur
-        elif key in out:
-            del out[key]
+    _add_into(out, _conv(ev, eu).items(), -1)
     return out
 
 
@@ -262,19 +271,9 @@ def _bw(u: Word, v: Word) -> tuple:
     u1, u2 = standard_factorization(u)
     acc: dict = {}
     for w, c in _bw(u1, v):
-        for w2, c2 in _bw(w, u2):
-            val = acc.get(w2, 0) + c * c2
-            if val:
-                acc[w2] = val
-            elif w2 in acc:
-                del acc[w2]
+        _add_into(acc, _bw(w, u2), c)
     for w, c in _bw(u2, v):
-        for w2, c2 in _bw(u1, w):
-            val = acc.get(w2, 0) + c * c2
-            if val:
-                acc[w2] = val
-            elif w2 in acc:
-                del acc[w2]
+        _add_into(acc, _bw(u1, w), c)
     return tuple(sorted(acc.items()))
 
 
@@ -367,12 +366,7 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         self._compat(other)
         out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            val = out.get(w, 0) + c
-            if val:
-                out[w] = val
-            elif w in out:
-                del out[w]
+        _add_into(out, other.coeffs.items(), 1)
         return LieElement(self.alphabet, self.degree, out, _trust=True)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -489,12 +483,7 @@ class TensorElement:
         if self.degree != other.degree:
             raise ValueError("degree mismatch in sum")
         out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            val = out.get(w, 0) + c
-            if val:
-                out[w] = val
-            elif w in out:
-                del out[w]
+        _add_into(out, other.coeffs.items(), 1)
         return TensorElement(self.alphabet, self.degree, out, _trust=True)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -565,12 +554,7 @@ def to_tensor(u: LieElement) -> TensorElement:
     """Expand into the tensor ring via [x, y] -> xy - yx on basis brackets."""
     out: dict = {}
     for word, c in u.coeffs.items():
-        for tw, tc in _expand(word).items():
-            val = out.get(tw, 0) + c * tc
-            if val:
-                out[tw] = val
-            elif tw in out:
-                del out[tw]
+        _add_into(out, _expand(word).items(), c)
     return TensorElement(u.alphabet, u.degree, out, _trust=True)
 
 
@@ -589,12 +573,7 @@ def from_tensor(t: TensorElement) -> LieElement:
             raise NotALieElement(f"leading word {word!r} of residue is not Lyndon")
         c = residue[word]
         out[word] = c
-        for tw, tc in _expand(word).items():
-            val = residue.get(tw, 0) - c * tc
-            if val:
-                residue[tw] = val
-            elif tw in residue:
-                del residue[tw]
+        _add_into(residue, _expand(word).items(), -c)
     return LieElement(t.alphabet, t.degree, out, _trust=True)
 
 
@@ -602,6 +581,7 @@ def _bracket_table(u: LieElement, v: LieElement) -> LieElement:
     out: dict = {}
     for wu, cu in u.coeffs.items():
         for wv, cv in v.coeffs.items():
+            # inline, not _add_into: a call per pair slows lie_bracket ~10%
             c = cu * cv
             for w, bc in _bw(wu, wv):
                 val = out.get(w, 0) + c * bc
@@ -635,3 +615,36 @@ def left_normed(gens: list) -> LieElement:
     for g in gens[1:]:
         acc = lie_bracket(acc, g)
     return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _substitute_word(word: Word, letter_images: tuple, alphabet: Alphabet):
+    """The image of b(word) under substitute, or None when it is zero."""
+    if len(word) == 1:
+        image = letter_images[word[0]]
+        if image is None:
+            return None
+        sign, target = image
+        return LieElement(alphabet, 1, {(target,): sign}, _trust=True)
+    u, v = standard_factorization(word)
+    iu = _substitute_word(u, letter_images, alphabet)
+    iv = _substitute_word(v, letter_images, alphabet)
+    if iu is None or iv is None:
+        return None
+    image = lie_bracket(iu, iv)
+    return image if image.coeffs else None
+
+
+def substitute(p: LieElement, letter_images: tuple, alphabet: Alphabet) -> LieElement:
+    """The Lie-ring morphism that sends letter i to letter_images[i], on p.
+
+    letter_images[i] is (sign, target letter of alphabet), or None for a
+    letter sent to zero.  The image of each Lyndon word is the bracket of
+    the images of its standard factors, memoized per word.
+    """
+    out: dict = {}
+    for word, c in p.coeffs.items():
+        image = _substitute_word(word, letter_images, alphabet)
+        if image is not None:
+            _add_into(out, image.coeffs.items(), c)
+    return LieElement(alphabet, p.degree, out, _trust=True)

@@ -31,7 +31,7 @@ from .freelie import (
     lie_bracket,
     x_alphabet,
 )
-from .freelie import _bw
+from .freelie import _add_into, _bw
 from .words import lyndon_index, lyndon_tuples, standard_factorization
 
 __all__ = [
@@ -92,18 +92,9 @@ def tau_generator(n: int, i: int, j: int) -> Derivation:
     return Derivation(alphabet, 1, tuple(images))
 
 
-# the standard section for n = 3: a = K_12, b = K_21, c = K_13
-_ABC_PAIRS = {"a": (1, 2), "b": (2, 1), "c": (1, 3)}
-
-
-def _add_into(acc: dict, items, scalar) -> None:
-    """acc += scalar * items, dropping the words whose coefficients cancel."""
-    for w, c in items:
-        val = acc.get(w, 0) + scalar * c
-        if val:
-            acc[w] = val
-        elif w in acc:
-            del acc[w]
+# the standard section for n = 3: a = K_12, b = K_21, c = K_13, as the
+# generator pair (i, j) of each letter of {a, b, c}
+_ABC_PAIRS = ((1, 2), (2, 1), (1, 3))
 
 
 class TauMap:
@@ -117,14 +108,13 @@ class TauMap:
     target) shared across all words.
     """
 
-    def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: dict):
+    def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
+        # generator_pairs[t] is the pair (i, j) of K_ij for symbol letter t
         self.symbol_alphabet = symbol_alphabet
         self.n = n
         self._word_cache = {
-            (t,): tuple(
-                dict(img.coeffs) for img in tau_generator(n, *generator_pairs[lab]).images
-            )
-            for t, lab in enumerate(symbol_alphabet.labels)
+            (t,): tuple(dict(img.coeffs) for img in tau_generator(n, *pair).images)
+            for t, pair in enumerate(generator_pairs)
         }
         self._aw: dict = {}
         self._arrays: dict = {}
@@ -210,8 +200,7 @@ def _abc_tau_map() -> TauMap:
 @functools.lru_cache(maxsize=None)
 def _mccool_tau_map(n: int) -> TauMap:
     sym = mccool_symbols(n)
-    pairs = {f"k{i}{j}": (i, j) for i, j in sym.pairs}
-    return TauMap(sym.alphabet, n, pairs)
+    return TauMap(sym.alphabet, n, sym.pairs)
 
 
 def tau_map_for(alphabet: Alphabet) -> TauMap:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from . import exactla
 from .derivations import Derivation, inner_derivation
 from .exactla import SparseMat
-from .freelie import Alphabet, LieElement, abc_alphabet, lie_bracket, x_alphabet
-from .johnson import tau_evaluate
-from .symmetry import S3Element
+from .freelie import Alphabet, LieElement, abc_alphabet, lie_bracket, substitute, x_alphabet
+from .johnson import _ABC_PAIRS, tau_evaluate
+from .symmetry import _SYMBOL_CLASSES, S3Element, _permutation_images
 from .words import lyndon_index, lyndon_tuples, standard_factorization, witt_dimension
 
 __all__ = [
@@ -135,23 +135,11 @@ def sd_tau(u: SDElement) -> Derivation:
     return acc
 
 
-# degree-1 action: sigma permutes the C_i; on the section symbols it is
-# sigma . k_ij = k_{sigma(i) sigma(j)}, rewritten via k31 = C1 - b,
-# k32 = C2 - a, k23 = C3 - c
-_PAIR_TO_SD = {
-    (1, 2): (None, 0, 1),   # a
-    (2, 1): (None, 1, 1),   # b
-    (1, 3): (None, 2, 1),   # c
-    (3, 1): (0, 1, -1),     # C1 - b
-    (3, 2): (1, 0, -1),     # C2 - a
-    (2, 3): (2, 2, -1),     # C3 - c
-}
-_ABC_PAIR = {0: (1, 2), 1: (2, 1), 2: (1, 3)}
-
-
 def _g_letter_image(sigma: S3Element, letter: int) -> SDElement:
-    i, j = _ABC_PAIR[letter]
-    c_idx, g_idx, sign = _PAIR_TO_SD[(sigma(i), sigma(j))]
+    """sigma . k_ij = k_{sigma(i) sigma(j)} for the symbol k_ij of a section
+    letter, written in h x| g through _SYMBOL_CLASSES."""
+    i, j = _ABC_PAIRS[letter]
+    c_idx, g_idx, sign = _SYMBOL_CLASSES[(sigma(i), sigma(j))]
     h = LieElement.zero(c_alphabet(), 1)
     if c_idx is not None:
         h = LieElement(c_alphabet(), 1, {(c_idx,): 1}, _trust=True)
@@ -167,20 +155,10 @@ def _act_g_word(sigma: S3Element, word) -> SDElement:
     return sd_bracket(_act_g_word(sigma, u), _act_g_word(sigma, v))
 
 
-@functools.lru_cache(maxsize=None)
-def _act_h_word(sigma: S3Element, word) -> LieElement:
-    # h is stable: sigma permutes the inner letters and renormalizes
-    if len(word) == 1:
-        return LieElement(c_alphabet(), 1, {(sigma(word[0] + 1) - 1,): 1}, _trust=True)
-    u, v = standard_factorization(word)
-    return lie_bracket(_act_h_word(sigma, u), _act_h_word(sigma, v))
-
-
 def sd_s3_action(sigma: S3Element, u: SDElement) -> SDElement:
     """The graded Lie-automorphism action of S3 on h x| g."""
-    acc = SDElement.zero(u.degree)
-    for word, c in u.hpart.coeffs.items():
-        acc = acc + SDElement.from_h(_act_h_word(sigma, word).scale(c))
+    # h is stable: sigma permutes the inner letters
+    acc = SDElement.from_h(substitute(u.hpart, _permutation_images(sigma), c_alphabet()))
     for word, c in u.gpart.coeffs.items():
         acc = acc + _act_g_word(sigma, word).scale(c)
     return acc

@@ -15,14 +15,13 @@ exactly what forces linear independence of the family.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .derivations import Derivation
 from .exactla import CertificateError
-from .freelie import LieElement, lie_bracket, x_alphabet
-from .johnson import LiePolynomial, mccool_symbols, omega, tau_evaluate
-from .words import is_lyndon, standard_factorization
+from .freelie import LieElement, abc_alphabet, substitute, x_alphabet
+from .johnson import _ABC_PAIRS, LiePolynomial, mccool_symbols, omega, tau_evaluate
+from .words import is_lyndon
 
 __all__ = [
     "IndexTriple",
@@ -67,66 +66,25 @@ def _as_triple(i, n: int) -> IndexTriple:
     return IndexTriple(tuple(i), n)
 
 
-# the standard section: a = k12, b = k21, c = k13
-_ABC_PAIRS = {"a": (1, 2), "b": (2, 1), "c": (1, 3)}
-
-
-@functools.lru_cache(maxsize=None)
-def _sym_substitution_word(word, letter_targets, alphabet):
-    """Renormalizing generator substitution on a Lyndon word.
-
-    letter_targets maps letter index -> the index of its image generator
-    in the target alphabet (or None for a killed generator); the cache
-    key is this tuple of small ints, and generators are built at the
-    leaves.
-    """
-    if len(word) == 1:
-        target = letter_targets[word[0]]
-        if target is None:
-            return None
-        return LieElement(alphabet, 1, {(target,): 1}, _trust=True)
-    u, v = standard_factorization(word)
-    iu = _sym_substitution_word(u, letter_targets, alphabet)
-    iv = _sym_substitution_word(v, letter_targets, alphabet)
-    if iu is None or iv is None:
-        return None
-    return lie_bracket(iu, iv)
-
-
-def _substitute(p: LiePolynomial, letter_targets: tuple, target_alphabet, degree: int):
-    acc: dict = {}
-    for word, c in p.coeffs.items():
-        img = _sym_substitution_word(word, letter_targets, target_alphabet)
-        if img is None:
-            continue
-        for ww, cc in img.coeffs.items():
-            val = acc.get(ww, 0) + c * cc
-            if val:
-                acc[ww] = val
-            elif ww in acc:
-                del acc[ww]
-    return LieElement(target_alphabet, degree, acc, _trust=True)
-
-
 def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
     """Embed a rank-3 Lie polynomial into the rank-n symbols along I.
 
-    Accepts polynomials over {a, b, c} or over the rank-3 symbols; each
-    generator k_st goes to k_{i_s i_t}.
+    Accepts polynomials over {a, b, c} (the standard section a = k12,
+    b = k21, c = k13) or over the rank-3 symbols; each generator k_st
+    goes to k_{i_s i_t}.
     """
     triple = _as_triple(i, n)
     sym_n = mccool_symbols(n)
-    labels = p.alphabet.labels
-    targets = []
-    for lab in labels:
-        if lab in _ABC_PAIRS:
-            s, t = _ABC_PAIRS[lab]
-        else:
-            s, t = int(lab[1]), int(lab[2])
+    if p.alphabet == abc_alphabet():
+        pairs = _ABC_PAIRS
+    else:
+        pairs = [(int(lab[1]), int(lab[2])) for lab in p.alphabet.labels]
+    images = []
+    for s, t in pairs:
         its = triple.indices[s - 1]
         itt = triple.indices[t - 1]
-        targets.append(sym_n.alphabet.index(f"k{its}{itt}"))
-    return _substitute(p, tuple(targets), sym_n.alphabet, p.degree)
+        images.append((1, sym_n.alphabet.index(f"k{its}{itt}")))
+    return substitute(p, tuple(images), sym_n.alphabet)
 
 
 def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
@@ -141,13 +99,14 @@ def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
     if q.alphabet != sym_n.alphabet:
         raise ValueError("polynomial is not over the rank-n symbols")
     inset = set(triple.indices)
-    targets = []
+    images = []
     for a, b in sym_n.pairs:
         if a in inset and b in inset:
-            targets.append(sym_3.alphabet.index(f"k{triple.position(a)}{triple.position(b)}"))
+            label = f"k{triple.position(a)}{triple.position(b)}"
+            images.append((1, sym_3.alphabet.index(label)))
         else:
-            targets.append(None)
-    return _substitute(q, tuple(targets), sym_3.alphabet, q.degree)
+            images.append(None)
+    return substitute(q, tuple(images), sym_3.alphabet)
 
 
 def embed_abc(p: LiePolynomial) -> LiePolynomial:

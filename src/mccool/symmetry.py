@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .derivations import Derivation
 from .exactla import SparseMat
-from .freelie import LieElement, abc_alphabet, lie_bracket
-from .johnson import LiePolynomial, kernel_report, tau_evaluate
-from .words import lyndon_index, lyndon_tuples, standard_factorization
+from .freelie import LieElement, _add_into, abc_alphabet, substitute
+from .johnson import _ABC_PAIRS, LiePolynomial, kernel_report, tau_evaluate
+from .words import lyndon_index, lyndon_tuples
 
 __all__ = [
     "S3Element",
@@ -121,64 +121,56 @@ class Character(tuple):
         return tuple(int(x) for x in triple)
 
 
-# reduction of the six symbol classes modulo the inner part:
-# (i, j) -> (sign, letter index in (a, b, c))
-_SYMBOL_REDUCTION = {
-    (1, 2): (1, 0),
-    (2, 1): (1, 1),
-    (1, 3): (1, 2),
-    (3, 1): (-1, 1),
-    (3, 2): (-1, 0),
-    (2, 3): (-1, 2),
+# the class of each symbol k_ij in h x| g, from k31 = C1 - b, k32 = C2 - a,
+# k23 = C3 - c: (inner letter C_t or None, section letter, its sign)
+_SYMBOL_CLASSES = {
+    (1, 2): (None, 0, 1),  # a
+    (2, 1): (None, 1, 1),  # b
+    (1, 3): (None, 2, 1),  # c
+    (3, 1): (0, 1, -1),  # C1 - b
+    (3, 2): (1, 0, -1),  # C2 - a
+    (2, 3): (2, 2, -1),  # C3 - c
 }
-_ABC_PAIR = {0: (1, 2), 1: (2, 1), 2: (1, 3)}
 
 
-def _letter_image(sigma: S3Element, letter: int):
-    i, j = _ABC_PAIR[letter]
-    return _SYMBOL_REDUCTION[(sigma(i), sigma(j))]
+@functools.lru_cache(maxsize=None)
+def _abc_images(sigma: S3Element) -> tuple:
+    """(sign, letter) of sigma on a, b, c modulo the inner part."""
+    out = []
+    for i, j in _ABC_PAIRS:
+        _, target, sign = _SYMBOL_CLASSES[(sigma(i), sigma(j))]
+        out.append((sign, target))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation_images(sigma: S3Element) -> tuple:
+    """sigma as the letter images (1, sigma(i) - 1) of three letters."""
+    return tuple((1, sigma(i) - 1) for i in (1, 2, 3))
 
 
 def action_on_generators(sigma: S3Element) -> SparseMat:
     """Signed 3x3 permutation matrix of sigma on (a, b, c), as columns."""
     entries = {}
-    for letter in range(3):
-        sign, target = _letter_image(sigma, letter)
+    for letter, (sign, target) in enumerate(_abc_images(sigma)):
         entries[(target, letter)] = sign
     return SparseMat(3, 3, entries)
-
-
-@functools.lru_cache(maxsize=None)
-def _act_word(sigma: S3Element, word) -> LieElement:
-    alphabet = abc_alphabet()
-    if len(word) == 1:
-        sign, target = _letter_image(sigma, word[0])
-        return LieElement(alphabet, 1, {(target,): sign}, _trust=True)
-    u, v = standard_factorization(word)
-    return lie_bracket(_act_word(sigma, u), _act_word(sigma, v))
 
 
 def act_on_polynomial(sigma: S3Element, p: LiePolynomial) -> LiePolynomial:
     """sigma acting on an element of the free Lie ring on {a, b, c}."""
     if p.alphabet != abc_alphabet():
         raise ValueError("the S3 action is defined on the {a,b,c} alphabet")
-    acc: dict = {}
-    for word, c in p.coeffs.items():
-        for ww, cc in _act_word(sigma, word).coeffs.items():
-            val = acc.get(ww, 0) + c * cc
-            if val:
-                acc[ww] = val
-            elif ww in acc:
-                del acc[ww]
-    return LieElement(p.alphabet, p.degree, acc, _trust=True)
+    return substitute(p, _abc_images(sigma), p.alphabet)
 
 
 def action_on_degree(sigma: S3Element, k: int) -> SparseMat:
     """Matrix of sigma on the Lyndon basis of degree k over {a, b, c}."""
     idx = lyndon_index(3, k)
+    alphabet = abc_alphabet()
     entries = {}
     for j, w in enumerate(lyndon_tuples(3, k)):
-        img = _act_word(sigma, w)
+        img = act_on_polynomial(sigma, LieElement(alphabet, k, {w: 1}, _trust=True))
         for ww, c in img.coeffs.items():
             entries[(idx[ww], j)] = c
     return SparseMat(len(idx), len(idx), entries)
@@ -190,28 +182,11 @@ def act_on_derivation(sigma: S3Element, d: Derivation) -> Derivation:
     if n != 3:
         raise ValueError("the S3 action acts on derivations of L[3]")
     inv = sigma.inverse()
-
-    def permute_letters(u: LieElement) -> LieElement:
-        coeffs = {}
-        for word, c in u.coeffs.items():
-            img = _permuted_word(sigma, word, d.alphabet)
-            for ww, cc in img.coeffs.items():
-                coeffs[ww] = coeffs.get(ww, 0) + c * cc
-        coeffs = {w: c for w, c in coeffs.items() if c}
-        return LieElement(d.alphabet, u.degree, coeffs, _trust=True)
-
     images = tuple(
-        permute_letters(d.images[inv(i + 1) - 1]) for i in range(n)
+        substitute(d.images[inv(i + 1) - 1], _permutation_images(sigma), d.alphabet)
+        for i in range(n)
     )
     return Derivation(d.alphabet, d.degree, images)
-
-
-@functools.lru_cache(maxsize=None)
-def _permuted_word(sigma: S3Element, word, alphabet) -> LieElement:
-    if len(word) == 1:
-        return LieElement(alphabet, 1, {(sigma(word[0] + 1) - 1,): 1}, _trust=True)
-    u, v = standard_factorization(word)
-    return lie_bracket(_permuted_word(sigma, u, alphabet), _permuted_word(sigma, v, alphabet))
 
 
 class _StaircaseBasis:
@@ -251,22 +226,10 @@ class _StaircaseBasis:
                 x = Fraction(val, piv)
             coords.append(x)
             if x:
-                for r, v in col:
-                    val = residue.get(r, 0) - x * v
-                    if val:
-                        residue[r] = val
-                    elif r in residue:
-                        del residue[r]
+                _add_into(residue, col, -x)
         if residue:
             return None
         return coords
-
-
-def _coords_in_basis(basis, target: LiePolynomial):
-    """Exact coordinates of target in the Hermite-staircase kernel basis."""
-    if not basis:
-        return None if not target.is_zero() else []
-    return _StaircaseBasis(basis, target.degree).coords(target)
 
 
 def kernel_character(k: int) -> Character:

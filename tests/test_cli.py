@@ -57,6 +57,17 @@ class TestKernel:
         with pytest.raises(SystemExit):
             main(["kernel", "--n", "4", "--degree", "3"])
 
+    def test_ring_is_always_z(self, capsys):
+        code, out = run_cli(capsys, ["kernel", "--degree", "6"])
+        assert code == 0
+        assert json.loads(out)["ring"] == "z"
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--ring", "q"]])
+    def test_removed_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["kernel", "--degree", "6", *flag])
+        assert info.value.code == 2
+
 
 class TestVerifyOmega:
     def test_all_checks_pass(self, capsys):

@@ -515,27 +515,6 @@ class TestColumnArrays:
             for j, col in enumerate(columns):
                 assert dense[i, j] == sum(v for r, v in col if r == i) % p
 
-    def test_row_compression_matches_python_ints(self):
-        from mccool.exactla import _PRIMES, _ColumnArrays, _compressed_mod, _lcg_stream
-
-        rng = random.Random(5)
-        nrows, ncols, s, seed = 40, 7, 12, 3
-        columns = [
-            sorted({rng.randrange(nrows): rng.randint(-9, 9) for _ in range(5)}.items())
-            for _ in range(ncols)
-        ]
-        p = _PRIMES[1]
-        got = _compressed_mod(_ColumnArrays(columns, nrows), p, s, seed)
-        gen = _lcg_stream(seed)
-        want = [[0] * ncols for _ in range(s)]
-        for r in range(nrows):
-            x = next(gen)
-            for j, col in enumerate(columns):
-                v = dict(col).get(r, 0)
-                want[x % s][j] += (1 + ((x >> 48) % 9)) * v
-                want[(x >> 24) % s][j] += (1 + ((x >> 56) % 9)) * v
-        assert got.tolist() == [[v % p for v in row] for row in want]
-
     @pytest.mark.parametrize(
         "scale, dtype", [(1, np.int16), (1 << 40, np.int64), (1 << 70, object)]
     )
@@ -603,33 +582,6 @@ class TestColumnArrays:
             kernel_report.cache_clear()
 
 
-class TestBlockedElimination:
-    def test_blocked_engine_matches_small_engine(self):
-        # same matrix, both mod-p nullspace engines: identical pivots and
-        # identical canonical basis
-        from mccool.exactla import _BLOCKED_CELLS, _PRIMES, _nullspace_mod
-
-        rng = random.Random(12)
-        nrows, ncols = 640, 520  # above the blocked threshold
-        assert nrows * ncols > _BLOCKED_CELLS
-        p = _PRIMES[0]
-        a = np.zeros((nrows, ncols), dtype=np.int64)
-        for _ in range(9000):
-            a[rng.randrange(nrows), rng.randrange(ncols)] = rng.randint(1, p - 1)
-        pivots_blocked, basis_blocked = _nullspace_mod(a.copy(), p)
-        piv_small, basis_small = rref_nullspace(a, p)
-        assert pivots_blocked == piv_small
-        assert (basis_blocked == basis_small).all()
-
-    def test_panel_bound_is_checked(self, monkeypatch):
-        from mccool import exactla
-
-        monkeypatch.setattr(exactla, "_BLOCKED_CELLS", 0)
-        monkeypatch.setattr(exactla, "_PANEL", 1 << 10)  # 2^10 * p^2 > 2^53
-        with pytest.raises(RuntimeError, match=r"_PANEL \* p\^2 \+ p < 2\^53"):
-            exactla._nullspace_mod(np.eye(2, dtype=np.int64), exactla._PRIMES[0])
-
-
 def rref_nullspace(a, p):
     """Reference: pivots and canonical nullspace basis read off the full
     reduced row echelon form of _rref_mod_small."""
@@ -671,16 +623,31 @@ class TestDeferredElimination:
     @settings(max_examples=200, deadline=None)
     @given(mod_p_matrices())
     def test_matches_rref_basis(self, a):
-        from mccool.exactla import _BLOCKED_CELLS, _PRIMES, _nullspace_mod
+        from mccool.exactla import _PRIMES, _nullspace_mod
 
         p = _PRIMES[0]
-        assert a.size <= _BLOCKED_CELLS
         pivots, basis = _nullspace_mod(a.copy(), p)
         ref_pivots, ref_basis = rref_nullspace(a, p)
         assert pivots == ref_pivots
         assert basis.shape == ref_basis.shape
         assert (basis == ref_basis).all()
         assert not (a @ basis.T % p).any()
+
+    def test_large_sparse_matches_rref_basis(self):
+        # the largest matrix of these tests, above the size of any block
+        # the paper's kernels eliminate (at most 103,230 cells for k <= 9)
+        from mccool.exactla import _PRIMES, _nullspace_mod
+
+        rng = random.Random(12)
+        nrows, ncols = 640, 520
+        p = _PRIMES[0]
+        a = np.zeros((nrows, ncols), dtype=np.int64)
+        for _ in range(9000):
+            a[rng.randrange(nrows), rng.randrange(ncols)] = rng.randint(1, p - 1)
+        pivots, basis = _nullspace_mod(a.copy(), p)
+        ref_pivots, ref_basis = rref_nullspace(a, p)
+        assert pivots == ref_pivots
+        assert (basis == ref_basis).all()
 
     @pytest.mark.parametrize("shape", [(150, 150), (60, 200), (200, 60)])
     def test_dense_full_rank(self, shape):

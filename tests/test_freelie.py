@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from mccool.freelie import (
     lie_bracket,
     lyndon_words,
     standard_bracketing,
+    substitute,
     to_tensor,
     x_alphabet,
 )
@@ -29,6 +31,11 @@ def gens(alphabet):
 
 
 class TestAlphabet:
+    def test_alphabets_are_built_once(self):
+        assert abc_alphabet() is abc_alphabet()
+        assert x_alphabet(4) is x_alphabet(4)
+        assert x_alphabet(3) is not x_alphabet(4)
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Alphabet(("a", "a"))
@@ -227,3 +234,77 @@ class TestValidation:
     def test_rejects_float_coeffs(self, abc):
         with pytest.raises(TypeError):
             LieElement(abc, 1, {(0,): 0.5})
+
+
+def substitute_via_tensor(p, images, alphabet):
+    """Reference: substitute the letters of every tensor word of p (signs
+    multiply, a killed letter kills the word), then read the result back
+    in the Lyndon basis."""
+    out = {}
+    for word, c in to_tensor(p).coeffs.items():
+        moved = []
+        for letter in word:
+            if images[letter] is None:
+                break
+            sign, target = images[letter]
+            c *= sign
+            moved.append(target)
+        else:
+            out[tuple(moved)] = out.get(tuple(moved), 0) + c
+    coeffs = {w: c for w, c in out.items() if c}
+    return from_tensor(TensorElement(alphabet, p.degree, coeffs))
+
+
+letter_images = st.tuples(st.sampled_from([1, -1]), st.integers(0, 2))
+
+
+class TestSubstitute:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_respects_brackets(self, data):
+        source, target = x_alphabet(4), abc_alphabet()
+        images = tuple(data.draw(st.one_of(st.none(), letter_images)) for _ in range(4))
+        du, dv = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        u = data.draw(lie_elements(source, du))
+        v = data.draw(lie_elements(source, dv))
+        sub = substitute(lie_bracket(u, v), images, target)
+        assert sub == lie_bracket(substitute(u, images, target), substitute(v, images, target))
+        assert sub == substitute_via_tensor(lie_bracket(u, v), images, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_killed_letter_kills_its_words(self, data):
+        source, target = x_alphabet(4), abc_alphabet()
+        images = list(data.draw(st.tuples(*[letter_images] * 4)))
+        killed = data.draw(st.integers(0, 3))
+        images[killed] = None
+        degree = data.draw(st.integers(1, 5))
+        for w in lyndon_tuples(4, degree):
+            image = substitute(LieElement(source, degree, {w: 1}), tuple(images), target)
+            if killed in w:
+                assert image.is_zero()
+            else:
+                assert image == substitute_via_tensor(
+                    LieElement(source, degree, {w: 1}), tuple(images), target
+                )
+
+    def test_s3_action_matrices(self):
+        from mccool.symmetry import S3_ALL, _abc_images, action_on_degree
+
+        rows = []
+        abc = abc_alphabet()
+        for sigma in S3_ALL:
+            for k in range(1, 7):
+                entries = action_on_degree(sigma, k).entries
+                want = {}
+                for j, w in enumerate(lyndon_tuples(3, k)):
+                    img = substitute_via_tensor(LieElement(abc, k, {w: 1}), _abc_images(sigma), abc)
+                    for i, ww in enumerate(lyndon_tuples(3, k)):
+                        if img.coefficient(ww):
+                            want[(i, j)] = img.coefficient(ww)
+                assert entries == want
+                rows.append((sigma.images, k, sorted(entries.items())))
+        # the matrices themselves, pinned: any change to the S3 action on
+        # the Lyndon basis of degree <= 6 changes this digest
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "65e2844d01195b0767c4b54f25597232e7d6754027b0ee5878e37f1a3b6d9eef"
