@@ -176,56 +176,62 @@ def cmd_stabilize(config: RunConfig):
     return payload, cert.verified
 
 
+def _check_ranks(cap: int, rng) -> tuple:
+    rows, ok = {}, True
+    for k in range(1, cap + 1):
+        rows[str(k)] = got = psigma3.sd_rank(k)
+        ok = ok and got == 2 * witt_dimension(3, k) and len(psigma3._sd_basis(k)) == got
+    return ok, rows
+
+
+def _check_jacobi(cap: int, rng) -> tuple:
+    ok = True
+    br = psigma3.sd_bracket
+    for _ in range(60):
+        du, dv = rng.randint(1, 3), rng.randint(1, 3)
+        dw = rng.randint(1, max(1, 7 - du - dv))
+        u, v, w = (_random_sd(rng, d) for d in (du, dv, dw))
+        ok = ok and (br(br(u, v), w) + br(br(v, w), u) + br(br(w, u), v)).is_zero()
+    return ok, {"samples": 60}
+
+
+def _check_tau_kernel(cap: int, rng) -> tuple:
+    ok, dims = True, {}
+    for k in range(1, min(cap, 7) + 1):
+        ker = psigma3.sd_tau_kernel(k)
+        expect = johnson.kernel_report(k).kernel_dim
+        dims[str(k)] = len(ker)
+        ok = ok and len(ker) == expect and all(u.hpart.is_zero() for u in ker)
+    return ok, dims
+
+
+def _check_intersection(cap: int, rng) -> tuple:
+    ok, dims = True, {}
+    for k in range(1, min(cap, psigma3.INTERSECTION_DEGREE_CAP) + 1):
+        got = psigma3.intersection_kappa(k)
+        dims[str(k)] = got
+        ok = ok and got == johnson.kernel_report(k).kernel_dim
+    return ok, dims
+
+
+# the psigma checks in their default order; each returns (pass, detail)
+_PSIGMA_CHECKS = {
+    "ranks": _check_ranks,
+    "jacobi": _check_jacobi,
+    "tau-kernel": _check_tau_kernel,
+    "intersection": _check_intersection,
+}
+
+
 def cmd_psigma(config: RunConfig):
-    wanted = config.checks or ["ranks", "jacobi", "tau-kernel", "intersection"]
     rng = random.Random(config.seed)
-    checks = []
     cap = min(config.max_degree, 9)
-    for name in wanted:
-        if name == "ranks":
-            rows = {}
-            ok = True
-            for k in range(1, cap + 1):
-                got = psigma3.sd_rank(k)
-                want = 2 * witt_dimension(3, k)
-                rows[str(k)] = got
-                ok = ok and got == want and len(psigma3._sd_basis(k)) == got
-            checks.append({"id": "ranks", "pass": ok, "detail": rows})
-        elif name == "jacobi":
-            ok = True
-            for _ in range(60):
-                du = rng.randint(1, 3)
-                dv = rng.randint(1, 3)
-                dw = rng.randint(1, max(1, 7 - du - dv))
-                u, v, w = (_random_sd(rng, d) for d in (du, dv, dw))
-                j = (
-                    psigma3.sd_bracket(psigma3.sd_bracket(u, v), w)
-                    + psigma3.sd_bracket(psigma3.sd_bracket(v, w), u)
-                    + psigma3.sd_bracket(psigma3.sd_bracket(w, u), v)
-                )
-                ok = ok and j.is_zero()
-            checks.append({"id": "jacobi", "pass": ok, "detail": {"samples": 60}})
-        elif name == "tau-kernel":
-            ok = True
-            dims = {}
-            top = min(cap, 7)
-            for k in range(1, top + 1):
-                ker = psigma3.sd_tau_kernel(k)
-                expect = johnson.kernel_report(k).kernel_dim
-                dims[str(k)] = len(ker)
-                ok = ok and len(ker) == expect and all(u.hpart.is_zero() for u in ker)
-            checks.append({"id": "tau-kernel", "pass": ok, "detail": dims})
-        elif name == "intersection":
-            ok = True
-            dims = {}
-            top = min(cap, psigma3.INTERSECTION_DEGREE_CAP)
-            for k in range(1, top + 1):
-                got = psigma3.intersection_kappa(k)
-                dims[str(k)] = got
-                ok = ok and got == johnson.kernel_report(k).kernel_dim
-            checks.append({"id": "intersection", "pass": ok, "detail": dims})
-        else:
+    checks = []
+    for name in config.checks or _PSIGMA_CHECKS:
+        if name not in _PSIGMA_CHECKS:
             raise SystemExit(f"unknown psigma check {name!r}")
+        ok, detail = _PSIGMA_CHECKS[name](cap, rng)
+        checks.append({"id": name, "pass": ok, "detail": detail})
     ok = all(c["pass"] for c in checks)
     return {"command": "psigma", "checks": checks, "pass": ok}, ok
 
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         dest="checks",
-        choices=("jacobi", "tau-kernel", "intersection", "ranks"),
+        choices=tuple(_PSIGMA_CHECKS),
         default=None,
     )
     common(sub.add_parser("all", help="run every check"), with_n=True)

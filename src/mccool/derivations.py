@@ -2,10 +2,10 @@
 
 A degree-k derivation (k >= 1) is stored by its tuple of images of the
 degree-1 generators, each a degree-(k+1) LieElement; the Leibniz rule
-then determines it everywhere.  apply() evaluates by structural
-recursion over standard bracketings, with a per-derivation memo of word
-images; apply_via_tensor() is the independent cross-check route through
-the tensor ring and is used by the tests as an oracle.
+then determines it everywhere.  apply() and der_bracket() (and so tau)
+evaluate by structural recursion over standard bracketings, with a
+per-derivation memo of word images; apply_via_tensor() is the
+independent cross-check route through the tensor ring (a test oracle).
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ class Derivation:
 
     __slots__ = ("alphabet", "degree", "images", "_cache")
 
-    def __init__(self, alphabet: Alphabet, degree: int, images):
-        if degree < 1:
-            raise ValueError("derivation degree must be >= 1")
+    def __init__(self, alphabet: Alphabet, degree: int, images, *, _trust=False):
         images = tuple(images)
-        if len(images) != alphabet.size:
-            raise ValueError("need one image per generator")
-        for img in images:
-            if img.alphabet != alphabet:
-                raise ValueError("image alphabet mismatch")
-            if img.degree != degree + 1:
-                raise ValueError(f"images must be homogeneous of degree {degree + 1}")
+        if not _trust:
+            if degree < 1:
+                raise ValueError("derivation degree must be >= 1")
+            if len(images) != alphabet.size:
+                raise ValueError("need one image per generator")
+            for img in images:
+                if img.alphabet != alphabet:
+                    raise ValueError("image alphabet mismatch")
+                if img.degree != degree + 1:
+                    raise ValueError(f"images must be homogeneous of degree {degree + 1}")
         self.alphabet = alphabet
         self.degree = degree
         self.images = images
@@ -58,9 +59,6 @@ class Derivation:
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
-
-    def image_of_generator(self, label: str) -> LieElement:
-        return self.images[self.alphabet.index(label)]
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.alphabet != other.alphabet or self.degree != other.degree:
@@ -165,10 +163,18 @@ def der_bracket(d: Derivation, e: Derivation) -> Derivation:
     """Commutator [d, e] = d o e - e o d, a derivation of degree k_d + k_e."""
     if d.alphabet != e.alphabet:
         raise ValueError("alphabet mismatch")
-    images = tuple(
-        apply(d, ei) - apply(e, di) for di, ei in zip(d.images, e.images)
-    )
-    return Derivation(d.alphabet, d.degree + e.degree, images)
+    degree, dw, ew = d.degree + e.degree, d._apply_word, e._apply_word
+    # empty slots share one element: most slots of a McCool tau image are 0
+    zero = LieElement.zero(d.alphabet, degree + 1)
+    images = []
+    for di, ei in zip(d.images, e.images):
+        acc: dict = {}
+        for w, c in ei.coeffs.items():
+            _add_into(acc, dw(w), c)
+        for w, c in di.coeffs.items():
+            _add_into(acc, ew(w), -c)
+        images.append(LieElement(d.alphabet, degree + 1, acc, _trust=True) if acc else zero)
+    return Derivation(d.alphabet, degree, images, _trust=True)
 
 
 def inner_derivation(w: LieElement) -> Derivation:

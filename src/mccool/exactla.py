@@ -20,7 +20,8 @@ Everything reported by this module is exact.  Two engines cooperate:
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors.
 
     Saturation of the kernel lattice is certified through gcds of
-    maximal minors, with a p-adic repair loop where needed.
+    maximal minors, with a p-adic repair loop where needed; its left
+    nullspaces mod q come from the same deferred elimination.
 
 The kernel of an integer matrix is automatically a saturated lattice;
 the basis returned here is the (row-style) Hermite normal form of that
@@ -141,9 +142,6 @@ class SparseMat:
 
     def transpose(self) -> "SparseMat":
         return SparseMat(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
     def column_vector(self, j: int) -> list:
         return [self.entries.get((i, j), 0) for i in range(self.rows)]
@@ -462,35 +460,6 @@ class _ColumnArrays:
         return self.kills(sparse)
 
 
-def _rref_mod_small(a: np.ndarray, p: int):
-    """In-place reduced row echelon form mod p; returns pivot column list."""
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, j])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, j]), p - 2, p)
-        a[r, j:] = (a[r, j:] * inv) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, j])[0]
-        if len(below):
-            a[below, j:] = (a[below, j:] - np.outer(a[below, j], a[r, j:])) % p
-        pivots.append(j)
-        r += 1
-    for i in range(len(pivots) - 1, -1, -1):
-        j = pivots[i]
-        above = np.nonzero(a[:i, j])[0]
-        if len(above):
-            a[above, j:] = (a[above, j:] - np.outer(a[above, j], a[i, j:])) % p
-    return pivots
-
-
 def _forward_elim_deferred(a: np.ndarray, p: int) -> list:
     """Forward elimination mod p on an int64 matrix, reducing late.
 
@@ -665,15 +634,6 @@ def hnf_rows(rows: list) -> list:
 # exact verification helpers
 
 
-def _verify_kernel_vector(columns, nrows: int, vec) -> bool:
-    """Exact check that sum_j vec[j] * column_j == 0.
-
-    The one-vector call of _ColumnArrays.kills_rows; the certified kernel
-    builds the arrays once per block and checks all its vectors at once.
-    """
-    return _ColumnArrays(columns, nrows).kills_rows([vec])
-
-
 def _prime_factors(n: int) -> list:
     """Prime factorization by trial division plus Pollard rho."""
     n = abs(n)
@@ -714,31 +674,6 @@ def _prime_factors(n: int) -> list:
     return sorted(set(out))
 
 
-def _left_nullspace_mod(v: np.ndarray, q: int) -> np.ndarray:
-    """Basis rows y (mod q) with y @ V = 0 (mod q); entries in [0, q)."""
-    d, ncols = v.shape
-    aug = np.zeros((d, ncols + d), dtype=np.int64)
-    aug[:, :ncols] = v % q
-    aug[:, ncols:] = np.eye(d, dtype=np.int64)
-    r = 0
-    for j in range(ncols):
-        if r == d:
-            break
-        nz = np.nonzero(aug[r:, j])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            aug[[r, pr]] = aug[[pr, r]]
-        inv = pow(int(aug[r, j]), q - 2, q)
-        aug[r] = (aug[r] * inv) % q
-        below = r + 1 + np.nonzero(aug[r + 1 :, j])[0]
-        if len(below):
-            aug[below] = (aug[below] - np.outer(aug[below, j], aug[r])) % q
-        r += 1
-    return aug[r:, ncols:]
-
-
 class CertificateError(RuntimeError):
     """An exact check that certifies a result failed."""
 
@@ -765,31 +700,28 @@ def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
         pivs = [next(x for x in row if x) for row in v]
         if any(h >= (1 << 62) for h in pivs):
             raise _SaturationTooHard("Hermite pivot exceeds the fast range")
-        primes = set()
-        for h in pivs:
-            if h > 1:
-                primes.update(_prime_factors(h))
+        primes = {q for h in pivs for q in _prime_factors(h)}
         if not primes:
             break
         fixed_any = False
         for q in sorted(primes):
-            if q >= (1 << 31):  # int64 products q^2 below would overflow
-                raise _SaturationTooHard("saturation prime exceeds 31 bits")
             while True:
                 vnp = _exact_array(v)
+                # q divides a pivot when its repairs start, so max|v| >= q and
+                # this bound also gives _nullspace_mod's d * q^2 + q < 2^63
                 if _abs_max(vnp) * q * d >= (1 << 62):  # keep int64 matmuls exact
                     raise _SaturationTooHard("entries exceed int64 range")
-                y = _left_nullspace_mod(vnp, q)
+                pivots, y = _nullspace_mod(vnp.T, q)
                 if y.shape[0] == 0:
                     break
-                yr = y % q
-                piv_pos = _rref_mod_small(yr, q)  # distinct replacement rows
-                w = yr @ vnp
+                # row t of y is 1 at free[t] and 0 at the other free rows,
+                # so replacing row free[t] keeps the rows independent
+                free = sorted(set(range(d)) - set(pivots))
+                w = y @ vnp
                 if (w % q).any():
                     raise CertificateError("saturation repair is not divisible by q")
-                w //= q
-                for t, pos in enumerate(piv_pos):
-                    v[pos] = [int(x) for x in w[t]]
+                for pos, row in zip(free, (w // q).tolist()):
+                    v[pos] = row
                 v = [list(r) for r in hnf_rows(v)]
                 if len(v) != d:
                     raise CertificateError("saturation repair lost rank")

@@ -349,12 +349,6 @@ class LieElement:
         w = word.indices if isinstance(word, LyndonWord) else tuple(word)
         return self.coeffs.get(w, 0)
 
-    def support_letters(self) -> set:
-        out = set()
-        for w in self.coeffs:
-            out.update(w)
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def _compat(self, other: "LieElement"):

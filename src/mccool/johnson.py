@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from . import exactla
-from .derivations import Derivation
+from .derivations import Derivation, der_bracket
 from .exactla import SparseMat
 from .freelie import (
     Alphabet,
@@ -68,9 +68,6 @@ class McCoolSymbols:
     def symbol(self, i: int, j: int) -> LiePolynomial:
         return LieElement.generator(self.alphabet, f"k{i}{j}")
 
-    def pair_of_letter(self, letter: int) -> tuple:
-        return self.pairs[letter]
-
 
 @functools.lru_cache(maxsize=None)
 def mccool_symbols(n: int) -> McCoolSymbols:
@@ -100,12 +97,13 @@ _ABC_PAIRS = ((1, 2), (2, 1), (1, 3))
 class TauMap:
     """tau on the free Lie ring over a symbol alphabet, built bottom-up.
 
-    For each Lyndon word w over the symbols the n generator images of
-    tau(b(w)) are kept in _word_cache as one dict {Lyndon word of L[n] :
-    int} per slot.  tau(b(w)) is the derivation bracket of tau(b(u)) and
-    tau(b(v)) for the standard factorization w = (u, v), expanded on the
-    generator images, with a memo of single-word applications (dword,
-    target) shared across all words.
+    _word_cache[w] is the Derivation tau(b(w)) for a Lyndon word w over
+    the symbols: tau_generator for a letter, and for the standard
+    factorization w = (u, v) the der_bracket of tau(b(u)) and tau(b(v)),
+    whose own word memos hold the single-word applications.  Images of
+    degree-k words have degree k + 1, so tau_arrays(k) and evaluate() at
+    degree k need freelie.degree_cap() >= k + 1 (set_degree_cap(11) for
+    k = 10).
     """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
@@ -113,64 +111,34 @@ class TauMap:
         self.symbol_alphabet = symbol_alphabet
         self.n = n
         self._word_cache = {
-            (t,): tuple(dict(img.coeffs) for img in tau_generator(n, *pair).images)
-            for t, pair in enumerate(generator_pairs)
+            (t,): tau_generator(n, *pair) for t, pair in enumerate(generator_pairs)
         }
-        self._aw: dict = {}
         self._arrays: dict = {}
 
-    def images_of_word(self, word) -> tuple:
+    def of_word(self, word) -> Derivation:
         hit = self._word_cache.get(word)
-        if hit is not None:
-            return hit
-        u, v = standard_factorization(word)
-        iu, iv = self.images_of_word(u), self.images_of_word(v)
-        res = tuple({} for _ in range(self.n))
-        for acc, du, dv in zip(res, iu, iv):
-            for t, ct in dv.items():
-                _add_into(acc, self._apply_word(u, iu, t), ct)
-            for t, ct in du.items():
-                _add_into(acc, self._apply_word(v, iv, t), -ct)
-        self._word_cache[word] = res
-        return res
+        if hit is None:
+            u, v = standard_factorization(word)
+            hit = self._word_cache[word] = der_bracket(self.of_word(u), self.of_word(v))
+        return hit
 
     def evaluate(self, p: LiePolynomial) -> Derivation:
         if p.alphabet != self.symbol_alphabet:
             raise ValueError("symbol alphabet mismatch")
         acc = tuple({} for _ in range(self.n))
         for word, c in p.coeffs.items():
-            for slot, img in zip(acc, self.images_of_word(word)):
-                _add_into(slot, img.items(), c)
+            for slot, img in zip(acc, self.of_word(word).images):
+                _add_into(slot, img.coeffs.items(), c)
         alphabet = x_alphabet(self.n)
         images = tuple(LieElement(alphabet, p.degree + 1, d, _trust=True) for d in acc)
         return Derivation(alphabet, p.degree, images)
-
-    def _apply_word(self, dword, dimgs, target) -> tuple:
-        """tau(b(dword)), given by its generator images dimgs, applied to
-        b(target), as items."""
-        key = (dword, target)
-        hit = self._aw.get(key)
-        if hit is not None:
-            return hit
-        if len(target) == 1:
-            res = tuple(dimgs[target[0]].items())
-        else:
-            t1, t2 = standard_factorization(target)
-            acc: dict = {}
-            for w, c in self._apply_word(dword, dimgs, t1):
-                _add_into(acc, _bw(w, t2), c)
-            for w, c in self._apply_word(dword, dimgs, t2):
-                _add_into(acc, _bw(t1, w), c)
-            res = tuple(acc.items())
-        self._aw[key] = res
-        return res
 
     def _columns(self, k: int):
         idx = lyndon_index(self.n, k + 1)
         wd = len(idx)
         for w in lyndon_tuples(self.symbol_alphabet.size, k):
-            imgs = self.images_of_word(w)
-            col = [(i * wd + idx[ww], c) for i in range(self.n) for ww, c in imgs[i].items()]
+            imgs = enumerate(self.of_word(w).images)
+            col = [(i * wd + idx[ww], c) for i, img in imgs for ww, c in img.coeffs.items()]
             col.sort()
             yield col
 
@@ -186,7 +154,7 @@ class TauMap:
         hit = self._arrays.get(k)
         if hit is None:
             domain = lyndon_tuples(self.symbol_alphabet.size, k)
-            nnz = sum(len(d) for w in domain for d in self.images_of_word(w))
+            nnz = sum(len(img.coeffs) for w in domain for img in self.of_word(w).images)
             nrows = self.n * len(lyndon_index(self.n, k + 1))
             hit = self._arrays[k] = exactla._ColumnArrays(self._columns(k), nrows, nnz)
         return hit

@@ -125,6 +125,18 @@ class TestPsigma:
         assert [c["id"] for c in data["checks"]] == ["ranks", "jacobi"]
         assert data["pass"] is True
 
+    def test_checks_come_from_one_table(self, capsys):
+        from mccool.cli import _PSIGMA_CHECKS, RunConfig, build_parser, cmd_psigma
+
+        assert list(_PSIGMA_CHECKS) == ["ranks", "jacobi", "tau-kernel", "intersection"]
+        _, out = run_cli(capsys, ["psigma", "--max-degree", "3"])
+        assert [c["id"] for c in json.loads(out)["checks"]] == list(_PSIGMA_CHECKS)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["psigma", "--check", "nope"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="unknown psigma check 'nope'"):
+            cmd_psigma(RunConfig(command="psigma", max_degree=3, checks=["nope"]))
+
     def test_exit_code_contract(self, capsys):
         code, out = run_cli(capsys, ["psigma", "--max-degree", "3"])
         data = json.loads(out)

@@ -119,6 +119,20 @@ class TestDerBracket:
             )
             assert cyclic.is_zero()
 
+    def test_images_match_tensor_route(self, rng):
+        # [d, e](X_i) = d(e(X_i)) - e(d(X_i)), each side through the tensor
+        # ring, for random derivations of degrees 1..3 on n = 3
+        alphabet = x_alphabet(3)
+        for _ in range(12):
+            d, e = (
+                Derivation(alphabet, k, [random_lie_element(rng, alphabet, k + 1) for _ in "123"])
+                for k in (rng.randint(1, 3), rng.randint(1, 3))
+            )
+            bracket = der_bracket(d, e)
+            assert bracket.degree == d.degree + e.degree
+            for img, di, ei in zip(bracket.images, d.images, e.images):
+                assert img == apply_via_tensor(d, ei) - apply_via_tensor(e, di)
+
 
 class TestDimension:
     @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])

@@ -23,6 +23,7 @@ from mccool.exactla import (
     _column_blocks,
     _crt_pair,
     _invariant_factors,
+    _is_prime,
     _kernel_exact,
     _PRIMES,
     _rat_reconstruct,
@@ -30,7 +31,6 @@ from mccool.exactla import (
     _saturate_rows,
     _SaturationTooHard,
     _smith_diagonal,
-    _verify_kernel_vector,
 )
 
 
@@ -127,8 +127,7 @@ class TestKernel:
         m = SparseMat.from_dense(prod)
         ker = kernel_lattice(m)
         assert len(ker) == 40 - frac_rank(prod)
-        cols = m.columns()
-        assert all(_verify_kernel_vector(cols, 30, v) for v in ker)
+        assert _ColumnArrays(m.columns(), 30).kills_rows(ker)
         assert [tuple(v) for v in kernel_lattice(m, "exact")] == [tuple(v) for v in ker]
 
     @staticmethod
@@ -166,16 +165,16 @@ class TestKernel:
 
     @staticmethod
     def _count_primes(monkeypatch):
-        from mccool import exactla
-
+        # only _kernel_attempt takes the residues of the matrix mod a prime;
+        # saturation calls _nullspace_mod too, on its own small matrices
         used = []
-        nullspace_mod = exactla._nullspace_mod
+        residues = _ColumnArrays.residues
 
-        def counted(a, p):
+        def counted(self, p):
             used.append(p)
-            return nullspace_mod(a, p)
+            return residues(self, p)
 
-        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+        monkeypatch.setattr(_ColumnArrays, "residues", counted)
         return used
 
     def test_one_prime_certifies_a_small_kernel(self, monkeypatch):
@@ -455,6 +454,67 @@ class TestSaturationGuard:
         with pytest.raises(_SaturationTooHard, match="entries exceed int64 range"):
             _saturate_rows([(2, 2 * big)], arrays)
 
+    def test_prime_beyond_the_int64_elimination_is_too_hard(self):
+        # q^2 + q >= 2^63, so mod q the elimination would leave int64; the
+        # entries guard refuses it before _nullspace_mod is reached
+        q = 3_037_000_507
+        assert _is_prime(q) and q * q + q >= 1 << 63
+        arrays = _ColumnArrays([[(0, 1)], [(0, -1)]], 1)
+        with pytest.raises(_SaturationTooHard, match="entries exceed int64 range"):
+            _saturate_rows([(q, q)], arrays)
+
+    @staticmethod
+    def _scaled_kernel(dense, diagonal, below):
+        """The kernel K of dense from _kernel_exact, and T @ K for the lower
+        triangular T with the given diagonal and entries below it."""
+        m = SparseMat.from_dense(dense)
+        kernel = [list(v) for v in _kernel_exact(m.columns(), m.rows)]
+        d = len(kernel)
+        t = [below[i] + [diagonal[i]] + [0] * (d - i - 1) for i in range(d)]
+        scaled = [
+            [sum(t[i][s] * kernel[s][c] for s in range(d)) for c in range(m.cols)]
+            for i in range(d)
+        ]
+        return _ColumnArrays(m.columns(), m.rows), kernel, scaled
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_saturates_a_scaled_kernel(self, data):
+        nrows = data.draw(st.integers(1, 4))
+        ncols = data.draw(st.integers(nrows + 1, nrows + 5))
+        dense = data.draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+        d = ncols - frac_rank(dense)
+        diagonal = data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=d, max_size=d))
+        below = [[data.draw(st.integers(-4, 4)) for _ in range(i)] for i in range(d)]
+        arrays, kernel, scaled = self._scaled_kernel(dense, diagonal, below)
+        assert _saturate_rows(scaled, arrays) == hnf_rows(kernel)
+
+    def test_repairs_several_rows_and_primes(self, monkeypatch):
+        from mccool import exactla
+
+        nullspace_mod = exactla._nullspace_mod
+        repairs = []
+
+        def counted(a, p):
+            pivots, y = nullspace_mod(a, p)
+            repairs.append((p, y.shape[0]))
+            return pivots, y
+
+        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+        dense = [[1, 2, -1, 0, 3, 1], [0, 1, 1, -2, 0, 1]]
+        below = [[], [0], [0, -2], [3, 1, 0]]
+        arrays, kernel, scaled = self._scaled_kernel(dense, [2, 2, 3, 5], below)
+        assert _saturate_rows(scaled, arrays) == hnf_rows(kernel)
+        fixed = [(p, rows) for p, rows in repairs if rows]
+        assert {p for p, _ in fixed} == {2, 3, 5}
+        assert max(rows for _, rows in fixed) >= 2
+
     def test_large_kernel_entries_take_the_exact_route(self):
         m = SparseMat.from_dense([[1 << 61, -1]])
         assert kernel_lattice(m) == [(1, 1 << 61)]
@@ -466,8 +526,9 @@ class TestColumnArrays:
         # product to Python ints, where the residual is 2^64, not 0
         with np.errstate(over="ignore"):
             assert np.int64(1 << 32) * np.int64(1 << 32) == 0
-        assert not _verify_kernel_vector([[(0, 1 << 32)]], 1, [1 << 32])
-        assert _verify_kernel_vector([[(0, 1 << 32)], [(0, -1)]], 1, [1 << 32, 1 << 64])
+        assert not _ColumnArrays([[(0, 1 << 32)]], 1).kills_rows([[1 << 32]])
+        arrays = _ColumnArrays([[(0, 1 << 32)], [(0, -1)]], 1)
+        assert arrays.kills_rows([[1 << 32, 1 << 64]])
 
     @pytest.mark.parametrize("shift", [0, 20, 32, 64])
     @settings(max_examples=60, deadline=None)
@@ -487,7 +548,7 @@ class TestColumnArrays:
         killed = [not any(reference_residual(columns, nrows, v)) for v in vecs]
         for vec, expected in zip(vecs, killed):
             assert arrays.kills_rows([vec]) == expected
-            assert _verify_kernel_vector(columns, nrows, vec) == expected
+            assert _ColumnArrays(columns, nrows).kills_rows([vec]) == expected
         assert arrays.kills_rows(vecs) == all(killed)
         # one more column, -M @ vec, puts (vec, 1) in the kernel exactly;
         # moving one coordinate by 1 then adds its column to the residual
@@ -582,11 +643,39 @@ class TestColumnArrays:
             kernel_report.cache_clear()
 
 
+def _rref_mod_small(a: np.ndarray, p: int):
+    """Reference: in-place reduced row echelon form mod p; returns the
+    pivot column list."""
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, j])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, j]), p - 2, p)
+        a[r, j:] = (a[r, j:] * inv) % p
+        below = r + 1 + np.nonzero(a[r + 1 :, j])[0]
+        if len(below):
+            a[below, j:] = (a[below, j:] - np.outer(a[below, j], a[r, j:])) % p
+        pivots.append(j)
+        r += 1
+    for i in range(len(pivots) - 1, -1, -1):
+        j = pivots[i]
+        above = np.nonzero(a[:i, j])[0]
+        if len(above):
+            a[above, j:] = (a[above, j:] - np.outer(a[above, j], a[i, j:])) % p
+    return pivots
+
+
 def rref_nullspace(a, p):
     """Reference: pivots and canonical nullspace basis read off the full
     reduced row echelon form of _rref_mod_small."""
-    from mccool.exactla import _rref_mod_small
-
     small = a % p
     pivots = _rref_mod_small(small, p)
     pivset = set(pivots)
