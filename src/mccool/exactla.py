@@ -23,6 +23,10 @@ Everything reported by this module is exact.  Two engines cooperate:
     maximal minors, with a p-adic repair loop where needed; its left
     nullspaces mod q come from the same deferred elimination.
 
+One Hermite engine, hnf_rows, serves the kernel (the canonical basis
+and the independence check), saturation and the Smith form, which
+alternates it on the rows and on the columns of each block.
+
 The kernel of an integer matrix is automatically a saturated lattice;
 the basis returned here is the (row-style) Hermite normal form of that
 lattice, so identical inputs give bit-identical output.
@@ -1042,78 +1046,25 @@ def smith_normal_form(m: SparseMat, max_cols: int = 5000) -> SNFResult:
 
 
 def _smith_diagonal(columns) -> list:
-    """Pivots of a diagonalization of the integer columns by unimodular
-    row and column operations, each pivot the smallest entry left."""
-    rows: dict = {}
-    colocc: dict = {}
+    """Diagonal of the integer columns under unimodular row and column
+    operations, by alternating Hermite forms of the rows and of their
+    transpose (Kannan and Bachem 1979) until every row has one nonzero.
+
+    After a row HNF the first column is (a, 0, ...); the next HNF makes a
+    the gcd of the first row, so a either falls or divides its row and
+    column, which are then cleared and never touched again.
+    """
+    columns = list(columns)
+    index = {i: n for n, i in enumerate(sorted({i for col in columns for i, _ in col}))}
+    rows = [[0] * len(columns) for _ in index]
     for j, col in enumerate(columns):
         for i, v in col:
-            rows.setdefault(i, {})[j] = v
-            colocc.setdefault(j, set()).add(i)
-
-    def set_entry(i, j, v):
-        row = rows.setdefault(i, {})
-        if v:
-            row[j] = v
-            colocc.setdefault(j, set()).add(i)
-        else:
-            if j in row:
-                del row[j]
-            occ = colocc.get(j)
-            if occ:
-                occ.discard(i)
-                if not occ:
-                    del colocc[j]
-        if not row:
-            del rows[i]
-
-    diagonal = []
-    while rows:
-        piv_i = piv_j = None
-        piv_v = None
-        for i in sorted(rows):
-            for j in sorted(rows[i]):
-                v = abs(rows[i][j])
-                if piv_v is None or v < piv_v or (v == piv_v and (i, j) < (piv_i, piv_j)):
-                    piv_i, piv_j, piv_v = i, j, v
-        while True:
-            p = rows[piv_i][piv_j]
-            dirty = False
-            for i in sorted(colocc.get(piv_j, ())):
-                if i == piv_i:
-                    continue
-                q = rows[i][piv_j] // p
-                if q:
-                    for j, v in list(rows[piv_i].items()):
-                        set_entry(i, j, rows.get(i, {}).get(j, 0) - q * v)
-                if rows.get(i, {}).get(piv_j, 0):
-                    piv_i = i  # remainder beat the pivot; swap roles
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            p = rows[piv_i][piv_j]
-            dirty = False
-            for j in sorted(rows[piv_i]):
-                if j == piv_j:
-                    continue
-                q = rows[piv_i][j] // p
-                if q:
-                    for i in sorted(colocc.get(piv_j, ())):
-                        set_entry(i, j, rows[i].get(j, 0) - q * rows[i][piv_j])
-                if rows[piv_i].get(j, 0):
-                    piv_j = j
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        p = abs(rows[piv_i][piv_j])
-        for j in list(rows[piv_i]):
-            set_entry(piv_i, j, 0)
-        for i in list(colocc.get(piv_j, ())):
-            set_entry(i, piv_j, 0)
-        diagonal.append(p)
-    return diagonal
+            rows[index[i]][j] = v
+    while True:
+        rows = hnf_rows(rows)
+        if all(len(r) - r.count(0) == 1 for r in rows):
+            return [max(r) for r in rows]
+        rows = list(zip(*rows))
 
 
 def _invariant_factors(diagonal) -> tuple:

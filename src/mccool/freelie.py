@@ -101,7 +101,7 @@ class Alphabet:
     words; letter i is the label at position i.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_hash")
 
     def __init__(self, labels):
         labels = tuple(str(x) for x in labels)
@@ -111,6 +111,7 @@ class Alphabet:
             raise ValueError("alphabet must be nonempty")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._hash = hash(labels)
 
     @property
     def size(self) -> int:
@@ -137,7 +138,7 @@ class Alphabet:
         return isinstance(other, Alphabet) and self.labels == other.labels
 
     def __hash__(self):
-        return hash(self.labels)
+        return self._hash
 
     def __repr__(self):
         return f"Alphabet({list(self.labels)!r})"
@@ -287,14 +288,13 @@ def _check_coeff(c):
     raise TypeError(f"coefficients must be int or Fraction, got {type(c)!r}")
 
 
-class LieElement:
-    """Homogeneous element of the free Lie ring, in Lyndon normal form.
-
-    coeffs maps Lyndon words (tuples of letter indices) of length
-    ``degree`` to nonzero coefficients.
-    """
+class _Element:
+    """Homogeneous element over an alphabet: a sparse map from words of
+    length ``degree`` to nonzero coefficients.  The shared core of
+    LieElement and TensorElement; equality requires the same class."""
 
     __slots__ = ("alphabet", "degree", "coeffs")
+    _brackets = "()"
 
     def __init__(self, alphabet: Alphabet, degree: int, coeffs: dict, *, _trust=False):
         _check_degree(degree)
@@ -308,8 +308,7 @@ class LieElement:
                     raise ValueError(f"word {w!r} does not have degree {degree}")
                 if any(not (0 <= i < n) for i in w):
                     raise ValueError(f"word {w!r} has letters outside the alphabet")
-                if not is_lyndon(w):
-                    raise ValueError(f"word {w!r} is not Lyndon")
+                self._check_word(w)
                 if c:
                     clean[w] = c
             coeffs = clean
@@ -317,11 +316,90 @@ class LieElement:
         self.degree = degree
         self.coeffs = coeffs
 
-    # -- constructors ------------------------------------------------------
+    @staticmethod
+    def _check_word(w) -> None:
+        """Hook for a basis condition on the words; none by default."""
 
     @classmethod
-    def zero(cls, alphabet: Alphabet, degree: int) -> "LieElement":
+    def zero(cls, alphabet: Alphabet, degree: int):
         return cls(alphabet, degree, {}, _trust=True)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        if self.alphabet != other.alphabet:
+            raise ValueError("alphabet mismatch")
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch in sum")
+        out = dict(self.coeffs)
+        _add_into(out, other.coeffs.items(), 1)
+        return type(self)(self.alphabet, self.degree, out, _trust=True)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(
+            self.alphabet, self.degree, {w: -c for w, c in self.coeffs.items()}, _trust=True
+        )
+
+    def scale(self, scalar):
+        scalar = _check_coeff(scalar)
+        if not scalar:
+            return self.zero(self.alphabet, self.degree)
+        return type(self)(
+            self.alphabet, self.degree, {w: scalar * c for w, c in self.coeffs.items()}, _trust=True
+        )
+
+    __mul__ = __rmul__ = scale
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.alphabet == other.alphabet
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.alphabet.labels, self.degree, tuple(sorted(self.coeffs.items()))))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        left, right = self._brackets
+        bits = []
+        for w, c in sorted(self.coeffs.items()):
+            sign = "+" if c == 1 else "-" if c == -1 else f"{c:+}"
+            bits.append(f"{sign}{left}{self.alphabet.word_string(w)}{right}")
+        return "".join(bits)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "alphabet": list(self.alphabet.labels),
+            "degree": self.degree,
+            "terms": [
+                {"word": self.alphabet.word_string(w), "coeff": str(c)}
+                for w, c in sorted(self.coeffs.items())
+            ],
+        }
+
+
+class LieElement(_Element):
+    """Homogeneous element of the free Lie ring, in Lyndon normal form.
+
+    coeffs maps Lyndon words (tuples of letter indices) of length
+    ``degree`` to nonzero coefficients.
+    """
+
+    __slots__ = ()
+    _brackets = "[]"
+
+    @staticmethod
+    def _check_word(w) -> None:
+        if not is_lyndon(w):
+            raise ValueError(f"word {w!r} is not Lyndon")
 
     @classmethod
     def generator(cls, alphabet: Alphabet, label: str) -> "LieElement":
@@ -336,11 +414,6 @@ class LieElement:
         """The degree-1 generator elements of this element's alphabet."""
         return [LieElement.generator(self.alphabet, lab) for lab in self.alphabet.labels]
 
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def terms(self):
         """Sorted list of (LyndonWord, coefficient)."""
         return [(LyndonWord(w), c) for w, c in sorted(self.coeffs.items())]
@@ -348,78 +421,6 @@ class LieElement:
     def coefficient(self, word) -> int:
         w = word.indices if isinstance(word, LyndonWord) else tuple(word)
         return self.coeffs.get(w, 0)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _compat(self, other: "LieElement"):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in sum")
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._compat(other)
-        out = dict(self.coeffs)
-        _add_into(out, other.coeffs.items(), 1)
-        return LieElement(self.alphabet, self.degree, out, _trust=True)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(
-            self.alphabet, self.degree, {w: -c for w, c in self.coeffs.items()}, _trust=True
-        )
-
-    def scale(self, scalar) -> "LieElement":
-        scalar = _check_coeff(scalar)
-        if not scalar:
-            return LieElement.zero(self.alphabet, self.degree)
-        return LieElement(
-            self.alphabet, self.degree, {w: scalar * c for w, c in self.coeffs.items()}, _trust=True
-        )
-
-    __mul__ = scale
-
-    def __rmul__(self, scalar) -> "LieElement":
-        return self.scale(scalar)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.alphabet == other.alphabet
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet.labels, self.degree, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w, c in sorted(self.coeffs.items()):
-            word = self.alphabet.word_string(w)
-            if c == 1:
-                bits.append(f"+[{word}]")
-            elif c == -1:
-                bits.append(f"-[{word}]")
-            else:
-                bits.append(f"{c:+}[{word}]")
-        return "".join(bits)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet.labels),
-            "degree": self.degree,
-            "terms": [
-                {"word": self.alphabet.word_string(w), "coeff": str(c)}
-                for w, c in sorted(self.coeffs.items())
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieElement":
@@ -432,75 +433,20 @@ class LieElement:
         return cls(alphabet, int(data["degree"]), coeffs)
 
 
-class TensorElement:
+class TensorElement(_Element):
     """Homogeneous element of the tensor ring (free associative ring)."""
 
-    __slots__ = ("alphabet", "degree", "coeffs")
-
-    def __init__(self, alphabet: Alphabet, degree: int, coeffs: dict, *, _trust=False):
-        _check_degree(degree)
-        if not _trust:
-            n = alphabet.size
-            clean = {}
-            for w, c in coeffs.items():
-                w = tuple(w)
-                c = _check_coeff(c)
-                if len(w) != degree:
-                    raise ValueError(f"word {w!r} does not have degree {degree}")
-                if any(not (0 <= i < n) for i in w):
-                    raise ValueError(f"word {w!r} has letters outside the alphabet")
-                if c:
-                    clean[w] = c
-            coeffs = clean
-        self.alphabet = alphabet
-        self.degree = degree
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet, degree: int) -> "TensorElement":
-        return cls(alphabet, degree, {}, _trust=True)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    __slots__ = ()
 
     def coefficient(self, word) -> int:
         if isinstance(word, str):
             word = self.alphabet.parse_word(word)
         return self.coeffs.get(tuple(word), 0)
 
-    def _compat(self, other: "TensorElement"):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._compat(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in sum")
-        out = dict(self.coeffs)
-        _add_into(out, other.coeffs.items(), 1)
-        return TensorElement(self.alphabet, self.degree, out, _trust=True)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(
-            self.alphabet, self.degree, {w: -c for w, c in self.coeffs.items()}, _trust=True
-        )
-
-    def scale(self, scalar) -> "TensorElement":
-        scalar = _check_coeff(scalar)
-        if not scalar:
-            return TensorElement.zero(self.alphabet, self.degree)
-        return TensorElement(
-            self.alphabet, self.degree, {w: scalar * c for w, c in self.coeffs.items()}, _trust=True
-        )
-
-    __rmul__ = scale
-
     def __mul__(self, other):
         if isinstance(other, TensorElement):
-            self._compat(other)
+            if self.alphabet != other.alphabet:
+                raise ValueError("alphabet mismatch")
             return TensorElement(
                 self.alphabet, self.degree + other.degree, _conv(self.coeffs, other.coeffs), _trust=True
             )
@@ -508,36 +454,6 @@ class TensorElement:
 
     def commutator(self, other: "TensorElement") -> "TensorElement":
         return self * other - other * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.alphabet == other.alphabet
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet.labels, self.degree, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w, c in sorted(self.coeffs.items()):
-            word = self.alphabet.word_string(w)
-            bits.append(f"{c:+}({word})" if abs(c) != 1 else (f"+({word})" if c == 1 else f"-({word})"))
-        return "".join(bits)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet.labels),
-            "degree": self.degree,
-            "terms": [
-                {"word": self.alphabet.word_string(w), "coeff": str(c)}
-                for w, c in sorted(self.coeffs.items())
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -819,6 +820,39 @@ class TestSNF:
     def test_fraction_entries_rejected(self):
         with pytest.raises(ValueError, match="integer entries"):
             smith_normal_form(SparseMat(1, 1, {(0, 0): Fraction(1, 2)}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda nr: st.integers(1, 4).flatmap(
+                lambda nc: st.lists(
+                    st.lists(st.integers(-6, 6), min_size=nc, max_size=nc),
+                    min_size=nr,
+                    max_size=nr,
+                )
+            )
+        )
+    )
+    def test_divisors_are_quotients_of_minor_gcds(self, dense):
+        # independent oracle: d1 * ... * di is the gcd of all i x i minors
+        # (0 beyond the rank), each minor a plain cofactor determinant
+        def det(m):
+            if not m:
+                return 1
+            return sum(
+                (-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+                for j in range(len(m))
+                if m[0][j]
+            )
+
+        divisors = smith_normal_form(SparseMat.from_dense(dense)).divisors
+        nr, nc = len(dense), len(dense[0])
+        for i in range(1, min(nr, nc) + 1):
+            g = 0
+            for rows_i in itertools.combinations(range(nr), i):
+                for cols_i in itertools.combinations(range(nc), i):
+                    g = math.gcd(g, det([[dense[r][c] for c in cols_i] for r in rows_i]))
+            assert g == (math.prod(divisors[:i]) if i <= len(divisors) else 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,78 @@ class TestValidation:
     def test_rejects_float_coeffs(self, abc):
         with pytest.raises(TypeError):
             LieElement(abc, 1, {(0,): 0.5})
+
+
+class TestElementCore:
+    # LieElement and TensorElement share one base class; these pin the
+    # behaviour both had as separate classes
+    CASES = [
+        ({(0, 1): 2, (0, 2): -3}, "+2{ab}-3{ac}", ["2", "-3"]),
+        ({(0, 1): 1, (1, 2): -1}, "+{ab}-{bc}", ["1", "-1"]),
+        ({(0, 1): Fraction(1), (0, 2): Fraction(-1)}, "+{ab}-{ac}", ["1", "-1"]),
+        ({}, "0", []),
+    ]
+
+    @pytest.mark.parametrize("cls, brackets", [(LieElement, "[]"), (TensorElement, "()")])
+    @pytest.mark.parametrize("coeffs, shape, json_coeffs", CASES)
+    def test_repr_json_hash(self, abc, cls, brackets, coeffs, shape, json_coeffs):
+        el = cls(abc, 2, coeffs)
+        assert repr(el) == shape.replace("{", brackets[0]).replace("}", brackets[1])
+        assert [t["coeff"] for t in el.to_json_dict()["terms"]] == json_coeffs
+        assert el.to_json_dict()["alphabet"] == ["a", "b", "c"]
+        assert hash(el) == hash((abc.labels, 2, tuple(sorted(el.coeffs.items()))))
+
+    @pytest.mark.parametrize("cls", [LieElement, TensorElement])
+    def test_non_unit_fraction_repr(self, abc, cls):
+        el = cls(abc, 2, {(0, 1): Fraction(1, 2)})
+        assert el.to_json_dict()["terms"] == [{"word": "ab", "coeff": "1/2"}]
+        if sys.version_info >= (3, 12):
+            assert repr(el).startswith("+1/2")
+        else:
+            # Fraction has no format spec before 3.12
+            with pytest.raises(TypeError):
+                repr(el)
+
+    def test_lie_never_equals_tensor(self, abc):
+        for coeffs in ({(0, 1): 2}, {}):
+            lie, tensor = LieElement(abc, 2, coeffs), TensorElement(abc, 2, coeffs)
+            assert lie != tensor and tensor != lie
+        assert LieElement.zero(abc, 1) != TensorElement.zero(abc, 1)
+
+    def test_arithmetic_keeps_the_class(self, abc):
+        t = TensorElement(abc, 1, {(0,): 1})
+        a = LieElement.generator(abc, "a")
+        assert type(t.scale(0)) is TensorElement and type(-t) is TensorElement
+        assert type(a + a) is LieElement and type(3 * a) is LieElement
+        assert repr(2 * a) == "+2[a]" and repr(t * 0) == "0"
+
+    def test_zero_coefficient_non_lyndon_word_rejected(self, abc):
+        with pytest.raises(ValueError, match=r"word \(1, 0\) is not Lyndon"):
+            LieElement(abc, 2, {(1, 0): 0})
+        assert TensorElement(abc, 2, {(1, 0): 0}).is_zero()
+
+    def test_error_messages(self, abc, x3):
+        a = LieElement.generator(abc, "a")
+        t = TensorElement(abc, 1, {(0,): 1})
+        cases = [
+            (lambda: LieElement(abc, 3, {(0, 1): 1}), ValueError, "word (0, 1) does not have degree 3"),
+            (lambda: LieElement(abc, 1, {(3,): 1}), ValueError, "word (3,) has letters outside the alphabet"),
+            (lambda: TensorElement(abc, 1, {(5,): 1}), ValueError, "word (5,) has letters outside the alphabet"),
+            (lambda: LieElement(abc, 1, {(0,): 0.5}), TypeError, "coefficients must be int or Fraction, got <class 'float'>"),
+            (lambda: LieElement(abc, 1, {(0,): True}), TypeError, "coefficients must be int or Fraction, got <class 'bool'>"),
+            (lambda: LieElement(abc, 11, {}), ValueError, "degree 11 above the cap 10; call set_degree_cap to raise it"),
+            (lambda: LieElement(abc, 0, {}), ValueError, "degree must be >= 1"),
+            (lambda: a + LieElement.generator(x3, "X1"), ValueError, "alphabet mismatch"),
+            (lambda: a + LieElement(abc, 2, {(0, 1): 1}), ValueError, "degree mismatch in sum"),
+            (lambda: t + TensorElement(x3, 1, {(0,): 1}), ValueError, "alphabet mismatch"),
+            (lambda: t + TensorElement(abc, 2, {}), ValueError, "degree mismatch in sum"),
+            (lambda: t * TensorElement(x3, 1, {(0,): 1}), ValueError, "alphabet mismatch"),
+            (lambda: a * a, TypeError, "coefficients must be int or Fraction, got <class 'mccool.freelie.LieElement'>"),
+        ]
+        for make, error, message in cases:
+            with pytest.raises(error) as info:
+                make()
+            assert type(info.value) is error and str(info.value) == message
 
 
 def substitute_via_tensor(p, images, alphabet):

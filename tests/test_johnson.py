@@ -178,6 +178,26 @@ class TestKernelReports:
         rep = kernel_report(7, with_divisors=True)
         assert sorted(rep.elementary_divisors) == [1] * 294 + [2] * 9 + [12] * 3
 
+    def test_degree8_divisors(self):
+        rep = kernel_report(8, with_divisors=True)
+        assert sorted(rep.elementary_divisors) == [1] * 732 + [2] * 42 + [4] * 6 + [12] * 6
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_divisors_agree_with_ranks_mod_p(self, k):
+        # independent of the Smith form: over F_p the tau matrix has rank
+        # #{d : p does not divide d}; ranks come blockwise from _nullspace_mod
+        from mccool import exactla
+        from mccool.johnson import _abc_tau_map
+
+        divisors = kernel_report(k, with_divisors=True).elementary_divisors
+        arrays = _abc_tau_map().tau_arrays(k)
+        blocks = [arrays.block(cols) for cols in exactla._column_blocks(arrays)]
+        for p in (2, 3, 5, 7):
+            rank_p = sum(
+                len(exactla._nullspace_mod(b.residues(p), p)[0]) for b in blocks if b.rows.size
+            )
+            assert rank_p == sum(1 for d in divisors if d % p)
+
     def test_word_images_are_memoized(self):
         from mccool.johnson import _abc_tau_map
 
