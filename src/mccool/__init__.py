@@ -28,15 +28,12 @@ from .exactla import (
 from .freelie import (
     Alphabet,
     LieElement,
-    LyndonWord,
     NotALieElement,
     TensorElement,
     abc_alphabet,
     from_tensor,
     left_normed,
     lie_bracket,
-    lyndon_words,
-    standard_bracketing,
     to_tensor,
     witt_dimension,
     x_alphabet,

@@ -11,9 +11,18 @@ independent cross-check route through the tensor ring (a test oracle).
 from __future__ import annotations
 
 from .exactla import SparseMat, solve_columns
-from .freelie import Alphabet, LieElement, TensorElement, _add_into, from_tensor, to_tensor
+from .freelie import (
+    Alphabet,
+    LieElement,
+    TensorElement,
+    _add_into,
+    coordinates,
+    from_coordinates,
+    from_tensor,
+    to_tensor,
+)
 from .freelie import _bw  # structure constants, shared across alphabets
-from .words import lyndon_tuples, standard_factorization
+from .words import lyndon_index, lyndon_tuples, standard_factorization
 
 __all__ = [
     "Derivation",
@@ -102,6 +111,15 @@ class Derivation:
             "degree": self.degree,
             "images": [img.to_json_dict() for img in self.images],
         }
+
+    def column(self) -> list:
+        """The images in Lyndon coordinates, stacked: slot i from row
+        i * witt(n, k+1), as sorted (row, coeff) pairs."""
+        width = len(lyndon_index(self.alphabet.size, self.degree + 1))
+        col = []
+        for i, img in enumerate(self.images):
+            col += coordinates(img, i * width)
+        return col
 
     # -- evaluation ----------------------------------------------------------
 
@@ -206,28 +224,22 @@ def tangential_witness(d: Derivation) -> list:
     resolved by giving W_i zero coefficient on X_i.  Raises
     NotTangential when no witness exists.
     """
-    n = d.alphabet.size
-    k = d.degree
+    n, k = d.alphabet.size, d.degree
     domain = lyndon_tuples(n, k)
-    cod_index = {w: r for r, w in enumerate(lyndon_tuples(n, k + 1))}
+    nrows = len(lyndon_index(n, k + 1))
     witnesses = []
     for i in range(n):
-        cols = []
-        for w in domain:
-            col = []
-            for w2, c2 in _bw((i,), w):
-                col.append((cod_index[w2], c2))
-            cols.append(sorted(col))
-        mat = SparseMat.from_columns(cols, len(cod_index))
-        rhs = [0] * len(cod_index)
-        for w, c in d.images[i].coeffs.items():
-            rhs[cod_index[w]] = c
-        sol = solve_columns(mat, [rhs])[0]
+        # column w is [X_i, b(w)] in the Lyndon basis of degree k + 1
+        cols = [
+            coordinates(LieElement(d.alphabet, k + 1, dict(_bw((i,), w)), _trust=True))
+            for w in domain
+        ]
+        rhs = [0] * nrows
+        for r, c in coordinates(d.images[i]):
+            rhs[r] = c
+        sol = solve_columns(SparseMat.from_columns(cols, nrows), [rhs])[0]
         if sol is None:
             raise NotTangential(f"generator {d.alphabet.labels[i]} has no witness")
-        coeffs = {}
-        for w, val in zip(domain, sol):
-            if val:
-                coeffs[w] = int(val) if val.denominator == 1 else val
-        witnesses.append(LieElement(d.alphabet, k, coeffs, _trust=True))
+        sol = [int(v) if v.denominator == 1 else v for v in sol]
+        witnesses.append(from_coordinates(d.alphabet, k, sol))
     return witnesses

@@ -24,8 +24,9 @@ Everything reported by this module is exact.  Two engines cooperate:
     nullspaces mod q come from the same deferred elimination.
 
 One Hermite engine, hnf_rows, serves the kernel (the canonical basis
-and the independence check), saturation and the Smith form, which
-alternates it on the rows and on the columns of each block.
+and the independence check), saturation, the exact cross-check (the
+Hermite form of [M^T | I]) and the Smith form, which alternates it on
+the rows and on the columns of each block.
 
 The kernel of an integer matrix is automatically a saturated lattice;
 the basis returned here is the (row-style) Hermite normal form of that
@@ -590,8 +591,8 @@ def hnf_rows(rows: list) -> list:
 
     Growth control: each column is cleared by reducing every row against
     the current minimum in one batch (Euclid converges across the whole
-    column), and after a pivot is established all remaining rows are
-    size-reduced against every pivot found so far.
+    column).  The rows left after a pivot is taken are zero in its column
+    and in every earlier one, so no pivot can reduce them further.
     """
     work = [list(r) for r in rows if any(r)]
     if not work:
@@ -617,11 +618,6 @@ def hnf_rows(rows: list) -> list:
                 piv_row[c] = -piv_row[c]
         work.remove(piv_row)
         result.append((col, piv_row))
-        # keep the remaining rows small relative to all pivots so far
-        for r in work:
-            for pcol, prow in result:
-                q = r[pcol] // prow[pcol]
-                _row_submul(r, q, prow, pcol)
         if not work:
             break
     # reduce above-pivot entries in ascending pivot order, so later
@@ -732,7 +728,7 @@ def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
                 fixed_any = True
         if not fixed_any:
             break
-    out = [tuple(r) for r in hnf_rows(v)]
+    out = [tuple(r) for r in v]  # hnf_rows output on both exits of the loop
     if not arrays.kills_rows(out):
         raise CertificateError("saturated basis row left the kernel")
     return out
@@ -743,47 +739,25 @@ def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
 
 
 def _kernel_exact(columns, nrows: int) -> list:
-    """Integer kernel by unimodular row reduction of [M^T | I].
+    """Integer kernel from the Hermite normal form of [M^T | I].
 
-    Independent of the modular engine; intended for small matrices and
-    as a cross-check arbiter.  The surviving identity parts of rows
-    whose M^T part was eliminated to zero form the full integer kernel,
-    which is saturated by construction.
+    Independent of the modular engine (no primes, no reconstruction);
+    intended for small matrices and as a cross-check arbiter.  Row j is
+    column j of M followed by the unit vector e_j, so the lattice is all
+    (x M^T, x).  The Hermite rows whose first nrows entries vanish are a
+    basis of its part with x M^T = 0, and their identity parts are in
+    Hermite form themselves: they are the unique Hermite basis of the
+    kernel lattice, which is saturated.
     """
     ncols = len(columns)
     rows = []
     for j, col in enumerate(columns):
-        row = {i: v for i, v in col}
+        row = [0] * (nrows + ncols)
+        for i, v in col:
+            row[i] = v
         row[nrows + j] = 1
         rows.append(row)
-    active = list(range(ncols))
-    for c in range(nrows):
-        occ = [r for r in active if rows[r].get(c)]
-        if not occ:
-            continue
-        while len(occ) > 1:
-            occ.sort(key=lambda r: (abs(rows[r][c]), r))
-            r0, r1 = occ[0], occ[1]
-            q = rows[r1][c] // rows[r0][c]
-            row0, row1 = rows[r0], rows[r1]
-            for k, v in row0.items():
-                val = row1.get(k, 0) - q * v
-                if val:
-                    if val.bit_length() > 2048:
-                        raise RuntimeError(
-                            "exact kernel entries exceed the supported range"
-                        )
-                    row1[k] = val
-                elif k in row1:
-                    del row1[k]
-            occ = [r for r in occ if rows[r].get(c)]
-        active.remove(occ[0])
-    vecs = []
-    for r in active:
-        if any(k < nrows for k in rows[r]):
-            raise CertificateError("exact kernel: left part not eliminated")
-        vecs.append([rows[r].get(nrows + j, 0) for j in range(ncols)])
-    return [list(v) for v in hnf_rows(vecs)]
+    return [list(r[nrows:]) for r in hnf_rows(rows) if not any(r[:nrows])]
 
 
 def _pivot_signature_key(pivots) -> tuple:
@@ -989,8 +963,8 @@ def kernel_lattice(m: SparseMat, method: str = "modular") -> list:
     Returns tuples of ints: the Hermite normal form of the kernel
     lattice (deterministic; first nonzero entry of each vector is
     positive).  Fraction entries are cleared row by row first (same
-    kernel).  method="exact" runs the independent unimodular-reduction
-    route (small matrices; used as a cross-check).
+    kernel).  method="exact" runs the independent route, the Hermite
+    form of [M^T | I] (small matrices; used as a cross-check).
     """
     if any(isinstance(v, Fraction) for v in m.entries.values()):
         rows = _integer_rows(m)

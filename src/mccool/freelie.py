@@ -36,21 +36,19 @@ from fractions import Fraction
 
 from .words import (
     Word,
-    bracketing_tree,
     is_lyndon,
-    lyndon_tuples,
+    lyndon_index,
     standard_factorization,
     witt_dimension,
 )
 
 __all__ = [
     "Alphabet",
-    "LyndonWord",
     "LieElement",
     "TensorElement",
     "NotALieElement",
-    "lyndon_words",
-    "standard_bracketing",
+    "coordinates",
+    "from_coordinates",
     "lie_bracket",
     "left_normed",
     "to_tensor",
@@ -153,63 +151,6 @@ def x_alphabet(n: int) -> Alphabet:
 @functools.lru_cache(maxsize=None)
 def abc_alphabet() -> Alphabet:
     return Alphabet(("a", "b", "c"))
-
-
-class LyndonWord:
-    """A Lyndon word over letter indices, with its standard factorization."""
-
-    __slots__ = ("indices", "_hash")
-
-    def __init__(self, indices):
-        indices = tuple(int(i) for i in indices)
-        if not is_lyndon(indices):
-            raise ValueError(f"{indices!r} is not a Lyndon word")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "_hash", hash(indices))
-
-    def __setattr__(self, *a):
-        raise AttributeError("LyndonWord is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-    def factorize(self) -> tuple["LyndonWord", "LyndonWord"]:
-        u, v = standard_factorization(self.indices)
-        return LyndonWord(u), LyndonWord(v)
-
-    def bracketing(self):
-        """Nested-pair bracket tree; leaves are letter indices."""
-        return bracketing_tree(self.indices)
-
-    def labels(self, alphabet: Alphabet) -> tuple[str, ...]:
-        return tuple(alphabet.labels[i] for i in self.indices)
-
-    def __eq__(self, other):
-        return isinstance(other, LyndonWord) and self.indices == other.indices
-
-    def __lt__(self, other):
-        return self.indices < other.indices
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"LyndonWord{self.indices!r}"
-
-
-def lyndon_words(alphabet: Alphabet, k: int) -> list[LyndonWord]:
-    """All Lyndon words of degree k over the alphabet, in lex order."""
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    return [LyndonWord(w) for w in lyndon_tuples(alphabet.size, k)]
-
-
-def standard_bracketing(w: LyndonWord):
-    """Standard bracket tree of a Lyndon word (leaves are letter indices)."""
-    if isinstance(w, LyndonWord):
-        return w.bracketing()
-    return bracketing_tree(tuple(w))
 
 
 def _add_into(acc: dict, items, scalar) -> None:
@@ -328,6 +269,10 @@ class _Element:
         return not self.coeffs
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot add {type(other).__name__} to {type(self).__name__}"
+            )
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
         if self.degree != other.degree:
@@ -371,7 +316,7 @@ class _Element:
         left, right = self._brackets
         bits = []
         for w, c in sorted(self.coeffs.items()):
-            sign = "+" if c == 1 else "-" if c == -1 else f"{c:+}"
+            sign = ("+" if c > 0 else "-") + ("" if abs(c) == 1 else str(abs(c)))
             bits.append(f"{sign}{left}{self.alphabet.word_string(w)}{right}")
         return "".join(bits)
 
@@ -407,20 +352,15 @@ class LieElement(_Element):
 
     @classmethod
     def basis_element(cls, alphabet: Alphabet, word) -> "LieElement":
-        w = word.indices if isinstance(word, LyndonWord) else tuple(word)
+        w = tuple(word)
         return cls(alphabet, len(w), {w: 1})
 
     def generators(self):
         """The degree-1 generator elements of this element's alphabet."""
         return [LieElement.generator(self.alphabet, lab) for lab in self.alphabet.labels]
 
-    def terms(self):
-        """Sorted list of (LyndonWord, coefficient)."""
-        return [(LyndonWord(w), c) for w, c in sorted(self.coeffs.items())]
-
     def coefficient(self, word) -> int:
-        w = word.indices if isinstance(word, LyndonWord) else tuple(word)
-        return self.coeffs.get(w, 0)
+        return self.coeffs.get(tuple(word), 0)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieElement":
@@ -485,6 +425,25 @@ def from_tensor(t: TensorElement) -> LieElement:
         out[word] = c
         _add_into(residue, _expand(word).items(), -c)
     return LieElement(t.alphabet, t.degree, out, _trust=True)
+
+
+def coordinates(p: LieElement, offset: int = 0) -> list:
+    """p in the Lyndon basis of its degree: sorted (offset + position of
+    the word among the degree's Lyndon words in lex order, coeff) pairs."""
+    idx = lyndon_index(p.alphabet.size, p.degree)
+    col = [(offset + idx[w], c) for w, c in p.coeffs.items()]
+    col.sort()
+    return col
+
+
+def from_coordinates(alphabet: Alphabet, degree: int, vec) -> LieElement:
+    """Inverse of coordinates: vec[i] is the coefficient of the i-th Lyndon
+    word of the degree over the alphabet (a dense vector)."""
+    words = lyndon_index(alphabet.size, degree)  # keys in lex order
+    if len(vec) != len(words):
+        raise ValueError(f"need {len(words)} coordinates in degree {degree}, got {len(vec)}")
+    coeffs = {w: c for w, c in zip(words, vec) if c}
+    return LieElement(alphabet, degree, coeffs, _trust=True)
 
 
 def _bracket_table(u: LieElement, v: LieElement) -> LieElement:

@@ -16,10 +16,19 @@ from dataclasses import dataclass
 from . import exactla
 from .derivations import Derivation, inner_derivation
 from .exactla import SparseMat
-from .freelie import Alphabet, LieElement, abc_alphabet, lie_bracket, substitute, x_alphabet
+from .freelie import (
+    Alphabet,
+    LieElement,
+    abc_alphabet,
+    coordinates,
+    from_coordinates,
+    lie_bracket,
+    substitute,
+    x_alphabet,
+)
 from .johnson import _ABC_PAIRS, tau_evaluate
 from .symmetry import _SYMBOL_CLASSES, S3Element, _permutation_images
-from .words import lyndon_index, lyndon_tuples, standard_factorization, witt_dimension
+from .words import lyndon_tuples, standard_factorization, witt_dimension
 
 __all__ = [
     "SDElement",
@@ -176,45 +185,21 @@ def _sd_basis(k: int):
     ]
 
 
-def _sd_coords(u: SDElement, k: int):
-    idx = lyndon_index(3, k)
-    w = len(idx)
-    col = []
-    for word, c in u.hpart.coeffs.items():
-        col.append((idx[word], c))
-    for word, c in u.gpart.coeffs.items():
-        col.append((w + idx[word], c))
-    return sorted(col)
-
-
 @functools.lru_cache(maxsize=None)
 def sd_tau_kernel(k: int):
     """Kernel of sd_tau in degree k: a list of SDElements (certified basis)."""
     if k < 1:
         raise ValueError("degree must be >= 1")
-    idx_cod = lyndon_index(3, k + 1)
-    wd = len(idx_cod)
-    cols = []
-    for b in _sd_basis(k):
-        d = sd_tau(b)
-        col = []
-        for i in range(3):
-            for word, c in d.images[i].coeffs.items():
-                col.append((i * wd + idx_cod[word], c))
-        cols.append(sorted(col))
-    vecs = exactla._kernel_lattice_columns(cols, 3 * wd)
+    cols = [sd_tau(b).column() for b in _sd_basis(k)]
+    vecs = exactla._kernel_lattice_columns(cols, 3 * witt_dimension(3, k + 1))
     w = witt_dimension(3, k)
-    words = lyndon_tuples(3, k)
-    out = []
-    for v in vecs:
-        h = {words[i]: v[i] for i in range(w) if v[i]}
-        g = {words[i]: v[w + i] for i in range(w) if v[w + i]}
-        out.append(
-            SDElement(
-                LieElement(c_alphabet(), k, h, _trust=True),
-                LieElement(abc_alphabet(), k, g, _trust=True),
-            )
+    out = [
+        SDElement(
+            from_coordinates(c_alphabet(), k, v[:w]),
+            from_coordinates(abc_alphabet(), k, v[w:]),
         )
+        for v in vecs
+    ]
     for u in out:
         if not sd_tau(u).is_zero():
             raise exactla.CertificateError("sd_tau kernel vector failed re-evaluation")
@@ -222,11 +207,13 @@ def sd_tau_kernel(k: int):
 
 
 def _g_translate_columns(sigma: S3Element, k: int):
+    """sigma applied to the g basis, as columns: C-words then abc-words."""
+    width = witt_dimension(3, k)
     cols = []
     for w in lyndon_tuples(3, k):
         g = LieElement(abc_alphabet(), k, {w: 1}, _trust=True)
         moved = sd_s3_action(sigma, SDElement.from_g(g))
-        cols.append(_sd_coords(moved, k))
+        cols.append(coordinates(moved.hpart) + coordinates(moved.gpart, width))
     return cols
 
 

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derivations import Derivation
-from .exactla import CertificateError
 from .freelie import LieElement, abc_alphabet, substitute, x_alphabet
 from .johnson import _ABC_PAIRS, LiePolynomial, mccool_symbols, omega, tau_evaluate
-from .words import is_lyndon
 
 __all__ = [
     "IndexTriple",
@@ -118,24 +116,16 @@ def embed_abc(p: LiePolynomial) -> LiePolynomial:
 # the derivation level
 
 
-def _relabel_word(word, mapping) -> tuple:
-    moved = tuple(mapping[t] for t in word)
-    if not is_lyndon(moved):
-        raise CertificateError("monotone relabelling must preserve Lyndon words")
-    return moved
-
-
 def iota_der(i, d: Derivation, n: int) -> Derivation:
     """Embed a derivation of L[3] into L[n] along the triple I."""
     triple = _as_triple(i, n)
     if d.alphabet.size != 3:
         raise ValueError("iota_der starts from a derivation of L[3]")
     big = x_alphabet(n)
-    mapping = {s: triple.indices[s] - 1 for s in range(3)}
+    letters = tuple((1, t - 1) for t in triple.indices)
     images = [LieElement.zero(big, d.degree + 1) for _ in range(n)]
-    for s in range(3):
-        coeffs = {_relabel_word(w, mapping): c for w, c in d.images[s].coeffs.items()}
-        images[triple.indices[s] - 1] = LieElement(big, d.degree + 1, coeffs, _trust=True)
+    for s, t in enumerate(triple.indices):
+        images[t - 1] = substitute(d.images[s], letters, big)
     return Derivation(big, d.degree, tuple(images))
 
 
@@ -146,16 +136,11 @@ def pi_der(j, d: Derivation, n: int) -> Derivation:
     if d.alphabet.size != n:
         raise ValueError("pi_der starts from a derivation of L[n]")
     small = x_alphabet(3)
-    keep = {triple.indices[s] - 1: s for s in range(3)}
-    images = []
-    for s in range(3):
-        src = d.images[triple.indices[s] - 1]
-        coeffs = {}
-        for w, c in src.coeffs.items():
-            if all(t in keep for t in w):
-                coeffs[_relabel_word(w, keep)] = c
-        images.append(LieElement(small, d.degree + 1, coeffs, _trust=True))
-    return Derivation(small, d.degree, tuple(images))
+    letters = [None] * n
+    for s, t in enumerate(triple.indices):
+        letters[t - 1] = (1, s)
+    images = tuple(substitute(d.images[t - 1], tuple(letters), small) for t in triple.indices)
+    return Derivation(small, d.degree, images)
 
 
 # ---------------------------------------------------------------------------

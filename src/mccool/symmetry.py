@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .derivations import Derivation
 from .exactla import SparseMat
-from .freelie import LieElement, _add_into, abc_alphabet, substitute
+from .freelie import LieElement, _add_into, abc_alphabet, coordinates, substitute
 from .johnson import _ABC_PAIRS, LiePolynomial, kernel_report, tau_evaluate
-from .words import lyndon_index, lyndon_tuples
+from .words import lyndon_tuples
 
 __all__ = [
     "S3Element",
@@ -166,14 +166,14 @@ def act_on_polynomial(sigma: S3Element, p: LiePolynomial) -> LiePolynomial:
 
 def action_on_degree(sigma: S3Element, k: int) -> SparseMat:
     """Matrix of sigma on the Lyndon basis of degree k over {a, b, c}."""
-    idx = lyndon_index(3, k)
     alphabet = abc_alphabet()
+    words = lyndon_tuples(3, k)
     entries = {}
-    for j, w in enumerate(lyndon_tuples(3, k)):
+    for j, w in enumerate(words):
         img = act_on_polynomial(sigma, LieElement(alphabet, k, {w: 1}, _trust=True))
-        for ww, c in img.coeffs.items():
-            entries[(idx[ww], j)] = c
-    return SparseMat(len(idx), len(idx), entries)
+        for r, c in coordinates(img):
+            entries[(r, j)] = c
+    return SparseMat(len(words), len(words), entries)
 
 
 def act_on_derivation(sigma: S3Element, d: Derivation) -> Derivation:
@@ -197,14 +197,8 @@ class _StaircaseBasis:
     check decides membership.
     """
 
-    def __init__(self, basis, degree: int):
-        self.degree = degree
-        domain = lyndon_tuples(3, degree)
-        self.idx = {w: r for r, w in enumerate(domain)}
-        self.cols = []
-        for p in basis:
-            col = [(self.idx[w], c) for w, c in sorted(p.coeffs.items())]
-            self.cols.append(col)
+    def __init__(self, basis):
+        self.cols = [coordinates(p) for p in basis]
         self.lead = [col[0] for col in self.cols]
 
     def coords(self, target: LiePolynomial):
@@ -215,9 +209,7 @@ class _StaircaseBasis:
         """
         if not self.cols:
             return [] if target.is_zero() else None
-        residue: dict = {}
-        for w, c in target.coeffs.items():
-            residue[self.idx[w]] = c
+        residue = dict(coordinates(target))
         coords = []
         for col, (lead_row, piv) in zip(self.cols, self.lead):
             val = residue.get(lead_row, 0)
@@ -242,7 +234,7 @@ def kernel_character(k: int) -> Character:
     basis = list(rep.kernel_basis)
     if not basis:
         return Character(0, 0, 0)
-    stair = _StaircaseBasis(basis, k)
+    stair = _StaircaseBasis(basis)
     traces = {}
     for sigma in (S3_12, S3_123):
         tr = Fraction(0)

@@ -148,6 +148,20 @@ class TestDimension:
                 d = Derivation(alphabet, k, tuple(images))
                 assert not d.is_zero()
 
+    @pytest.mark.parametrize("n,k", [(3, 1), (3, 3), (4, 2)])
+    def test_column_stacks_the_slots(self, n, k, rng):
+        # slot i of the column starts at row i * witt(n, k+1)
+        alphabet = x_alphabet(n)
+        words = lyndon_tuples(n, k + 1)
+        images = [random_lie_element(rng, alphabet, k + 1) for _ in range(n)]
+        images[0] = LieElement.zero(alphabet, k + 1)
+        expected = sorted(
+            (i * len(words) + words.index(w), c)
+            for i, img in enumerate(images)
+            for w, c in img.coeffs.items()
+        )
+        assert Derivation(alphabet, k, images).column() == expected
+
 
 class TestInner:
     def test_inner_x3_is_sum_of_conjugation_generators(self):

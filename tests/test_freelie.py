@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -11,21 +10,20 @@ from conftest import lie_elements
 from mccool.freelie import (
     Alphabet,
     LieElement,
-    LyndonWord,
     NotALieElement,
     TensorElement,
     abc_alphabet,
+    coordinates,
+    from_coordinates,
     from_tensor,
     left_normed,
     lie_bracket,
-    lyndon_words,
-    standard_bracketing,
     substitute,
     to_tensor,
     x_alphabet,
 )
 from mccool.freelie import _expand
-from mccool.words import lyndon_tuples
+from mccool.words import bracketing_tree, is_lyndon, lyndon_tuples, standard_factorization
 
 
 def gens(alphabet):
@@ -51,19 +49,22 @@ class TestAlphabet:
 
 
 class TestLyndonWords:
+    # Lyndon words are plain tuples of letter indices
     def test_listing(self):
         a = Alphabet(("x", "y"))
-        assert [w.indices for w in lyndon_words(a, 3)] == [(0, 0, 1), (0, 1, 1)]
+        assert lyndon_tuples(a.size, 3) == [(0, 0, 1), (0, 1, 1)]
 
-    def test_invalid_word_rejected(self):
+    def test_invalid_word_rejected(self, abc):
+        assert not is_lyndon((1, 0))
         with pytest.raises(ValueError):
-            LyndonWord((1, 0))
+            standard_factorization((1, 0))
+        with pytest.raises(ValueError):
+            LieElement.basis_element(abc, (1, 0))
 
     def test_bracketing(self):
-        w = LyndonWord((0, 0, 1))
-        assert standard_bracketing(w) == (0, (0, 1))
-        u, v = w.factorize()
-        assert (u.indices, v.indices) == ((0,), (0, 1))
+        w = (0, 0, 1)
+        assert bracketing_tree(w) == (0, (0, 1))
+        assert standard_factorization(w) == ((0,), (0, 1))
 
 
 class TestBracket:
@@ -179,6 +180,27 @@ class TestTensor:
         assert from_tensor(t) == lie_bracket(x1, x2)
 
 
+class TestCoordinates:
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_roundtrip_against_lex_positions(self, data):
+        alphabet = data.draw(st.sampled_from([abc_alphabet(), x_alphabet(4)]))
+        degree = data.draw(st.integers(1, 5))
+        p = data.draw(lie_elements(alphabet, degree))
+        words = lyndon_tuples(alphabet.size, degree)
+        offset = data.draw(st.integers(0, 7))
+        expected = sorted((offset + words.index(w), c) for w, c in p.coeffs.items())
+        assert coordinates(p, offset) == expected
+        dense = [0] * len(words)
+        for r, c in coordinates(p):
+            dense[r] = c
+        assert from_coordinates(alphabet, degree, dense) == p
+
+    def test_vector_length_is_checked(self, abc):
+        with pytest.raises(ValueError, match="need 3 coordinates in degree 2, got 2"):
+            from_coordinates(abc, 2, [1, 0])
+
+
 class TestSerialization:
     def test_roundtrip(self, abc):
         el = LieElement(abc, 3, {(0, 1, 2): 5, (0, 2, 2): -7})
@@ -261,12 +283,7 @@ class TestElementCore:
     def test_non_unit_fraction_repr(self, abc, cls):
         el = cls(abc, 2, {(0, 1): Fraction(1, 2)})
         assert el.to_json_dict()["terms"] == [{"word": "ab", "coeff": "1/2"}]
-        if sys.version_info >= (3, 12):
-            assert repr(el).startswith("+1/2")
-        else:
-            # Fraction has no format spec before 3.12
-            with pytest.raises(TypeError):
-                repr(el)
+        assert repr(el).startswith("+1/2")
 
     def test_lie_never_equals_tensor(self, abc):
         for coeffs in ({(0, 1): 2}, {}):
@@ -303,6 +320,8 @@ class TestElementCore:
             (lambda: t + TensorElement(abc, 2, {}), ValueError, "degree mismatch in sum"),
             (lambda: t * TensorElement(x3, 1, {(0,): 1}), ValueError, "alphabet mismatch"),
             (lambda: a * a, TypeError, "coefficients must be int or Fraction, got <class 'mccool.freelie.LieElement'>"),
+            (lambda: a - t, TypeError, "cannot add TensorElement to LieElement"),
+            (lambda: t + a, TypeError, "cannot add LieElement to TensorElement"),
         ]
         for make, error, message in cases:
             with pytest.raises(error) as info:

@@ -223,7 +223,8 @@ class TestKernelReports:
         # the basis assembled block by block is the one a single solve of
         # the whole tau matrix gives, tuple for tuple
         from mccool import exactla
-        from mccool.johnson import _abc_tau_map, _vector_to_polynomial
+        from mccool.freelie import from_coordinates
+        from mccool.johnson import _abc_tau_map
 
         arrays = _abc_tau_map().tau_arrays(k)
         if k > 1:
@@ -231,10 +232,8 @@ class TestKernelReports:
         unsplit = exactla._kernel_block(arrays)
         assert exactla._kernel_lattice_columns(arrays, arrays.nrows) == unsplit
         assert exactla._kernel_lattice_columns(list(arrays), arrays.nrows) == unsplit
-        domain = lyndon_tuples(3, k)
         expected = tuple(
-            sign_normalize(_vector_to_polynomial(v, domain, abc_alphabet()))
-            for v in unsplit
+            sign_normalize(from_coordinates(abc_alphabet(), k, v)) for v in unsplit
         )
         assert kernel_report(k).kernel_basis == expected
 

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import random_lie_element
-from mccool.derivations import der_bracket
-from mccool.freelie import LieElement, abc_alphabet, lie_bracket
+from mccool.derivations import Derivation, der_bracket
+from mccool.freelie import LieElement, abc_alphabet, lie_bracket, x_alphabet
 from mccool.johnson import McCoolSymbols, omega, tau_evaluate, tau_generator
 from mccool.stabilization import (
     IndexTriple,
@@ -111,6 +111,28 @@ class TestDerivationLevel:
             assert tau_evaluate(iota_sym(triple, p, 5)) == iota_der(
                 triple, tau_evaluate(p), 5
             )
+
+    def test_maps_act_on_lyndon_words_letter_by_letter(self, rng):
+        # a triple keeps the order of its letters, so iota_der and pi_der
+        # relabel each Lyndon word; pi_der drops every word with a letter
+        # outside J
+        n = 5
+        big, small = x_alphabet(n), x_alphabet(3)
+        for indices in ((1, 2, 3), (1, 3, 5), (2, 4, 5)):
+            triple = IndexTriple(indices, n)
+            up = {s: t - 1 for s, t in enumerate(indices)}
+            down = {t: s for s, t in up.items()}
+            for k in (1, 2, 3):
+                d = Derivation(big, k, [random_lie_element(rng, big, k + 1, 8) for _ in range(n)])
+                projected = pi_der(triple, d, n).images
+                e = Derivation(small, k, [random_lie_element(rng, small, k + 1, 4) for _ in range(3)])
+                embedded = iota_der(triple, e, n).images
+                for s, t in up.items():
+                    kept = {w: c for w, c in d.images[t].coeffs.items() if set(w) <= set(down)}
+                    assert projected[s].coeffs == {tuple(down[x] for x in w): c for w, c in kept.items()}
+                    moved = {tuple(up[x] for x in w): c for w, c in e.images[s].coeffs.items()}
+                    assert embedded[t].coeffs == moved
+                assert all(embedded[t].is_zero() for t in range(n) if t not in down)
 
     def test_iota_der_is_a_lie_morphism(self):
         triple = IndexTriple((1, 3, 4), 5)
