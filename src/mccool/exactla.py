@@ -312,6 +312,13 @@ def _row_dtype(nrows: int):
     return np.int32 if nrows < 1 << 31 else np.int64
 
 
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start, ..., start + length - 1 of every span, concatenated."""
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(pos.size)
+    return pos
+
+
 def _narrowest(vals: np.ndarray) -> np.ndarray:
     """Integer values in the dtype a fresh build would give them: int16
     when every one fits, else int64 when every one fits, else object."""
@@ -322,8 +329,8 @@ def _narrowest(vals: np.ndarray) -> np.ndarray:
     lo, hi = int(vals.min()), int(vals.max())
     if -(1 << 15) <= lo and hi < 1 << 15:
         return vals.astype(np.int16)
-    if vals.dtype == object and -(1 << 63) <= lo and hi < 1 << 63:
-        return vals.astype(np.int64)
+    if -(1 << 63) <= lo and hi < 1 << 63:
+        return vals.astype(np.int64, copy=False)
     return vals
 
 
@@ -341,19 +348,14 @@ class _ColumnArrays:
 
     __slots__ = ("rows", "vals", "nrows", "ncols", "indptr", "amax")
 
-    def __init__(self, columns, nrows: int, nnz: int | None = None):
-        # nnz (the number of entries) lets an iterator of columns be
-        # streamed into preallocated arrays, one column at a time; without
-        # it, columns must be a sequence
-        if nnz is None:
-            nnz = sum(len(col) for col in columns)
+    def __init__(self, columns, nrows: int):
+        lengths = [len(col) for col in columns]
+        nnz = sum(lengths)
         self.rows = np.empty(nnz, dtype=_row_dtype(nrows))
         self.vals = np.empty(nnz, dtype=np.int16)
         big = None  # the values as Python ints, once one does not fit int16
-        lengths = []
         end = 0
         for col in columns:
-            lengths.append(len(col))
             if not col:
                 continue
             start, end = end, end + len(col)
@@ -365,13 +367,25 @@ class _ColumnArrays:
                     continue
                 big = self.vals[:start].tolist()
             big.extend(v)
-        if end != nnz:
-            raise ValueError(f"columns hold {end} entries, not the {nnz} announced")
         if big is not None:
             self.vals = _exact_array(big)
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        indptr = np.zeros(len(columns) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         self._set(indptr, self.rows, self.vals, nrows)
+
+    @classmethod
+    def from_csr(cls, indptr, rows, vals, nrows: int) -> "_ColumnArrays":
+        """Arrays from compressed columns (indptr, rows, vals), with the
+        dtypes a build from the same columns gives: int64 indptr, rows
+        narrowed by nrows and values by _narrowest."""
+        out = cls.__new__(cls)
+        out._set(
+            np.asarray(indptr, dtype=np.int64),
+            np.asarray(rows).astype(_row_dtype(nrows), copy=False),
+            _narrowest(np.asarray(vals)),
+            nrows,
+        )
+        return out
 
     def _set(self, indptr, rows, vals, nrows) -> None:
         self.indptr, self.rows, self.vals = indptr, rows, vals
@@ -397,9 +411,7 @@ class _ColumnArrays:
     def _positions(self, j: np.ndarray):
         """Entry positions of the columns j, concatenated, and their lengths."""
         lengths = self.indptr[j + 1] - self.indptr[j]
-        pos = np.repeat(self.indptr[j] - (np.cumsum(lengths) - lengths), lengths)
-        pos += np.arange(pos.size)
-        return pos, lengths
+        return _spans(self.indptr[j], lengths), lengths
 
     def block(self, cols) -> "_ColumnArrays":
         """The submatrix of the columns cols, in that order, with the rows
@@ -409,10 +421,7 @@ class _ColumnArrays:
         touched, local = np.unique(self.rows[pos], return_inverse=True)
         indptr = np.zeros(j.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        out = _ColumnArrays.__new__(_ColumnArrays)
-        rows = local.astype(_row_dtype(touched.size))
-        out._set(indptr, rows, _narrowest(self.vals[pos]), touched.size)
-        return out
+        return _ColumnArrays.from_csr(indptr, local, self.vals[pos], touched.size)
 
     def entry_columns(self) -> np.ndarray:
         """The column index of every entry."""
@@ -582,22 +591,37 @@ def _row_submul(r, q, s, start=0):
             r[c] -= q * s[c]
 
 
-def hnf_rows(rows: list) -> list:
+def _row_bits(r) -> int:
+    return abs(max(r, key=abs)).bit_length()
+
+
+# hnf_rows refuses rows with an entry of more bits than this
+_HNF_BITS = 100_000
+
+
+def hnf_rows(rows: list, max_bits: int | None = None) -> list:
     """Row-style Hermite normal form of the lattice spanned by the rows.
 
     Returns the reduced rows (full row rank, pivots positive, entries
     above each pivot reduced into [0, pivot)), sorted by pivot column.
-    Zero rows are dropped.
+    Zero rows are dropped.  A RuntimeError is raised once an entry of the
+    elimination exceeds max_bits bits (default _HNF_BITS).
 
     Growth control: each column is cleared by reducing every row against
     the current minimum in one batch (Euclid converges across the whole
     column).  The rows left after a pivot is taken are zero in its column
     and in every earlier one, so no pivot can reduce them further.
+
+    Range guard: bits[id(r)] bounds the entry sizes of row r.  After
+    r -= q * s no entry of r has more than max(bits(r), bits(q) + bits(s))
+    + 1 bits, so a row is scanned only when that bound passes the limit.
     """
+    limit = _HNF_BITS if max_bits is None else max_bits
     work = [list(r) for r in rows if any(r)]
     if not work:
         return []
     ncols = len(work[0])
+    bits = {id(r): _row_bits(r) for r in work}
     result = []  # (pivot_col, row)
     for col in range(ncols):
         occ = [r for r in work if r[col]]
@@ -608,9 +632,14 @@ def hnf_rows(rows: list) -> list:
             base = occ[0]
             bval = base[col]
             for r in occ[1:]:
-                _row_submul(r, r[col] // bval, base, col)
-                if abs(max(r, key=abs)).bit_length() > 100_000:
-                    raise RuntimeError("hnf_rows entries exceed the supported range")
+                q = r[col] // bval
+                _row_submul(r, q, base, col)
+                bound = max(bits[id(r)], q.bit_length() + bits[id(base)]) + 1
+                if bound > limit:
+                    bound = _row_bits(r)
+                    if bound > limit:
+                        raise RuntimeError("hnf_rows entries exceed the supported range")
+                bits[id(r)] = bound
             occ = [r for r in occ if r[col]]
         piv_row = occ[0]
         if piv_row[col] < 0:
@@ -738,6 +767,11 @@ def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
 # the certified kernel
 
 
+# _kernel_exact refuses entries above this many bits: a kernel that needs
+# larger numbers fails at once instead of growing toward _HNF_BITS
+_EXACT_KERNEL_BITS = 2048
+
+
 def _kernel_exact(columns, nrows: int) -> list:
     """Integer kernel from the Hermite normal form of [M^T | I].
 
@@ -757,7 +791,13 @@ def _kernel_exact(columns, nrows: int) -> list:
             row[i] = v
         row[nrows + j] = 1
         rows.append(row)
-    return [list(r[nrows:]) for r in hnf_rows(rows) if not any(r[:nrows])]
+    try:
+        reduced = hnf_rows(rows, _EXACT_KERNEL_BITS)
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"exact kernel entries exceed the {_EXACT_KERNEL_BITS}-bit bound"
+        ) from exc
+    return [list(r[nrows:]) for r in reduced if not any(r[:nrows])]
 
 
 def _pivot_signature_key(pivots) -> tuple:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exactla
 from .derivations import Derivation, der_bracket
 from .exactla import SparseMat
@@ -97,25 +99,34 @@ _ABC_PAIRS = ((1, 2), (2, 1), (1, 3))
 
 
 class TauMap:
-    """tau on the free Lie ring over a symbol alphabet, built bottom-up.
+    """tau on the free Lie ring over a symbol alphabet, at two granularities.
 
-    _word_cache[w] is the Derivation tau(b(w)) for a Lyndon word w over
-    the symbols: tau_generator for a letter, and for the standard
-    factorization w = (u, v) the der_bracket of tau(b(u)) and tau(b(v)),
-    whose own word memos hold the single-word applications.  Images of
-    degree-k words have degree k + 1, so tau_arrays(k) and evaluate() at
-    degree k need freelie.degree_cap() >= k + 1 (set_degree_cap(11) for
-    k = 10).
+    Per word, for sparse evaluation: _word_cache[w] is the Derivation
+    tau(b(w)) of a Lyndon word w over the symbols, tau_generator for a
+    letter and, for the standard factorization w = (u, v), the der_bracket
+    of tau(b(u)) and tau(b(v)), whose own word memos hold the single-word
+    applications.  evaluate() reads these, so it touches only the words
+    of its input: over McCool alphabets of dozens of symbols no table of
+    a whole degree could be built.  Images of degree-k words have degree
+    k + 1, so evaluate() at degree k needs freelie.degree_cap() >= k + 1.
+
+    Per degree, for the kernel solve: tau_arrays(k) is the matrix of tau
+    on every Lyndon word of degree k, built by batched array products
+    from the matrices of the lower degrees (_DegreeBuild); it makes no
+    Derivation and no LieElement, so no degree cap applies to it.  Tests
+    check the two granularities against each other.
     """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
         # generator_pairs[t] is the pair (i, j) of K_ij for symbol letter t
         self.symbol_alphabet = symbol_alphabet
         self.n = n
+        self.generator_pairs = tuple(generator_pairs)
         self._word_cache = {
             (t,): tau_generator(n, *pair) for t, pair in enumerate(generator_pairs)
         }
         self._arrays: dict = {}
+        self._brackets: dict = {}  # degree -> _BracketTable over x_alphabet(n)
 
     def of_word(self, word) -> Derivation:
         hit = self._word_cache.get(word)
@@ -138,20 +149,310 @@ class TauMap:
     def tau_arrays(self, k: int) -> exactla._ColumnArrays:
         """The degree-k tau matrix as column arrays, built once per degree.
 
-        Column j is Derivation.column() of tau of the j-th Lyndon word of
-        degree k over the symbols (row i*witt(n,k+1)+word for image slot
-        i).  The columns are streamed into the arrays one at a time, so no
-        list of all columns is alive while they are built; the kernel
-        solve and every kernel check of the degree read these arrays.
+        Column j is tau of the j-th Lyndon word of degree k over the
+        symbols, in the layout of Derivation.column(): row
+        i * witt(n, k + 1) + t holds the coefficient of the t-th Lyndon
+        word of degree k + 1 in image slot i.  The kernel solve and every
+        kernel check of the degree read these arrays.
         """
         hit = self._arrays.get(k)
         if hit is None:
-            domain = lyndon_tuples(self.symbol_alphabet.size, k)
-            nnz = sum(len(img.coeffs) for w in domain for img in self.of_word(w).images)
-            nrows = self.n * len(lyndon_index(self.n, k + 1))
-            columns = (self.of_word(w).column() for w in domain)
-            hit = self._arrays[k] = exactla._ColumnArrays(columns, nrows, nnz)
+            hit = self._arrays[k] = self._letter_arrays() if k == 1 else _DegreeBuild(self, k).run()
         return hit
+
+    def _letter_arrays(self) -> exactla._ColumnArrays:
+        # tau(K_ij) sends X_i to [X_j, X_i] and the other letters to 0
+        idx = lyndon_index(self.n, 2)
+        width = len(idx)
+        columns = [
+            [((i - 1) * width + idx[w], c) for w, c in _bw((j - 1,), (i - 1,))]
+            for i, j in self.generator_pairs
+        ]
+        return exactla._ColumnArrays(columns, self.n * width)
+
+    def _bracket_table(self, d: int) -> "_BracketTable":
+        hit = self._brackets.get(d)
+        if hit is None:
+            hit = self._brackets[d] = _BracketTable(self.n, d)
+        return hit
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_arrays(n: int, m: int) -> np.ndarray:
+    """Rows (len(t1), position of t1, position of t2) over the Lyndon words
+    t = t1 t2 of degree m >= 2 on n letters, in lex order, where (t1, t2)
+    is the standard factorization and positions are within each degree."""
+    out = np.empty((3, witt_dimension(n, m)), dtype=np.int64)
+    for j, t in enumerate(lyndon_tuples(n, m)):
+        t1, t2 = standard_factorization(t)
+        out[:, j] = len(t1), lyndon_index(n, len(t1))[t1], lyndon_index(n, len(t2))[t2]
+    return out
+
+
+class _BracketTable:
+    """[b(x), b(y)] for Lyndon words x, y over n letters of total degree d,
+    in the Lyndon basis of degree d, as flat arrays.
+
+    The Lyndon words of degrees 1..d-1 are numbered in one list, by degree
+    and then in lex order, and a pair is coded x * len(list) + y.  Pairs
+    are added, from freelie._bw, the first time they are asked for: codes
+    are kept sorted, with the start and length of each pair's bracket in
+    words (positions in degree d) and coeffs.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+        self.below = [w for m in range(1, d) for w in lyndon_tuples(n, m)]
+        # first[m] is the number of the first word of degree m
+        self.first = np.cumsum([0, 0] + [witt_dimension(n, m) for m in range(1, d - 1)])
+        self.codes = np.empty(0, dtype=np.int64)
+        self.starts = np.empty(0, dtype=np.int64)
+        self.lengths = np.empty(0, dtype=np.int64)
+        self.words = np.empty(0, dtype=np.int64)
+        self.coeffs = np.empty(0, dtype=np.int64)
+
+    def code(self, px, x, py, y) -> np.ndarray:
+        """The codes of the pairs of the words x of degree px and y of
+        degree py, each given by its position within its degree."""
+        return (self.first[px] + x) * len(self.below) + self.first[py] + y
+
+    def _add(self, codes: np.ndarray) -> None:
+        idx = lyndon_index(self.n, self.d)
+        words, coeffs, lengths = [], [], []
+        for code in codes.tolist():
+            x, y = divmod(code, len(self.below))
+            terms = _bw(self.below[x], self.below[y])
+            lengths.append(len(terms))
+            for w, c in terms:
+                words.append(idx[w])
+                coeffs.append(c)
+        lengths = np.array(lengths, dtype=np.int64)
+        starts = self.words.size + np.cumsum(lengths) - lengths
+        codes = np.concatenate([self.codes, codes])
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        self.starts = np.concatenate([self.starts, starts])[order]
+        self.lengths = np.concatenate([self.lengths, lengths])[order]
+        self.words = np.concatenate([self.words, np.array(words, dtype=np.int64)])
+        self.coeffs = np.concatenate([self.coeffs, np.array(coeffs, dtype=np.int64)])
+
+    def expand(self, target, codes, vals) -> tuple:
+        """The terms val * [b(x), b(y)] of each (target, code, val) as a
+        product part (target, word, val, coeff) for _sum_products."""
+        at = np.searchsorted(self.codes, codes)
+        new = at == self.codes.size
+        new[~new] = self.codes[at[~new]] != codes[~new]
+        if new.any():
+            self._add(_unique(codes[new]))
+            at = np.searchsorted(self.codes, codes)
+        lengths = self.lengths[at]
+        pos = exactla._spans(self.starts[at], lengths)
+        return (
+            np.repeat(target, lengths),
+            self.words[pos],
+            np.repeat(vals, lengths),
+            self.coeffs[pos],
+        )
+
+
+def _sum_products(parts, width: int):
+    """Sum of the products a * b of the parts (target, word, a, b), grouped
+    by key = target * width + word: the sorted keys and their sums, with
+    zero sums dropped.  parts may be a generator; each part is reduced to
+    keys and products as it comes.
+
+    Every sum has at most N terms, N the number of products, so int64 is
+    exact when N * max|a| * max|b| < 2^63, with the maxima taken part by
+    part; that is checked, on the products so far, before each multiply.
+    """
+    keys, products = [], []
+    count = bound = 0
+    for target, word, a, b in parts:
+        count += a.size
+        bound = max(bound, exactla._abs_max(a) * exactla._abs_max(b))
+        if count * bound >= 1 << 63:
+            raise OverflowError(
+                f"int64 exactness bound N * max|a| * max|b| < 2^63 fails "
+                f"for N = {count} and max|a| * max|b| = {bound}"
+            )
+        keys.append(target * width + word)
+        products.append(a * b)
+    if not keys:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    keys, products = np.concatenate(keys), np.concatenate(products)
+    order = np.argsort(keys)
+    keys, products = keys[order], products[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(products, starts) if keys.size else products
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique(a)
+    gives them; np.unique without return_inverse imports numpy.ma on its
+    first call (about 15 ms and 1 MB), which nothing else here loads."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+
+
+def _gather(level, keys) -> tuple:
+    """The entries of the rows keys of a level: words, values, row lengths."""
+    level_keys, indptr, words, vals = level
+    at = np.searchsorted(level_keys, keys)
+    lengths = indptr[at + 1] - indptr[at]
+    pos = exactla._spans(indptr[at], lengths)
+    return words[pos], vals[pos], lengths
+
+
+def _csr(nrows: int, rows: np.ndarray) -> np.ndarray:
+    """The indptr of nrows CSR rows, from the sorted row of every entry."""
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    return indptr
+
+
+class _DegreeBuild:
+    """One degree k >= 2 of TauMap.tau_arrays, from the lower degrees.
+
+    For w = (u, v), slot i of tau(b(w)) is D_u(tau(v)_i) - D_v(tau(u)_i),
+    where D_u = tau(b(u)).  The rows D_u b(t) (t a Lyndon word over
+    x_alphabet(n)) are kept in levels: level (a, m) holds the rows with
+    deg u = a and deg t = m that the degree needs, as CSR arrays over the
+    Lyndon words of degree a + m, keyed u * witt(n, m) + t.  Level (a, 1)
+    is the degree-a matrix, since D_u X_i = tau(u)_i; a level m >= 2
+    follows from the Leibniz rule on t = (t1, t2),
+
+        D_u b(t) = [D_u b(t1), b(t2)] + [b(t1), D_u b(t2)],
+
+    so the needed rows are found top-down and computed bottom-up.  The
+    columns read only the top level (a, k + 1 - a) of each a, so the lower
+    ones are dropped once it is built.  Each step gathers rows, multiplies
+    and sums them with numpy in int64 (_sum_products checks the bound);
+    the columns are summed per degree of u, one group at a time.
+    """
+
+    def __init__(self, engine: TauMap, k: int):
+        self.engine = engine
+        self.n = engine.n
+        self.k = k
+        self.columns = {a: engine.tau_arrays(a) for a in range(1, k)}
+
+    def run(self) -> exactla._ColumnArrays:
+        n, k = self.n, self.k
+        nrows = n * witt_dimension(n, k + 1)
+        ulen, uidx, vidx = _factor_arrays(self.engine.symbol_alphabet.size, k)
+        groups = []
+        need: dict = {}
+        for a in range(1, k):
+            w = np.flatnonzero(ulen == a)
+            # D_u on the image of v, and -D_v on the image of u
+            terms = (self._terms(w, uidx[w], a, vidx[w], 1), self._terms(w, vidx[w], k - a, uidx[w], -1))
+            for deg, _, _, key, _ in terms:
+                need.setdefault(deg, []).append(key)
+            groups.append(terms)
+        top = {a: self._top_level(a, _unique(np.concatenate(keys))) for a, keys in need.items()}
+        keys, vals = [], []
+        for terms in groups:
+            group_keys, group_vals = _sum_products(
+                (self._column_part(top[deg], *rest) for deg, *rest in terms), nrows
+            )
+            keys.append(group_keys)
+            vals.append(group_vals)
+        keys, vals = np.concatenate(keys), np.concatenate(vals)
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        indptr = _csr(len(ulen), keys // nrows)
+        return exactla._ColumnArrays.from_csr(indptr, keys % nrows, vals, nrows)
+
+    def _terms(self, w, d, a, e, sign) -> tuple:
+        """D_d, deg d = a, on the image slots of tau(e) for the words w:
+        the top-level row keys it needs, with their columns, row offsets
+        and coefficients."""
+        b = self.k - a
+        src = self.columns[b]
+        width = witt_dimension(self.n, b + 1)
+        at, lengths = src._positions(e)
+        slot, t = np.divmod(src.rows[at].astype(np.int64), width)
+        key = np.repeat(d, lengths) * width + t
+        coeff = src.vals[at].astype(np.int64) * sign
+        return a, np.repeat(w, lengths), slot * witt_dimension(self.n, self.k + 1), key, coeff
+
+    @staticmethod
+    def _column_part(level, target, offset, key, coeff) -> tuple:
+        words, vals, lengths = _gather(level, key)
+        return (np.repeat(target, lengths), np.repeat(offset, lengths) + words,
+                np.repeat(coeff, lengths), vals)
+
+    def _top_level(self, a: int, top_keys: np.ndarray) -> tuple:
+        """Level (a, k + 1 - a) at top_keys, from every lower row it needs.
+
+        The lower levels are kept in one CSR store, level m keyed
+        offset[m] + u * witt(n, m) + t, so that each level is built by one
+        gather per Leibniz term whatever the lengths of t1 and t2.
+        """
+        n, top = self.n, self.k + 1 - a
+        wanted = {top: [top_keys]}
+        keys = {}
+        for m in range(top, 1, -1):
+            if m not in wanted:
+                continue
+            keys[m] = _unique(np.concatenate(wanted.pop(m)))
+            u, t = np.divmod(keys[m], witt_dimension(n, m))
+            m1, i1, i2 = _factor_arrays(n, m)[:, t]
+            for lens, pos in ((m1, i1), (m - m1, i2)):
+                for x in _unique(lens[lens > 1]).tolist():
+                    sel = lens == x
+                    wanted.setdefault(x, []).append(u[sel] * witt_dimension(n, x) + pos[sel])
+        src = self.columns[a]
+        widths = np.array([0] + [witt_dimension(n, m) for m in range(1, top + 1)])
+        offset = np.concatenate(([0, 0], np.cumsum(src.ncols * widths[1:])))
+        width = witt_dimension(n, a + 1)
+        store = (
+            np.arange(src.ncols * n),
+            _csr(src.ncols * n, src.entry_columns() * n + src.rows // width),
+            (src.rows % width).astype(np.int64),
+            src.vals.astype(np.int64),
+        )
+        for m in sorted(keys):
+            out_width = witt_dimension(n, a + m)
+            parts = self._leibniz_parts(a, m, keys[m], store, offset, widths)
+            row_keys, sums = _sum_products(parts, out_width)
+            rows, words = np.divmod(row_keys, out_width)
+            level = keys[m], _csr(keys[m].size, rows), words, sums
+            if m < top:
+                store = _append(store, (offset[m] + keys[m],) + level[1:])
+        return level
+
+    def _leibniz_parts(self, a, m, keys, store, offset, widths):
+        """The two Leibniz terms of the rows keys of level (a, m), as
+        product parts."""
+        u, t = np.divmod(keys, widths[m])
+        m1, i1, i2 = _factor_arrays(self.n, m)[:, t]
+        m2 = m - m1
+        rows = np.arange(keys.size)
+        table = self.engine._bracket_table(a + m)
+        # [D_u b(t1), b(t2)]
+        words, vals, lengths = _gather(store, offset[m1] + u * widths[m1] + i1)
+        left, right = np.repeat(a + m1, lengths), np.repeat(m2, lengths)
+        codes = table.code(left, words, right, np.repeat(i2, lengths))
+        yield table.expand(np.repeat(rows, lengths), codes, vals)
+        # [b(t1), D_u b(t2)]
+        words, vals, lengths = _gather(store, offset[m2] + u * widths[m2] + i2)
+        left, right = np.repeat(m1, lengths), np.repeat(a + m2, lengths)
+        codes = table.code(left, np.repeat(i1, lengths), right, words)
+        yield table.expand(np.repeat(rows, lengths), codes, vals)
+
+
+def _append(store: tuple, level: tuple) -> tuple:
+    """The CSR rows of level after those of store (keys stay sorted)."""
+    keys, indptr, words, vals = store
+    return (
+        np.concatenate([keys, level[0]]),
+        np.concatenate([indptr, level[1][1:] + indptr[-1]]),
+        np.concatenate([words, level[2]]),
+        np.concatenate([vals, level[3]]),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,8 +556,8 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
     """Kernel of tau_k on g for n = 3, with a certified integer basis.
 
     with_divisors additionally computes the elementary divisors of the
-    tau_k matrix (exact Smith form; about 0.95 s at k = 8 and 70 s at
-    k = 9 on a 2-core machine).
+    tau_k matrix (exact Smith form; about 0.5 s at k = 8 on a 2-core
+    machine, and about 70 s at k = 9 when last measured).
     """
     if not (1 <= k <= KERNEL_DEGREE_CAP):
         raise ValueError(

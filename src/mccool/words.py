@@ -83,6 +83,7 @@ def _mobius(m: int) -> int:
     return result
 
 
+@functools.lru_cache(maxsize=None)
 def witt_dimension(n: int, k: int) -> int:
     """Rank of the degree-k part of the free Lie ring on n generators."""
     if n < 1 or k < 1:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from mccool.exactla import (
     _ColumnArrays,
     _column_blocks,
     _crt_pair,
+    _exact_array,
     _invariant_factors,
     _is_prime,
     _kernel_exact,
@@ -520,6 +522,20 @@ class TestSaturationGuard:
         m = SparseMat.from_dense([[1 << 61, -1]])
         assert kernel_lattice(m) == [(1, 1 << 61)]
 
+    def test_exact_route_refuses_entries_beyond_its_bound(self):
+        # the chain 2^80 x_i = x_(i+1) on 27 columns has the kernel vector
+        # (1, 2^80, ..., 2^2080), whose last entry needs 2,081 bits
+        n = 27
+        entries = {(i, i): 1 << 80 for i in range(n - 1)}
+        entries.update({(i, i + 1): -1 for i in range(n - 1)})
+        m = SparseMat(n - 1, n, entries)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exact kernel entries exceed the 2048-bit bound"):
+            kernel_lattice(m, method="exact")
+        assert time.perf_counter() - start < 1.0
+        short = SparseMat(n - 2, n - 1, {(i, j): v for (i, j), v in entries.items() if i < n - 2})
+        assert kernel_lattice(short, method="exact") == [tuple(1 << 80 * j for j in range(n - 1))]
+
 
 class TestColumnArrays:
     def test_wraparound_is_rejected(self):
@@ -584,6 +600,13 @@ class TestColumnArrays:
         columns = [[(0, 3 * scale), (2, -scale)], [], [(1, 7), (2, -(1 << 15))]]
         arrays = _ColumnArrays(columns, 3)
         assert arrays.vals.dtype == dtype
+        # the same columns as CSR arrays, with values in int64 or Python ints
+        vals = _exact_array([3 * scale, -scale, 7, -(1 << 15)])
+        csr = _ColumnArrays.from_csr([0, 2, 2, 4], np.array([0, 2, 1, 2]), vals, 3)
+        for name in ("indptr", "rows", "vals"):
+            got, want = getattr(csr, name), getattr(arrays, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+        assert (csr.nrows, csr.ncols, csr.amax) == (arrays.nrows, arrays.ncols, arrays.amax)
         assert len(arrays) == 3
         assert list(arrays) == columns
         assert [arrays[j] for j in range(3)] == columns
@@ -896,6 +919,17 @@ class TestHNF:
         once = hnf_rows(rows)
         again = hnf_rows([list(r) for r in once])
         assert once == again
+
+    def test_range_guard(self, monkeypatch):
+        # the first row operation makes the entry -2^70 (71 bits)
+        from mccool import exactla
+
+        rows = [[2, 1 << 70], [3, 0]]
+        assert hnf_rows(rows) == [(1, 1 << 71), (0, 3 << 70)]
+        monkeypatch.setattr(exactla, "_HNF_BITS", 70)
+        with pytest.raises(RuntimeError, match="hnf_rows entries exceed the supported range"):
+            hnf_rows(rows)
+        assert hnf_rows(rows, max_bits=72) == [(1, 1 << 71), (0, 3 << 70)]
 
 
 class TestIntersection:

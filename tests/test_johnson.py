@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,12 +201,20 @@ class TestKernelReports:
             assert rank_p == sum(1 for d in divisors if d % p)
 
     def test_word_images_are_memoized(self):
-        from mccool.johnson import _abc_tau_map
+        # tau_arrays(k) is built once per degree and makes no Derivation;
+        # tau_evaluate memoizes the Derivation of each word it meets
+        from mccool.johnson import _ABC_PAIRS, TauMap, _abc_tau_map
 
-        kernel_report(5)
+        engine = TauMap(abc_alphabet(), 3, _ABC_PAIRS)
+        arrays = engine.tau_arrays(5)
+        assert engine.tau_arrays(5) is arrays
+        assert list(engine._word_cache) == [(0,), (1,), (2,)]
+        p = omega()
+        tau_evaluate(p)
         cache = _abc_tau_map()._word_cache
-        assert len(cache) > 0
-        assert all(w in cache for w in lyndon_tuples(3, 5))
+        memo = {w: cache[w] for w in p.coeffs}
+        tau_evaluate(p)
+        assert all(cache[w] is d for w, d in memo.items())
 
     def test_json_schema(self):
         rep = kernel_report(6)
@@ -236,6 +246,75 @@ class TestKernelReports:
             sign_normalize(from_coordinates(abc_alphabet(), k, v)) for v in unsplit
         )
         assert kernel_report(k).kernel_basis == expected
+
+
+def arrays_digest(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in (arrays.indptr, arrays.rows, arrays.vals):
+        h.update(str(arr.dtype).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# arrays_digest(tau_arrays(k)), pinned from the per-word build: indptr
+# int64, rows int32 and vals int16 for every k <= 9
+TAU_ARRAYS_SHA256 = {
+    1: "e0b4549b099e7200cc75f795122457c9debeb355da7a7a77d17ff2d3cd97a5bb",
+    2: "f6d2dfedf01873ee7971854c5326ae66eee16ee902bcee73bc2bc36db61e4c52",
+    3: "45afb356d9b60283e34d9bb06b4a3f58b21f8b3154326059b9a62cd7caa829d3",
+    4: "8a7c69be5fe8b0857924cde27be3ae41a53b1b8b3415399b697ea503a8f20562",
+    5: "6588343752d2efd9c01684418a1f007c8fe0cb2b84baee42226be639d7333922",
+    6: "0a1ad340bda20d3fbbc18fc60d80f84b015c2905dfc7c6576b757882146ac7f5",
+    7: "adb937ce04451f8750f0a5b1c1187a39d9ad9a321c8717433e70b7aecd8f18b1",
+    8: "5727be783a9a02e080a6ff848106765231fdc9f8623b3f611b055a740ec375c9",
+    9: "958e448e6635aa0dd0f11e2f127db68b22b2139fcee0375a06c1a6db6a1c8afb",
+}
+
+
+class TestTauArrays:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_pinned_digest(self, k):
+        from mccool.johnson import _abc_tau_map
+
+        arrays = _abc_tau_map().tau_arrays(k)
+        dtypes = (arrays.indptr.dtype, arrays.rows.dtype, arrays.vals.dtype)
+        assert dtypes == (np.int64, np.int32, np.int16)
+        assert arrays_digest(arrays) == TAU_ARRAYS_SHA256[k]
+
+    @pytest.mark.parametrize("n, max_degree", [(3, 7), (4, 3)], ids=["abc", "mccool4"])
+    def test_columns_match_per_word_route(self, n, max_degree):
+        from mccool.johnson import _ABC_PAIRS, TauMap, mccool_symbols
+
+        if n == 3:
+            engine = TauMap(abc_alphabet(), 3, _ABC_PAIRS)
+        else:
+            engine = TauMap(mccool_symbols(n).alphabet, n, mccool_symbols(n).pairs)
+        for k in range(1, max_degree + 1):
+            words = lyndon_tuples(engine.symbol_alphabet.size, k)
+            arrays = engine.tau_arrays(k)
+            assert arrays.nrows == n * len(lyndon_tuples(n, k + 1))
+            assert list(arrays) == [engine.of_word(w).column() for w in words]
+
+    def test_products_are_checked_against_int64(self):
+        # the degree-2 matrix is bilinear in the degree-1 one: scaled by
+        # 2^20 it scales by 2^40 exactly, while scaled by 2^31 its
+        # products reach 2^62 and the sums could leave int64
+        from mccool import exactla
+        from mccool.johnson import _ABC_PAIRS, TauMap
+
+        def planted(shift):
+            engine = TauMap(abc_alphabet(), 3, _ABC_PAIRS)
+            one = engine.tau_arrays(1)
+            vals = one.vals.astype(np.int64) << shift
+            engine._arrays[1] = exactla._ColumnArrays.from_csr(one.indptr, one.rows, vals, one.nrows)
+            return engine
+
+        base = planted(0).tau_arrays(2)
+        scaled = planted(20).tau_arrays(2)
+        assert scaled.rows.tolist() == base.rows.tolist()
+        assert scaled.vals.tolist() == [v << 40 for v in base.vals.tolist()]
+        with pytest.raises(OverflowError, match=r"N \* max\|a\| \* max\|b\| < 2\^63"):
+            planted(31).tau_arrays(2)
 
 
 class TestBracketMap:
