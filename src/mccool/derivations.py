@@ -10,7 +10,9 @@ independent cross-check route through the tensor ring (a test oracle).
 
 from __future__ import annotations
 
-from .exactla import SparseMat, solve_columns
+from fractions import Fraction
+
+from .exactla import SparseMat, kernel_lattice
 from .freelie import (
     Alphabet,
     LieElement,
@@ -220,9 +222,11 @@ def _bracket_with_generator(w: LieElement, i: int) -> dict:
 def tangential_witness(d: Derivation) -> list:
     """Witnesses (W_1 .. W_n) with d(X_i) = [X_i, W_i].
 
-    Unique for degree >= 2; for degree 1 the X_i ambiguity in W_i is
-    resolved by giving W_i zero coefficient on X_i.  Raises
-    NotTangential when no witness exists.
+    A kernel vector v of [A | -b], A the columns [X_i, b(w)], with
+    v_last != 0 gives the witness v[:-1] / v_last.  Unique for degree
+    >= 2; for degree 1 the column of X_i is zero, and the Hermite
+    reduction above the unit pivot of e_{X_i} gives W_i zero coefficient
+    on X_i.  Raises NotTangential when no witness exists.
     """
     n, k = d.alphabet.size, d.degree
     domain = lyndon_tuples(n, k)
@@ -234,12 +238,12 @@ def tangential_witness(d: Derivation) -> list:
             coordinates(LieElement(d.alphabet, k + 1, dict(_bw((i,), w)), _trust=True))
             for w in domain
         ]
-        rhs = [0] * nrows
-        for r, c in coordinates(d.images[i]):
-            rhs[r] = c
-        sol = solve_columns(SparseMat.from_columns(cols, nrows), [rhs])[0]
-        if sol is None:
+        cols.append([(r, -c) for r, c in coordinates(d.images[i])])
+        kernel = kernel_lattice(SparseMat.from_columns(cols, nrows))
+        v = next((v for v in kernel if v[-1]), None)
+        if v is None:
             raise NotTangential(f"generator {d.alphabet.labels[i]} has no witness")
-        sol = [int(v) if v.denominator == 1 else v for v in sol]
+        sol = [Fraction(x, v[-1]) for x in v[:-1]]
+        sol = [int(x) if x.denominator == 1 else x for x in sol]
         witnesses.append(from_coordinates(d.alphabet, k, sol))
     return witnesses

@@ -19,13 +19,14 @@ Everything reported by this module is exact.  Two engines cooperate:
 
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors.
 
-    Saturation of the kernel lattice is certified through gcds of
-    maximal minors, with a p-adic repair loop where needed; its left
-    nullspaces mod q come from the same deferred elimination.
+    Saturation divides the basis by a Hermite basis of its column
+    lattice, with no primes, and certifies that the quotient's columns
+    span Z^d.  A block fails only when the prime pool runs out.
 
 One Hermite engine, hnf_rows, serves the kernel (the canonical basis
-and the independence check), saturation, the exact cross-check (the
-Hermite form of [M^T | I]) and the Smith form, which alternates it on
+and the independence check), saturation, the exact oracle (the Hermite
+form of [M^T | I], kernel_lattice(method="exact"), which the modular
+route never falls back to) and the Smith form, which alternates it on
 the rows and on the columns of each block.
 
 The kernel of an integer matrix is automatically a saturated lattice;
@@ -49,7 +50,6 @@ __all__ = [
     "kernel_lattice",
     "smith_normal_form",
     "intersect_columnspaces",
-    "solve_columns",
     "hnf_rows",
     "write_matrix_text",
     "read_matrix_text",
@@ -138,18 +138,6 @@ class SparseMat:
         for (i, j), v in sorted(self.entries.items(), key=lambda t: (t[0][1], t[0][0])):
             out[j].append((i, v))
         return out
-
-    def to_dense(self) -> list:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def transpose(self) -> "SparseMat":
-        return SparseMat(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
-
-    def column_vector(self, j: int) -> list:
-        return [self.entries.get((i, j), 0) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
@@ -663,104 +651,45 @@ def hnf_rows(rows: list, max_bits: int | None = None) -> list:
 # exact verification helpers
 
 
-def _prime_factors(n: int) -> list:
-    """Prime factorization by trial division plus Pollard rho."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n and d < 100000:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n == 1:
-        return sorted(set(out))
-
-    def rho(m):
-        c = 1
-        while True:
-            x = y = 2
-            g = 1
-            while g == 1:
-                x = (x * x + c) % m
-                y = (y * y + c) % m
-                y = (y * y + c) % m
-                g = math.gcd(abs(x - y), m)
-            if g != m:
-                return g
-            c += 1
-
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out.append(m)
-            continue
-        f = rho(m)
-        stack.extend([f, m // f])
-    return sorted(set(out))
-
-
 class CertificateError(RuntimeError):
     """An exact check that certifies a result failed."""
 
 
-class _SaturationTooHard(RuntimeError):
-    """Entries or pivots too large for the fast saturation loop."""
-
-
 def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
-    """Certified saturation of an integer row basis of a rational kernel.
+    """Certified Hermite basis of the saturation of an integer row basis.
 
-    Each input row must lie in the exact kernel of the columns; so does
-    every repair (y @ V)/q, an integer vector of the same rational
-    kernel.  The product of the Hermite pivots is the pivot-column
-    maximal minor, hence a multiple of the product of the elementary
-    divisors of V; once V is full rank mod every prime of that product,
-    all divisors are 1 and the lattice is saturated.
+    Each input row must lie in the exact kernel of the columns.  V, the
+    Hermite form of the rows, has d independent rows.  When every pivot
+    is 1 the pivot-column minor is 1 and V is saturated.  Otherwise C,
+    the Hermite form of V's columns, is an upper triangular d x d basis
+    of the lattice they span in Z^d, and forward substitution solves
+    C^T B = V exactly.  B's columns span Z^d, so B has an integer right
+    inverse and its rows span every integer point of Q V (Cohen 1993,
+    section 2.4).  That spanning is certified, not assumed: the Hermite
+    form of B's columns must be the identity.
     """
-    v = [list(r) for r in hnf_rows(v_rows)]
-    if not v:
-        return []
+    v = hnf_rows(v_rows)
     d = len(v)
-    while True:
-        pivs = [next(x for x in row if x) for row in v]
-        if any(h >= (1 << 62) for h in pivs):
-            raise _SaturationTooHard("Hermite pivot exceeds the fast range")
-        primes = {q for h in pivs for q in _prime_factors(h)}
-        if not primes:
-            break
-        fixed_any = False
-        for q in sorted(primes):
-            while True:
-                vnp = _exact_array(v)
-                # q divides a pivot when its repairs start, so max|v| >= q and
-                # this bound also gives _nullspace_mod's d * q^2 + q < 2^63
-                if _abs_max(vnp) * q * d >= (1 << 62):  # keep int64 matmuls exact
-                    raise _SaturationTooHard("entries exceed int64 range")
-                pivots, y = _nullspace_mod(vnp.T, q)
-                if y.shape[0] == 0:
-                    break
-                # row t of y is 1 at free[t] and 0 at the other free rows,
-                # so replacing row free[t] keeps the rows independent
-                free = sorted(set(range(d)) - set(pivots))
-                w = y @ vnp
-                if (w % q).any():
-                    raise CertificateError("saturation repair is not divisible by q")
-                for pos, row in zip(free, (w // q).tolist()):
-                    v[pos] = row
-                v = [list(r) for r in hnf_rows(v)]
-                if len(v) != d:
-                    raise CertificateError("saturation repair lost rank")
-                fixed_any = True
-        if not fixed_any:
-            break
-    out = [tuple(r) for r in v]  # hnf_rows output on both exits of the loop
-    if not arrays.kills_rows(out):
+    if any(next(x for x in row if x) != 1 for row in v):
+        c = hnf_rows(list(zip(*v)))  # d x d: V has rank d
+        b = []
+        for i in range(d):
+            row = list(v[i])
+            for s in range(i):
+                _row_submul(row, c[s][i], b[s])
+            piv = c[i][i]
+            if any(x % piv for x in row):
+                raise CertificateError("saturation solve C^T B = V is not exact")
+            b.append([x // piv for x in row])
+        unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        if hnf_rows(list(zip(*b))) != unit:
+            raise CertificateError("saturation basis columns do not span Z^d")
+        v = hnf_rows(b)
+        if len(v) != d:
+            raise CertificateError("saturation lost rank")
+    if not arrays.kills_rows(v):
         raise CertificateError("saturated basis row left the kernel")
-    return out
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +704,8 @@ _EXACT_KERNEL_BITS = 2048
 def _kernel_exact(columns, nrows: int) -> list:
     """Integer kernel from the Hermite normal form of [M^T | I].
 
-    Independent of the modular engine (no primes, no reconstruction);
-    intended for small matrices and as a cross-check arbiter.  Row j is
+    Independent of the modular engine (no primes, no reconstruction):
+    the oracle behind kernel_lattice(method="exact").  Row j is
     column j of M followed by the unit vector e_j, so the lattice is all
     (x M^T, x).  The Hermite rows whose first nrows entries vanish are a
     basis of its part with x M^T = 0, and their identity parts are in
@@ -797,7 +726,7 @@ def _kernel_exact(columns, nrows: int) -> list:
         raise RuntimeError(
             f"exact kernel entries exceed the {_EXACT_KERNEL_BITS}-bit bound"
         ) from exc
-    return [list(r[nrows:]) for r in reduced if not any(r[:nrows])]
+    return [r[nrows:] for r in reduced if not any(r[:nrows])]
 
 
 def _pivot_signature_key(pivots) -> tuple:
@@ -885,39 +814,21 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
 def _kernel_block(arrays: _ColumnArrays) -> list:
     """Certified Hermite basis of the kernel lattice of one block.
 
-    The modular route certifies every block of the paper's matrices.  The
-    independent exact reduction stays as the fallback for what that route
-    refuses: kernel entries above 60 bits, saturation beyond its int64
-    range, or a prime pool that runs out.  Through kernel_lattice these
-    are reachable with small inputs, such as the row (2^61, -1).
+    The modular route is the only route: a RuntimeError naming the block
+    is raised when its prime pool runs out before a prime set certifies.
     """
     nrows, ncols = arrays.nrows, arrays.ncols
     if ncols == 0:
         return []
     if not arrays.rows.size:
         return [tuple(1 if j == k else 0 for j in range(ncols)) for k in range(ncols)]
-    cause = "no prime set certified within the prime pool"
-    try:
-        result = _kernel_attempt(arrays)
-        if result is not None:
-            return result
-    except _SaturationTooHard as exc:
-        cause = str(exc)
-    shape = f"{nrows}x{ncols} block"
-    if ncols > 600:
+    result = _kernel_attempt(arrays)
+    if result is None:
         raise RuntimeError(
-            f"modular kernel failed to certify a {shape} ({cause}); "
-            "too many columns for the exact route"
+            f"modular kernel failed to certify a {nrows}x{ncols} block: "
+            f"no prime set certified within the pool of {len(_PRIMES)} primes"
         )
-    try:
-        return [tuple(v) for v in _kernel_exact(list(arrays), nrows)]
-    except CertificateError:
-        raise
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"kernel of a {shape} failed on both routes: modular ({cause}), "
-            f"exact ({exc})"
-        ) from exc
+    return result
 
 
 def _kernel_attempt(arrays: _ColumnArrays):
@@ -951,14 +862,11 @@ def _kernel_attempt(arrays: _ColumnArrays):
         sel = good[:target]
         cands = _reconstruct_candidates([computed[p] for p in sel], sel)
         if cands is not None and arrays.kills_rows(cands):
-            if any(abs(x).bit_length() > 60 for v in cands for x in v):
-                # determinant-sized kernel entries: beyond the fast assembly
-                raise _SaturationTooHard("kernel entries exceed the fast range")
             basis = hnf_rows(cands)
             if len(basis) == len(cands):
                 # sandwich: rank_p <= rank_Q, so d = ncols - rank_p verified
                 # independent integer kernel vectors force rank_Q = rank_p
-                return list(_saturate_rows(basis, arrays))
+                return _saturate_rows(basis, arrays)
         target += max(1, target // 2)  # more modulus needed
     return None
 
@@ -1013,7 +921,7 @@ def kernel_lattice(m: SparseMat, method: str = "modular") -> list:
     if method == "modular":
         return _kernel_lattice_columns(m.columns(), m.rows)
     if method == "exact":
-        return [tuple(v) for v in _kernel_exact(m.columns(), m.rows)]
+        return _kernel_exact(m.columns(), m.rows)
     raise ValueError(f"unknown kernel method {method!r}")
 
 
@@ -1099,56 +1007,7 @@ def _invariant_factors(diagonal) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# solving and intersections
-
-
-def solve_columns(a: SparseMat, rhs: list):
-    """Exact rational solutions x with A x = b for each b in rhs.
-
-    rhs is a list of column vectors (length a.rows).  Returns a list of
-    solution vectors (entries Fraction) or None where inconsistent.
-    Free coordinates are set to zero.
-    """
-    dense = [[Fraction(v) for v in row] for row in a.to_dense()]
-    width = a.cols
-    tabs = [[Fraction(v) for v in b] for b in rhs]
-    if len(dense) == 0:
-        return [[Fraction(0)] * width if not any(b) else None for b in tabs]
-    pivots = []
-    r = 0
-    for j in range(width):
-        pr = None
-        for i in range(r, len(dense)):
-            if dense[i][j]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        dense[r], dense[pr] = dense[pr], dense[r]
-        for b in tabs:
-            b[r], b[pr] = b[pr], b[r]
-        inv = 1 / dense[r][j]
-        dense[r] = [v * inv for v in dense[r]]
-        for b in tabs:
-            b[r] *= inv
-        for i in range(len(dense)):
-            if i != r and dense[i][j]:
-                f = dense[i][j]
-                dense[i] = [vi - f * vr for vi, vr in zip(dense[i], dense[r])]
-                for b in tabs:
-                    b[i] -= f * b[r]
-        pivots.append(j)
-        r += 1
-    out = []
-    for b in tabs:
-        if any(b[i] for i in range(r, len(dense))):
-            out.append(None)
-            continue
-        x = [Fraction(0)] * width
-        for i, j in enumerate(pivots):
-            x[j] = b[i]
-        out.append(x)
-    return out
+# intersections
 
 
 def intersect_columnspaces(bases: list) -> SparseMat:

@@ -197,6 +197,7 @@ class TestTangentialWitness:
         for i in range(3):
             assert lie_bracket(x[i], w[i]) == d.images[i]
         assert w[2].is_zero()  # degree-1 normalization kills the X3 slot
+        assert w[0] == w[1] == -x[2]  # zero coefficient on X1 and on X2
 
     def test_not_tangential(self):
         alphabet, x = x_gens(3)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mccool.exactla import (
+    CertificateError,
     SparseMat,
     hnf_rows,
     intersect_columnspaces,
@@ -17,7 +18,6 @@ from mccool.exactla import (
     rank,
     read_matrix_text,
     smith_normal_form,
-    solve_columns,
     write_matrix_text,
 )
 from mccool.exactla import (
@@ -32,7 +32,6 @@ from mccool.exactla import (
     _rat_reconstruct,
     _reconstruct_candidates,
     _saturate_rows,
-    _SaturationTooHard,
     _smith_diagonal,
 )
 
@@ -86,7 +85,7 @@ class TestRank:
     @given(small_matrices)
     def test_rank_equals_transpose_rank(self, dense):
         m = SparseMat.from_dense(dense)
-        assert rank(m, "bareiss") == rank(m.transpose(), "bareiss")
+        assert rank(m, "bareiss") == rank(SparseMat.from_dense(zip(*dense)), "bareiss")
 
     def test_rational_entries(self):
         m = SparseMat(2, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
@@ -168,8 +167,7 @@ class TestKernel:
 
     @staticmethod
     def _count_primes(monkeypatch):
-        # only _kernel_attempt takes the residues of the matrix mod a prime;
-        # saturation calls _nullspace_mod too, on its own small matrices
+        # only _kernel_attempt takes the residues of the matrix mod a prime
         used = []
         residues = _ColumnArrays.residues
 
@@ -378,31 +376,45 @@ class TestFallback:
             kernel_lattice(SparseMat.from_dense([[1, 1]]))
 
     def test_saturation_too_hard_falls_back_to_exact(self, monkeypatch):
+        # the candidates (-big, 2, 0) and (-big, 0, 2) span an index-2
+        # sublattice with entries beyond int64: a saturation that once gave
+        # up and fell back to the exact route now ends in the modular route
+        # with the exact route's basis
         from mccool import exactla
 
-        def too_hard(*args):
-            raise exactla._SaturationTooHard("entries exceed int64 range")
+        big = (1 << 70) + 1
+        m = SparseMat.from_dense([[2, big, big]])
+        expected = _kernel_exact(m.columns(), m.rows)
+        saturate = exactla._saturate_rows
+        inputs = []
 
-        monkeypatch.setattr(exactla, "_kernel_attempt", too_hard)
-        assert kernel_lattice(SparseMat.from_dense([[2, 4]])) == [(2, -1)]
-
-    def test_both_routes_failing_names_route_shape_and_cause(self, monkeypatch):
-        from mccool import exactla
-
-        def too_hard(*args):
-            raise exactla._SaturationTooHard("entries exceed int64 range")
+        def spy(rows, arrays):
+            inputs.append(hnf_rows(rows))
+            return saturate(rows, arrays)
 
         def exact(*args):
-            raise RuntimeError("exact kernel entries exceed the supported range")
+            raise AssertionError("exact route must not run")
 
-        monkeypatch.setattr(exactla, "_kernel_attempt", too_hard)
+        monkeypatch.setattr(exactla, "_saturate_rows", spy)
         monkeypatch.setattr(exactla, "_kernel_exact", exact)
+        assert kernel_lattice(m) == expected == [(big, 0, -2), (0, 1, -1)]
+        assert [max(map(abs, r)) >= 1 << 63 for r in inputs[0]] == [True, False]
+        assert inputs[0] != expected  # saturation was needed
+
+    def test_both_routes_failing_names_route_shape_and_cause(self, monkeypatch):
+        # one 23-bit prime cannot reconstruct the kernel vector (1, 2^61)
+        from mccool import exactla
+
+        monkeypatch.setattr(exactla, "_PRIMES", _PRIMES[:1])
         with pytest.raises(RuntimeError) as info:
-            kernel_lattice(SparseMat.from_dense([[1, 1, 0], [0, 0, 0]]))
+            kernel_lattice(SparseMat.from_dense([[1 << 61, -1]]))
         msg = str(info.value)
+        assert "modular kernel" in msg
         assert "1x2 block" in msg
-        assert "modular (entries exceed int64 range)" in msg
-        assert "exact (exact kernel entries" in msg
+        assert "no prime set certified within the pool of 1 primes" in msg
+        monkeypatch.setattr(exactla, "_EXACT_KERNEL_BITS", 32)
+        with pytest.raises(RuntimeError, match="exact kernel entries exceed the 32-bit bound"):
+            kernel_lattice(SparseMat.from_dense([[1 << 61, -1]]), method="exact")
 
 
 def reference_blocks(columns, nrows):
@@ -452,19 +464,18 @@ class TestSaturationGuard:
 
     @pytest.mark.parametrize("big", [1 << 61, 1 << 70])
     def test_large_planted_lattice_is_too_hard(self, big):
-        # the repair mod 2 of twice (1, big) would leave the int64 range
+        # twice (1, big): the entries are beyond int64, the Hermite route
+        # has no such range
         arrays = _ColumnArrays([[(0, big)], [(0, -1)]], 1)
-        with pytest.raises(_SaturationTooHard, match="entries exceed int64 range"):
-            _saturate_rows([(2, 2 * big)], arrays)
+        assert _saturate_rows([(2, 2 * big)], arrays) == [(1, big)]
 
     def test_prime_beyond_the_int64_elimination_is_too_hard(self):
-        # q^2 + q >= 2^63, so mod q the elimination would leave int64; the
-        # entries guard refuses it before _nullspace_mod is reached
+        # q^2 + q >= 2^63: an elimination mod q would leave int64, and the
+        # Hermite route takes no residues
         q = 3_037_000_507
         assert _is_prime(q) and q * q + q >= 1 << 63
         arrays = _ColumnArrays([[(0, 1)], [(0, -1)]], 1)
-        with pytest.raises(_SaturationTooHard, match="entries exceed int64 range"):
-            _saturate_rows([(q, q)], arrays)
+        assert _saturate_rows([(q, q)], arrays) == [(1, 1)]
 
     @staticmethod
     def _scaled_kernel(dense, diagonal, below):
@@ -498,29 +509,59 @@ class TestSaturationGuard:
         arrays, kernel, scaled = self._scaled_kernel(dense, diagonal, below)
         assert _saturate_rows(scaled, arrays) == hnf_rows(kernel)
 
-    def test_repairs_several_rows_and_primes(self, monkeypatch):
-        from mccool import exactla
-
-        nullspace_mod = exactla._nullspace_mod
-        repairs = []
-
-        def counted(a, p):
-            pivots, y = nullspace_mod(a, p)
-            repairs.append((p, y.shape[0]))
-            return pivots, y
-
-        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+    def test_repairs_several_rows_and_primes(self):
         dense = [[1, 2, -1, 0, 3, 1], [0, 1, 1, -2, 0, 1]]
         below = [[], [0], [0, -2], [3, 1, 0]]
         arrays, kernel, scaled = self._scaled_kernel(dense, [2, 2, 3, 5], below)
         assert _saturate_rows(scaled, arrays) == hnf_rows(kernel)
-        fixed = [(p, rows) for p, rows in repairs if rows]
-        assert {p for p, _ in fixed} == {2, 3, 5}
-        assert max(rows for _, rows in fixed) >= 2
 
-    def test_large_kernel_entries_take_the_exact_route(self):
+    def test_large_kernel_entries_take_the_modular_route(self, monkeypatch):
+        from mccool import exactla
+
+        def exact(*args):
+            raise AssertionError("exact route must not run")
+
+        monkeypatch.setattr(exactla, "_kernel_exact", exact)
         m = SparseMat.from_dense([[1 << 61, -1]])
         assert kernel_lattice(m) == [(1, 1 << 61)]
+
+    def test_row_outside_the_kernel_is_refused(self):
+        # (2, 2) and (1, 1) are not kernel vectors of the row (5, -1)
+        arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
+        for rows in ([(2, 2)], [(1, 1)]):
+            with pytest.raises(CertificateError, match="left the kernel"):
+                _saturate_rows(rows, arrays)
+
+    @staticmethod
+    def _corrupt_column_lattice(monkeypatch, corrupt):
+        """Make the second hnf_rows call of _saturate_rows, the Hermite
+        basis C of V's columns, return corrupt(C)."""
+        from mccool import exactla
+
+        calls = []
+
+        def patched(rows, max_bits=None):
+            out = hnf_rows(rows, max_bits)
+            calls.append(None)
+            return corrupt(out) if len(calls) == 2 else out
+
+        monkeypatch.setattr(exactla, "hnf_rows", patched)
+
+    def test_scaled_column_lattice_is_caught(self, monkeypatch):
+        # with C's first column doubled, a solution B of C^T B = V would
+        # have a column lattice of covolume 1/2: no integer B has one
+        arrays, _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
+        self._corrupt_column_lattice(monkeypatch, lambda c: [(2 * r[0],) + r[1:] for r in c])
+        with pytest.raises(CertificateError, match="not exact"):
+            _saturate_rows(scaled, arrays)
+
+    def test_column_superlattice_is_caught(self, monkeypatch):
+        # the identity spans a strict superlattice of V's columns: C^T B = V
+        # solves with B = V, whose columns do not span Z^d
+        arrays, _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
+        self._corrupt_column_lattice(monkeypatch, lambda c: [(1, 0), (0, 1)])
+        with pytest.raises(CertificateError, match="do not span"):
+            _saturate_rows(scaled, arrays)
 
     def test_exact_route_refuses_entries_beyond_its_bound(self):
         # the chain 2^80 x_i = x_(i+1) on 27 columns has the kernel vector
@@ -942,7 +983,7 @@ class TestIntersection:
         b2 = SparseMat(3, 2, {(1, 0): 1, (2, 1): 1})
         inter = intersect_columnspaces([b1, b2])
         assert inter.cols == 1
-        assert inter.column_vector(0) == [0, 1, 0]
+        assert inter.columns() == [[(1, 1)]]
 
     def test_three_way(self):
         b1 = SparseMat.from_dense([[1, 0], [0, 1], [0, 0], [0, 0]])
@@ -950,23 +991,11 @@ class TestIntersection:
         b3 = SparseMat.from_dense([[1, 0], [0, 0], [0, 0], [0, 1]])
         inter = intersect_columnspaces([b1, b2, b3])
         assert inter.cols == 1
-        assert inter.column_vector(0) == [1, 0, 0, 0]
+        assert inter.columns() == [[(0, 1)]]
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             intersect_columnspaces([SparseMat(2, 1), SparseMat(3, 1)])
-
-
-class TestSolve:
-    def test_consistent_and_inconsistent(self):
-        a = SparseMat.from_dense([[2, 0], [0, 3], [2, 3]])
-        sols = solve_columns(a, [[2, 3, 5], [1, 0, 0]])
-        assert sols[0] == [1, 1]
-        assert sols[1] is None
-
-    def test_rational_solution(self):
-        a = SparseMat.from_dense([[2]])
-        assert solve_columns(a, [[1]])[0] == [Fraction(1, 2)]
 
 
 class TestMatrixText:
