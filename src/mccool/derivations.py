@@ -199,24 +199,13 @@ def der_bracket(d: Derivation, e: Derivation) -> Derivation:
 
 def inner_derivation(w: LieElement) -> Derivation:
     """ad(W): X -> [W, X]; a derivation of degree deg W."""
-    images = tuple(
-        LieElement(
-            w.alphabet,
-            w.degree + 1,
-            _bracket_with_generator(w, i),
-            _trust=True,
-        )
-        for i in range(w.alphabet.size)
-    )
+    images = []
+    for i in range(w.alphabet.size):
+        acc: dict = {}
+        for word, c in w.coeffs.items():
+            _add_into(acc, _bw(word, (i,)), c)
+        images.append(LieElement(w.alphabet, w.degree + 1, acc, _trust=True))
     return Derivation(w.alphabet, w.degree, images)
-
-
-def _bracket_with_generator(w: LieElement, i: int) -> dict:
-    acc: dict = {}
-    gen = (i,)
-    for word, c in w.coeffs.items():
-        _add_into(acc, _bw(word, gen), c)
-    return acc
 
 
 def tangential_witness(d: Derivation) -> list:

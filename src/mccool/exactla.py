@@ -173,14 +173,26 @@ def write_matrix_text(m: SparseMat) -> str:
 
 
 def read_matrix_text(text: str) -> SparseMat:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    rows, cols, nnz = (int(x) for x in lines[0].split())
+    """Inverse of write_matrix_text: a malformed line, or a second entry
+    at one position, raises ValueError naming the line."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()] or [""]
+    try:
+        rows, cols, nnz = (int(x) for x in lines[0].split())
+    except ValueError:
+        raise ValueError(f"bad header line {lines[0]!r}") from None
     if len(lines) - 1 != nnz:
         raise ValueError("entry count does not match header")
     entries = {}
     for ln in lines[1:]:
-        i, j, v = ln.split()
-        entries[(int(i) - 1, int(j) - 1)] = int(v)
+        try:
+            i, j, v = ln.split()
+            key = (int(i) - 1, int(j) - 1)
+            value = Fraction(v) if "/" in v else int(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad entry line {ln!r}") from None
+        if key in entries:
+            raise ValueError(f"entry line {ln!r} repeats position ({i}, {j})")
+        entries[key] = value
     return SparseMat(rows, cols, entries)
 
 
@@ -1024,28 +1036,15 @@ def intersect_columnspaces(bases: list) -> SparseMat:
         raise ValueError("row counts differ")
     current = bases[0]
     for other in bases[1:]:
-        stacked = SparseMat(
-            nrows,
-            current.cols + other.cols,
-            {
-                **{(i, j): v for (i, j), v in current.entries.items()},
-                **{(i, j + current.cols): -v for (i, j), v in other.entries.items()},
-            },
-        )
-        ker = kernel_lattice(stacked)
-        cur_cols = current.columns()
+        # x = A y = B z exactly when (y, z) is in the kernel of [A | -B]
+        shifted = {(i, j + current.cols): -v for (i, j), v in other.entries.items()}
+        stacked = SparseMat(nrows, current.cols + other.cols, {**current.entries, **shifted})
         vecs = []
-        for vec in ker:
+        for vec in kernel_lattice(stacked):
             dense = [0] * nrows
-            for j in range(current.cols):
-                if vec[j]:
-                    for i, v in cur_cols[j]:
-                        dense[i] += vec[j] * v
+            for (i, j), v in current.entries.items():
+                dense[i] += vec[j] * v
             vecs.append(dense)
         reduced = hnf_rows(vecs)
-        current = SparseMat(
-            nrows,
-            len(reduced),
-            {(i, j): v for j, row in enumerate(reduced) for i, v in enumerate(row) if v},
-        )
+        current = SparseMat.from_columns([list(enumerate(row)) for row in reduced], nrows)
     return current

@@ -364,13 +364,27 @@ class LieElement(_Element):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieElement":
+        """Inverse of to_json_dict.  A coefficient that is not an integer
+        or a "p/q" string, an unknown letter or a repeated word raises
+        ValueError naming the term."""
         alphabet = Alphabet(tuple(data["alphabet"]))
         coeffs = {}
         for term in data["terms"]:
-            word = alphabet.parse_word(term["word"])
             coeff = term["coeff"]
-            coeffs[word] = Fraction(coeff) if "/" in str(coeff) else int(coeff)
-        return cls(alphabet, int(data["degree"]), coeffs)
+            try:
+                word = alphabet.parse_word(term["word"])
+                if isinstance(coeff, str):
+                    coeff = Fraction(coeff) if "/" in coeff else int(coeff)
+                _check_coeff(coeff)
+            except (KeyError, ValueError, TypeError, ZeroDivisionError):
+                raise ValueError(f"bad term {term!r}") from None
+            if word in coeffs:
+                raise ValueError(f"term {term!r} repeats an earlier word")
+            coeffs[word] = coeff
+        degree = data["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        return cls(alphabet, degree, coeffs)
 
 
 class TensorElement(_Element):
@@ -486,22 +500,40 @@ def left_normed(gens: list) -> LieElement:
     return acc
 
 
+_MISSING = object()
+
+
 @functools.lru_cache(maxsize=None)
-def _substitute_word(word: Word, letter_images: tuple, alphabet: Alphabet):
-    """The image of b(word) under substitute, or None when it is zero."""
-    if len(word) == 1:
-        image = letter_images[word[0]]
-        if image is None:
-            return None
-        sign, target = image
-        return LieElement(alphabet, 1, {(target,): sign}, _trust=True)
+def _substitution_memo(letter_images: tuple, alphabet: Alphabet) -> dict:
+    """The word -> image memo of one letter map, seeded with the letters;
+    an image is a LieElement, or None when it is zero."""
+    memo: dict = {}
+    for i, image in enumerate(letter_images):
+        if image is not None:
+            sign, target = image
+            image = LieElement(alphabet, 1, {(target,): sign}, _trust=True)
+        memo[(i,)] = image
+    return memo
+
+
+def _substitute_word(word: Word, memo: dict):
+    """The image of b(word) for a word of length >= 2 missing from memo."""
     u, v = standard_factorization(word)
-    iu = _substitute_word(u, letter_images, alphabet)
-    iv = _substitute_word(v, letter_images, alphabet)
-    if iu is None or iv is None:
-        return None
-    image = lie_bracket(iu, iv)
-    return image if image.coeffs else None
+    # inline lookups, not a call per factor: hits are most of the work
+    iu = memo.get(u, _MISSING)
+    if iu is _MISSING:
+        iu = _substitute_word(u, memo)
+    image = None
+    if iu is not None:
+        iv = memo.get(v, _MISSING)
+        if iv is _MISSING:
+            iv = _substitute_word(v, memo)
+        if iv is not None:
+            image = lie_bracket(iu, iv)
+            if not image.coeffs:
+                image = None
+    memo[word] = image
+    return image
 
 
 def substitute(p: LieElement, letter_images: tuple, alphabet: Alphabet) -> LieElement:
@@ -509,11 +541,20 @@ def substitute(p: LieElement, letter_images: tuple, alphabet: Alphabet) -> LieEl
 
     letter_images[i] is (sign, target letter of alphabet), or None for a
     letter sent to zero.  The image of each Lyndon word is the bracket of
-    the images of its standard factors, memoized per word.
+    the images of its standard factors.  The images live in one memo per
+    letter map, so the map and the alphabet are hashed once per call, not
+    once per word.
     """
+    if len(letter_images) != p.alphabet.size:
+        raise ValueError(
+            f"{len(letter_images)} letter images for an alphabet of {p.alphabet.size} letters"
+        )
+    memo = _substitution_memo(letter_images, alphabet)
     out: dict = {}
     for word, c in p.coeffs.items():
-        image = _substitute_word(word, letter_images, alphabet)
+        image = memo.get(word, _MISSING)
+        if image is _MISSING:
+            image = _substitute_word(word, memo)
         if image is not None:
             _add_into(out, image.coeffs.items(), c)
     return LieElement(alphabet, p.degree, out, _trust=True)

@@ -4,8 +4,9 @@ It decomposes as a semidirect product h x| g of two free Lie rings: h on
 the inner classes C1, C2, C3 and g on a, b, c, with g acting on h
 through tau under the identification C_i <-> X_i.  The combined Johnson
 map sd_tau is ad on the h part plus tau on the g part; its kernel in
-every degree lives in the g summand, which intersection_kappa verifies
-independently through the S3 translates of g.
+every degree lives in the g summand.  intersection_kappa checks this
+independently through the S3 translates of g: g ^ c.g ^ c^2.g is the
+kernel of the h-parts of the c- and c^2-translates of g, stacked.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from . import exactla
-from .derivations import Derivation, inner_derivation
-from .exactla import SparseMat
+from .derivations import Derivation, apply as der_apply, inner_derivation
 from .freelie import (
     Alphabet,
     LieElement,
@@ -112,12 +112,8 @@ def sd_bracket(u: SDElement, v: SDElement) -> SDElement:
     """Bracket of the semidirect product: g acts on h through tau."""
     h = lie_bracket(u.hpart, v.hpart)
     if not u.gpart.is_zero() and not v.hpart.is_zero():
-        from .derivations import apply as der_apply
-
         h = h + _x_to_c(der_apply(tau_evaluate(u.gpart), _c_to_x(v.hpart)))
     if not v.gpart.is_zero() and not u.hpart.is_zero():
-        from .derivations import apply as der_apply
-
         h = h - _x_to_c(der_apply(tau_evaluate(v.gpart), _c_to_x(u.hpart)))
     return SDElement(h, lie_bracket(u.gpart, v.gpart))
 
@@ -207,13 +203,11 @@ def sd_tau_kernel(k: int):
 
 
 def _g_translate_columns(sigma: S3Element, k: int):
-    """sigma applied to the g basis, as columns: C-words then abc-words."""
-    width = witt_dimension(3, k)
+    """Column j is the h-part of sigma.(0, w_j), w_j the j-th Lyndon word."""
     cols = []
     for w in lyndon_tuples(3, k):
         g = LieElement(abc_alphabet(), k, {w: 1}, _trust=True)
-        moved = sd_s3_action(sigma, SDElement.from_g(g))
-        cols.append(coordinates(moved.hpart) + coordinates(moved.gpart, width))
+        cols.append(coordinates(sd_s3_action(sigma, SDElement.from_g(g)).hpart))
     return cols
 
 
@@ -221,6 +215,10 @@ def _g_translate_columns(sigma: S3Element, k: int):
 def intersection_kappa(k: int, degree_cap: int = INTERSECTION_DEGREE_CAP) -> int:
     """dim over Q of g ^ c.g ^ c^2.g in degree k, c the 3-cycle.
 
+    x in g lies in sigma.g exactly when the h-part of sigma^-1.x
+    vanishes, and c^-1 = c^2, so the intersection is the kernel of the
+    stacked h-parts [H_c ; H_c^2] (2w x w, column j the h-part of the
+    translate of the j-th basis word of g): one certified kernel solve.
     Must equal the kernel dimension of tau in that degree.
     """
     if not (1 <= k <= degree_cap):
@@ -228,9 +226,8 @@ def intersection_kappa(k: int, degree_cap: int = INTERSECTION_DEGREE_CAP) -> int
     from .symmetry import S3_123, S3_132
 
     w = witt_dimension(3, k)
-    nrows = 2 * w
-    b_g = SparseMat(nrows, w, {(w + i, i): 1 for i in range(w)})
-    b_cg = SparseMat.from_columns(_g_translate_columns(S3_123, k), nrows)
-    b_ccg = SparseMat.from_columns(_g_translate_columns(S3_132, k), nrows)
-    inter = exactla.intersect_columnspaces([b_g, b_cg, b_ccg])
-    return inter.cols
+    cols = [
+        hc + [(i + w, v) for i, v in hcc]
+        for hc, hcc in zip(_g_translate_columns(S3_123, k), _g_translate_columns(S3_132, k))
+    ]
+    return len(exactla._kernel_lattice_columns(cols, 2 * w))

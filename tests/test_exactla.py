@@ -1014,3 +1014,26 @@ class TestMatrixText:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             read_matrix_text("1 1 2\n1 1 5\n")
+
+    def test_repeated_position_rejected(self):
+        with pytest.raises(ValueError, match="entry line '1 1 4' repeats position"):
+            read_matrix_text("2 2 2\n1 1 1\n1 1 4\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("2 2\n", "2 2"), ("2 2 1\n1 1 1.5\n", "1 1 1.5"), ("2 2 1\n1 1\n", "1 1"),
+         ("2 2 1\n1 x 3\n", "1 x 3"), ("2 2 1\n1 1 1/0\n", "1 1 1/0")],
+    )
+    def test_malformed_line_named(self, text, line):
+        with pytest.raises(ValueError, match=f"bad (header|entry) line '{line}'"):
+            read_matrix_text(text)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        value = st.one_of(st.integers(-10**20, 10**20), st.fractions(max_denominator=9))
+        cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+        entries = data.draw(st.dictionaries(cells, value, max_size=8)) if rows and cols else {}
+        m = SparseMat(rows, cols, entries)
+        assert read_matrix_text(write_matrix_text(m)) == m

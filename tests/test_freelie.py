@@ -213,6 +213,43 @@ class TestSerialization:
         data = el.to_json_dict()
         assert data["terms"][0]["coeff"] == "12345678901234567890"
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        alphabet = data.draw(st.sampled_from([abc_alphabet(), x_alphabet(4)]))
+        el = data.draw(lie_elements(alphabet, data.draw(st.integers(1, 5))))
+        el = el.scale(Fraction(1, data.draw(st.integers(1, 6))))
+        back = LieElement.from_json_dict(json.loads(json.dumps(el.to_json_dict())))
+        assert back == el
+
+    @pytest.mark.parametrize(
+        "coeff, word",
+        [(1.5, "ab"), (True, "ab"), ("1.5", "ab"), ("1/0", "ab"), (None, "ab"), ("2", "ad")],
+        ids=["float", "bool", "decimal-string", "zero-denominator", "null", "unknown-letter"],
+    )
+    def test_bad_term_names_it(self, coeff, word):
+        data = {"alphabet": ["a", "b", "c"], "degree": 2, "terms": [{"word": word, "coeff": coeff}]}
+        with pytest.raises(ValueError, match="bad term .*'word': '" + word):
+            LieElement.from_json_dict(data)
+
+    def test_repeated_word_rejected(self):
+        terms = [{"word": "ab", "coeff": "1"}, {"word": "ac", "coeff": "2"}, {"word": "ab", "coeff": "3"}]
+        data = {"alphabet": ["a", "b", "c"], "degree": 2, "terms": terms}
+        with pytest.raises(ValueError, match="term .*'coeff': '3'.* repeats an earlier word"):
+            LieElement.from_json_dict(data)
+
+    @pytest.mark.parametrize("word, message", [("ba", "not Lyndon"), ("abc", "does not have degree 2")])
+    def test_word_must_be_a_basis_word(self, word, message):
+        data = {"alphabet": ["a", "b", "c"], "degree": 2, "terms": [{"word": word, "coeff": "1"}]}
+        with pytest.raises(ValueError, match=message):
+            LieElement.from_json_dict(data)
+
+    @pytest.mark.parametrize("degree", [2.0, True, "2"])
+    def test_degree_must_be_an_integer(self, degree):
+        data = {"alphabet": ["a", "b", "c"], "degree": degree, "terms": []}
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            LieElement.from_json_dict(data)
+
     def test_schema_shape(self, abc):
         data = LieElement(abc, 2, {(0, 1): 2}).to_json_dict()
         assert set(data) == {"alphabet", "degree", "terms"}
@@ -380,6 +417,50 @@ class TestSubstitute:
                 assert image == substitute_via_tensor(
                     LieElement(source, degree, {w: 1}), tuple(images), target
                 )
+
+    def test_letter_map_is_hashed_once_per_call(self):
+        """The memo of a letter map is looked up once per substitute call,
+        not once per word of the recursion: a map that counts its hashes
+        sees a constant number whatever the number of words."""
+        from mccool.johnson import mccool_symbols, omega
+        from mccool.stabilization import iota_sym, pi_sym
+
+        class CountingMap(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                CountingMap.hashes += 1
+                return super().__hash__()
+
+        sym3, sym7 = mccool_symbols(3), mccool_symbols(7)
+        # the projection pi_J, J = {1, 2, 3}, as a letter map
+        images = CountingMap(
+            (1, sym3.alphabet.index(f"k{a}{b}")) if max(a, b) <= 3 else None
+            for a, b in sym7.pairs
+        )
+        big = iota_sym((1, 2, 3), omega(), 7)
+        small = LieElement(sym7.alphabet, 6, {next(iter(big.coeffs)): 1})
+        assert big.degree == 6 and len(big.coeffs) > 10
+        for p in (big, small, big):
+            CountingMap.hashes = 0
+            image = substitute(p, images, sym3.alphabet)
+            assert CountingMap.hashes <= 2
+            assert image == pi_sym((1, 2, 3), p, 7)
+
+    def test_maps_differing_in_one_sign(self):
+        """Two maps equal but for one sign have their own memos: both run in
+        one process and give opposite images of a word using that letter
+        once."""
+        source, target = x_alphabet(2), abc_alphabet()
+        p = LieElement(source, 3, {(0, 0, 1): 1})  # [X1, [X1, X2]]
+        plus = substitute(p, ((1, 0), (1, 1)), target)
+        minus = substitute(p, ((1, 0), (-1, 1)), target)
+        assert not plus.is_zero() and minus == -plus
+        assert substitute(p, ((1, 0), (1, 1)), target) == plus
+
+    def test_map_length_must_match_the_alphabet(self):
+        with pytest.raises(ValueError, match="2 letter images for an alphabet of 3 letters"):
+            substitute(LieElement.generator(abc_alphabet(), "a"), ((1, 0), (1, 1)), abc_alphabet())
 
     def test_s3_action_matrices(self):
         from mccool.symmetry import S3_ALL, _abc_images, action_on_degree

@@ -248,6 +248,31 @@ class TestKernelReports:
         assert kernel_report(k).kernel_basis == expected
 
 
+class TestClearCaches:
+    def test_reports_recompute_equal(self):
+        import mccool
+        from mccool import freelie, psigma3, words
+        from mccool.psigma3 import intersection_kappa
+        from mccool.symmetry import S3_123, act_on_polynomial
+
+        def results():
+            om = omega()
+            return kernel_report(7), intersection_kappa(7), act_on_polynomial(S3_123, om), to_tensor(om)
+
+        before = results()
+        memos = (
+            freelie._bw, freelie._expand, freelie._substitution_memo,
+            words.standard_factorization, psigma3._act_g_word,
+            kernel_report, intersection_kappa, omega,
+        )
+        assert all(m.cache_info().currsize for m in memos)
+        mccool.clear_caches()
+        assert not any(m.cache_info().currsize for m in memos)
+        after = results()
+        assert after[0] is not before[0]
+        assert after == before
+
+
 def arrays_digest(arrays) -> str:
     h = hashlib.sha256()
     for arr in (arrays.indptr, arrays.rows, arrays.vals):

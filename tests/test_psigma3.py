@@ -2,8 +2,8 @@ import pytest
 
 from conftest import random_lie_element
 from mccool.derivations import apply as der_apply
-from mccool.exactla import SparseMat, rank
-from mccool.freelie import LieElement, abc_alphabet, lie_bracket, x_alphabet
+from mccool.exactla import SparseMat, intersect_columnspaces, rank
+from mccool.freelie import LieElement, abc_alphabet, coordinates, lie_bracket, x_alphabet
 from mccool.johnson import kernel_report, tau_generator
 from mccool.psigma3 import (
     SDElement,
@@ -15,7 +15,7 @@ from mccool.psigma3 import (
     sd_tau,
     sd_tau_kernel,
 )
-from mccool.symmetry import S3_12, S3_123, S3_23, S3_ALL, act_on_derivation
+from mccool.symmetry import S3_12, S3_123, S3_132, S3_23, S3_ALL, act_on_derivation
 from mccool.words import lyndon_index, lyndon_tuples, witt_dimension
 
 
@@ -204,6 +204,26 @@ class TestIntersection:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_kernel_dimension(self, k):
         assert intersection_kappa(k, degree_cap=8) == kernel_report(k).kernel_dim
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_generic_intersection(self, k):
+        """The kernel of the stacked h-parts against the generic route: the
+        column spaces of g, c.g and c^2.g in (h, g) coordinates, built from
+        sd_s3_action and intersected by intersect_columnspaces."""
+        w = witt_dimension(3, k)
+
+        def translates(sigma):
+            cols = []
+            for word in lyndon_tuples(3, k):
+                g = SDElement.from_g(LieElement(abc_alphabet(), k, {word: 1}))
+                moved = sd_s3_action(sigma, g)
+                cols.append(coordinates(moved.hpart) + coordinates(moved.gpart, w))
+            return SparseMat.from_columns(cols, 2 * w)
+
+        g = SparseMat(2 * w, w, {(w + i, i): 1 for i in range(w)})
+        inter = intersect_columnspaces([g, translates(S3_123), translates(S3_132)])
+        assert all(i >= w for i, _ in inter.entries)  # the intersection lies in g
+        assert intersection_kappa(k) == inter.cols
 
     def test_cap(self):
         with pytest.raises(ValueError):
