@@ -1,21 +1,18 @@
 """Exact sparse linear algebra over Z and Q.
 
-Everything reported by this module is exact.  Two engines cooperate:
+Everything reported by this module is exact.  The kernel, and the rank
+as cols - dim ker, come from one certified modular route:
 
-  * a fraction-free Bareiss elimination over Z (sparse, Markowitz-style
-    pivoting, lazy telescoped rescaling of rows that miss the pivot
-    column), used directly for small matrices and as the arbiter;
-
-  * a modular fast path for large matrices: the matrix is held once as
-    compressed column arrays and cut into the connected blocks of its
-    column-row incidence graph; each block gets one dense Gaussian
-    elimination mod 23-bit primes (int64 with deferred reduction, entries
-    below ncols * p^2 + p < 2^63, checked at run time), then CRT +
-    rational reconstruction of kernel vectors.  Its output is never
-    trusted as such: every kernel vector is re-verified by an exact
-    product with the columns (int64 within a bound checked at run time,
-    Python ints beyond it), independence comes from an exact Hermite
-    reduction, and the kernel dimension is certified by the sandwich
+  * the matrix is held once as compressed column arrays and cut into
+    the connected blocks of its column-row incidence graph; each block
+    gets one dense Gaussian elimination mod 23-bit primes (int64 with
+    deferred reduction, entries below ncols * p^2 + p < 2^63, checked at
+    run time), then CRT + rational reconstruction of kernel vectors.  Its
+    output is never trusted as such: every kernel vector is re-verified
+    by an exact product with the columns (int64 within a bound checked at
+    run time, Python ints beyond it), independence comes from an exact
+    Hermite reduction, and the kernel dimension is certified by the
+    sandwich
 
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors.
 
@@ -23,11 +20,15 @@ Everything reported by this module is exact.  Two engines cooperate:
     lattice, with no primes, and certifies that the quotient's columns
     span Z^d.  A block fails only when the prime pool runs out.
 
+Two oracles use no primes and are never fallen back to: a fraction-free
+Bareiss elimination over Z (sparse, Markowitz-style pivoting, lazy
+telescoped rescaling of rows that miss the pivot column), behind
+rank(method="bareiss"), and the Hermite form of [M^T | I], behind
+kernel_lattice(method="exact").
+
 One Hermite engine, hnf_rows, serves the kernel (the canonical basis
-and the independence check), saturation, the exact oracle (the Hermite
-form of [M^T | I], kernel_lattice(method="exact"), which the modular
-route never falls back to) and the Smith form, which alternates it on
-the rows and on the columns of each block.
+and the independence check), saturation, the exact oracle and the Smith
+form, which alternates it on the rows and on the columns of each block.
 
 The kernel of an integer matrix is automatically a saturated lattice;
 the basis returned here is the (row-style) Hermite normal form of that
@@ -197,26 +198,27 @@ def read_matrix_text(text: str) -> SparseMat:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free sparse Bareiss rank
+# fraction-free sparse Bareiss rank: the oracle with no primes
 
 
-def _integer_rows(m: SparseMat) -> dict:
-    """Row dicts with denominators cleared (rank is unchanged)."""
-    rows: dict = {}
+def _cleared(m: SparseMat, axis: int) -> SparseMat:
+    """m with the denominators of each row (axis 0) or column (axis 1)
+    cleared: the kernel, the rank and the rational column span stay."""
     denoms: dict = {}
-    for (i, j), v in m.entries.items():
+    for key, v in m.entries.items():
         if isinstance(v, Fraction):
-            denoms[i] = math.lcm(denoms.get(i, 1), v.denominator)
-    for (i, j), v in m.entries.items():
-        d = denoms.get(i, 1)
-        iv = int(v * d) if isinstance(v, Fraction) else v * d
-        if iv:
-            rows.setdefault(i, {})[j] = iv
-    return rows
+            denoms[key[axis]] = math.lcm(denoms.get(key[axis], 1), v.denominator)
+    if not denoms:
+        return m
+    return SparseMat(
+        m.rows, m.cols, {key: int(v * denoms.get(key[axis], 1)) for key, v in m.entries.items()}
+    )
 
 
 def _rank_bareiss(m: SparseMat) -> int:
-    rows = _integer_rows(m)
+    rows: dict = {}
+    for (i, j), v in _cleared(m, 0).entries.items():
+        rows.setdefault(i, {})[j] = v
     colocc: dict = {}
     for r, row in rows.items():
         for c in row:
@@ -320,8 +322,8 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _narrowest(vals: np.ndarray) -> np.ndarray:
-    """Integer values in the dtype a fresh build would give them: int16
-    when every one fits, else int64 when every one fits, else object."""
+    """Integer values in their narrowest exact dtype: int16 when every
+    one fits, else int64 when every one fits, else object."""
     if vals.dtype == np.int16:
         return vals
     if not vals.size:
@@ -342,36 +344,18 @@ class _ColumnArrays:
     int64 or a dtype=object array of Python ints.  Built once per matrix,
     the arrays are cut into the blocks of the certified kernel, give the
     dense residues mod each prime and the exact products that certify
-    kernel vectors.  As a sequence, the arrays are their columns: len() is
-    ncols and item j is column j as a list of (row, value) pairs.
+    kernel vectors.  len() is ncols, and iteration yields each column as a
+    list of (row, value) pairs.
     """
 
     __slots__ = ("rows", "vals", "nrows", "ncols", "indptr", "amax")
 
     def __init__(self, columns, nrows: int):
-        lengths = [len(col) for col in columns]
-        nnz = sum(lengths)
-        self.rows = np.empty(nnz, dtype=_row_dtype(nrows))
-        self.vals = np.empty(nnz, dtype=np.int16)
-        big = None  # the values as Python ints, once one does not fit int16
-        end = 0
-        for col in columns:
-            if not col:
-                continue
-            start, end = end, end + len(col)
-            r, v = zip(*col)
-            self.rows[start:end] = r
-            if big is None:
-                if -(1 << 15) <= min(v) and max(v) < 1 << 15:
-                    self.vals[start:end] = v
-                    continue
-                big = self.vals[:start].tolist()
-            big.extend(v)
-        if big is not None:
-            self.vals = _exact_array(big)
+        entries = [e for col in columns for e in col]
         indptr = np.zeros(len(columns) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        self._set(indptr, self.rows, self.vals, nrows)
+        np.cumsum([len(col) for col in columns], out=indptr[1:])
+        rows = np.array([i for i, _ in entries], dtype=_row_dtype(nrows))
+        self._set(indptr, rows, _narrowest(_exact_array([v for _, v in entries])), nrows)
 
     @classmethod
     def from_csr(cls, indptr, rows, vals, nrows: int) -> "_ColumnArrays":
@@ -395,12 +379,6 @@ class _ColumnArrays:
 
     def __len__(self) -> int:
         return self.ncols
-
-    def __getitem__(self, j: int) -> list:
-        if not 0 <= j < self.ncols:
-            raise IndexError("column index out of range")
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return list(zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()))
 
     def __iter__(self):
         rows, vals = self.rows.tolist(), self.vals.tolist()
@@ -771,11 +749,8 @@ def _kernel_lattice_columns(columns, nrows: int) -> list:
         arrays = columns
     else:
         arrays = _ColumnArrays(columns, nrows)
-    blocks = _column_blocks(arrays)
-    if len(blocks) <= 1:
-        return _kernel_block(arrays)
     out = []
-    for block in blocks:
+    for block in _column_blocks(arrays):
         block_cols = block.tolist()
         for vec in _kernel_block(arrays.block(block)):
             full = [0] * arrays.ncols
@@ -826,53 +801,30 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
 def _kernel_block(arrays: _ColumnArrays) -> list:
     """Certified Hermite basis of the kernel lattice of one block.
 
-    The modular route is the only route: a RuntimeError naming the block
-    is raised when its prime pool runs out before a prime set certifies.
+    The primes of _PRIMES are taken in order.  Each gives a pivot
+    signature and a nullspace basis mod p; the primes kept are those of
+    the best signature so far (a better one starts the list afresh).
+    When target primes are kept, their bases are lifted by CRT and
+    rational reconstruction, and the candidates certify when they are
+    exact kernel vectors and independent; otherwise the target grows
+    (1, 2, 3, 4, 6, 9, ...).  A RuntimeError naming the block is raised
+    when the pool runs out first.
     """
-    nrows, ncols = arrays.nrows, arrays.ncols
-    if ncols == 0:
-        return []
+    ncols = arrays.ncols
     if not arrays.rows.size:
         return [tuple(1 if j == k else 0 for j in range(ncols)) for k in range(ncols)]
-    result = _kernel_attempt(arrays)
-    if result is None:
-        raise RuntimeError(
-            f"modular kernel failed to certify a {nrows}x{ncols} block: "
-            f"no prime set certified within the pool of {len(_PRIMES)} primes"
-        )
-    return result
-
-
-def _kernel_attempt(arrays: _ColumnArrays):
-    """The modular route: a certified basis, or None when the prime pool
-    runs out before one is found."""
-    computed: dict = {}
-    cursor = 0
-
-    def compute_next():
-        nonlocal cursor
-        if cursor >= len(_PRIMES):
-            return False
-        p = _PRIMES[cursor]
-        cursor += 1
-        computed[p] = _nullspace_mod(arrays.residues(p), p)
-        return True
-
-    def best_primes():
-        if not computed:
-            return []
-        sig = min(_pivot_signature_key(res[0]) for res in computed.values())
-        return [p for p in computed if _pivot_signature_key(computed[p][0]) == sig]
-
-    target = 1  # one prime can certify (the sandwich below)
-    while target <= len(_PRIMES):
-        good = best_primes()
-        while len(good) < target:
-            if not compute_next():
-                return None
-            good = best_primes()
-        sel = good[:target]
-        cands = _reconstruct_candidates([computed[p] for p in sel], sel)
+    best, kept = None, []  # kept: (p, nullspace mod p) of the best signature
+    target = 1
+    for p in _PRIMES:
+        res = _nullspace_mod(arrays.residues(p), p)
+        key = _pivot_signature_key(res[0])
+        if best is None or key < best:
+            best, kept = key, []
+        if key == best:
+            kept.append((p, res))
+        if len(kept) < target:
+            continue
+        cands = _reconstruct_candidates([r for _, r in kept], [q for q, _ in kept])
         if cands is not None and arrays.kills_rows(cands):
             basis = hnf_rows(cands)
             if len(basis) == len(cands):
@@ -880,21 +832,22 @@ def _kernel_attempt(arrays: _ColumnArrays):
                 # independent integer kernel vectors force rank_Q = rank_p
                 return _saturate_rows(basis, arrays)
         target += max(1, target // 2)  # more modulus needed
-    return None
+    raise RuntimeError(
+        f"modular kernel failed to certify a {arrays.nrows}x{ncols} block: "
+        f"no prime set certified within the pool of {len(_PRIMES)} primes"
+    )
 
 
 def _reconstruct_candidates(per_prime, primes):
-    """Integer candidates lifted from the nullspace bases mod the primes by
-    CRT and rational reconstruction, each distinct residue tuple once."""
-    d = per_prime[0][1].shape[0]
-    if any(pp[1].shape[0] != d for pp in per_prime[1:]):
-        return None
+    """Integer candidates lifted from the nullspace bases mod the primes
+    (of one pivot signature, so of one shape) by CRT and rational
+    reconstruction, each distinct residue tuple once."""
     residues = np.stack([pp[1] for pp in per_prime], axis=1).tolist()
     lifted = {(0,) * len(primes): (0, 1)}
     out = []
-    for k in range(d):
+    for row in residues:
         vec_fracs = []
-        for key in zip(*residues[k]):
+        for key in zip(*row):
             rec = lifted.get(key)
             if rec is None:
                 x, m = key[0], primes[0]
@@ -926,10 +879,7 @@ def kernel_lattice(m: SparseMat, method: str = "modular") -> list:
     kernel).  method="exact" runs the independent route, the Hermite
     form of [M^T | I] (small matrices; used as a cross-check).
     """
-    if any(isinstance(v, Fraction) for v in m.entries.values()):
-        rows = _integer_rows(m)
-        entries = {(i, j): v for i, row in rows.items() for j, v in row.items()}
-        m = SparseMat(m.rows, m.cols, entries)
+    m = _cleared(m, 0)
     if method == "modular":
         return _kernel_lattice_columns(m.columns(), m.rows)
     if method == "exact":
@@ -937,19 +887,17 @@ def kernel_lattice(m: SparseMat, method: str = "modular") -> list:
     raise ValueError(f"unknown kernel method {method!r}")
 
 
-def rank(m: SparseMat, method: str = "auto") -> int:
+def rank(m: SparseMat, method: str = "modular") -> int:
     """Exact rank over Q.
 
-    method="bareiss" runs fraction-free elimination; method="modular"
-    certifies cols - dim ker through the kernel machinery; "auto" picks
-    by size.  All methods return the exact rank.
+    method="modular" certifies cols - dim ker through the kernel route;
+    method="bareiss" runs the fraction-free elimination, the oracle with
+    no primes.  Both return the exact rank.
     """
-    if method == "auto":
-        method = "bareiss" if m.rows * m.cols <= 250_000 else "modular"
-    if method == "bareiss":
-        return _rank_bareiss(m)
     if method == "modular":
         return m.cols - len(kernel_lattice(m))
+    if method == "bareiss":
+        return _rank_bareiss(m)
     raise ValueError(f"unknown rank method {method!r}")
 
 
@@ -1034,8 +982,9 @@ def intersect_columnspaces(bases: list) -> SparseMat:
     nrows = bases[0].rows
     if any(b.rows != nrows for b in bases):
         raise ValueError("row counts differ")
-    current = bases[0]
-    for other in bases[1:]:
+    # a column scaled by the lcm of its denominators spans the same line
+    current, *others = (_cleared(b, 1) for b in bases)
+    for other in others:
         # x = A y = B z exactly when (y, z) is in the kernel of [A | -B]
         shifted = {(i, j + current.cols): -v for (i, j), v in other.entries.items()}
         stacked = SparseMat(nrows, current.cols + other.cols, {**current.entries, **shifted})

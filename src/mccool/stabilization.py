@@ -15,10 +15,11 @@ exactly what forces linear independence of the family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .derivations import Derivation
-from .freelie import LieElement, abc_alphabet, substitute, x_alphabet
+from .freelie import Alphabet, LieElement, abc_alphabet, substitute, x_alphabet
 from .johnson import _ABC_PAIRS, LiePolynomial, mccool_symbols, omega, tau_evaluate
 
 __all__ = [
@@ -64,6 +65,33 @@ def _as_triple(i, n: int) -> IndexTriple:
     return IndexTriple(tuple(i), n)
 
 
+@functools.lru_cache(maxsize=None)
+def _iota_images(triple: IndexTriple, source: Alphabet) -> tuple:
+    """iota_sym's letter map along the triple, from {a, b, c} or the
+    rank-3 symbols: k_st goes to k_{i_s i_t}."""
+    if source == abc_alphabet():
+        pairs = _ABC_PAIRS
+    else:
+        pairs = [(int(lab[1]), int(lab[2])) for lab in source.labels]
+    target = mccool_symbols(triple.n).alphabet
+    idx = triple.indices
+    return tuple((1, target.index(f"k{idx[s - 1]}{idx[t - 1]}")) for s, t in pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_images(triple: IndexTriple) -> tuple:
+    """pi_sym's letter map along the triple: k_ij goes to
+    k_{pos(i) pos(j)} when both indices lie in the triple, else to 0."""
+    target = mccool_symbols(3).alphabet
+    images = []
+    for a, b in mccool_symbols(triple.n).pairs:
+        if a in triple.indices and b in triple.indices:
+            images.append((1, target.index(f"k{triple.position(a)}{triple.position(b)}")))
+        else:
+            images.append(None)
+    return tuple(images)
+
+
 def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
     """Embed a rank-3 Lie polynomial into the rank-n symbols along I.
 
@@ -72,17 +100,7 @@ def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
     goes to k_{i_s i_t}.
     """
     triple = _as_triple(i, n)
-    sym_n = mccool_symbols(n)
-    if p.alphabet == abc_alphabet():
-        pairs = _ABC_PAIRS
-    else:
-        pairs = [(int(lab[1]), int(lab[2])) for lab in p.alphabet.labels]
-    images = []
-    for s, t in pairs:
-        its = triple.indices[s - 1]
-        itt = triple.indices[t - 1]
-        images.append((1, sym_n.alphabet.index(f"k{its}{itt}")))
-    return substitute(p, tuple(images), sym_n.alphabet)
+    return substitute(p, _iota_images(triple, p.alphabet), mccool_symbols(n).alphabet)
 
 
 def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
@@ -92,19 +110,9 @@ def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
     killed otherwise.
     """
     triple = _as_triple(j, n)
-    sym_n = mccool_symbols(n)
-    sym_3 = mccool_symbols(3)
-    if q.alphabet != sym_n.alphabet:
+    if q.alphabet != mccool_symbols(n).alphabet:
         raise ValueError("polynomial is not over the rank-n symbols")
-    inset = set(triple.indices)
-    images = []
-    for a, b in sym_n.pairs:
-        if a in inset and b in inset:
-            label = f"k{triple.position(a)}{triple.position(b)}"
-            images.append((1, sym_3.alphabet.index(label)))
-        else:
-            images.append(None)
-    return substitute(q, tuple(images), sym_3.alphabet)
+    return substitute(q, _pi_images(triple), mccool_symbols(3).alphabet)
 
 
 def embed_abc(p: LiePolynomial) -> LiePolynomial:

@@ -189,39 +189,28 @@ def act_on_derivation(sigma: S3Element, d: Derivation) -> Derivation:
     return Derivation(d.alphabet, d.degree, images)
 
 
-class _StaircaseBasis:
-    """Kernel basis in Hermite staircase form, for exact coordinate solves.
+def _staircase_coords(cols, target: LiePolynomial):
+    """Integer coordinates of target in a kernel basis, or None when it
+    lies outside the basis's span.
 
-    Vector i has its leading Lyndon word at a row where all later
-    vectors vanish, so a forward triangular solve plus a full exact
-    check decides membership.
+    cols are the Lyndon coordinates of the basis vectors, in Hermite
+    staircase form: vector i leads at a row where all later vectors
+    vanish, so a forward triangular solve plus a full exact check
+    decides membership.  The basis spans a saturated lattice, which holds
+    every integer vector of its rational span, so a pivot that does not
+    divide means target is outside the span.
     """
-
-    def __init__(self, basis):
-        self.cols = [coordinates(p) for p in basis]
-        self.lead = [col[0] for col in self.cols]
-
-    def coords(self, target: LiePolynomial):
-        """Exact coordinates of target, or None if it is outside the span.
-
-        A coordinate is an int when its pivot divides exactly and a
-        Fraction only when it does not.
-        """
-        if not self.cols:
-            return [] if target.is_zero() else None
-        residue = dict(coordinates(target))
-        coords = []
-        for col, (lead_row, piv) in zip(self.cols, self.lead):
-            val = residue.get(lead_row, 0)
-            x, rem = divmod(val, piv)
-            if rem:
-                x = Fraction(val, piv)
-            coords.append(x)
-            if x:
-                _add_into(residue, col, -x)
-        if residue:
+    residue = dict(coordinates(target))
+    coords = []
+    for col in cols:
+        lead_row, piv = col[0]
+        x, rem = divmod(residue.get(lead_row, 0), piv)
+        if rem:
             return None
-        return coords
+        coords.append(x)
+        if x:
+            _add_into(residue, col, -x)
+    return None if residue else coords
 
 
 def kernel_character(k: int) -> Character:
@@ -234,21 +223,17 @@ def kernel_character(k: int) -> Character:
     basis = list(rep.kernel_basis)
     if not basis:
         return Character(0, 0, 0)
-    stair = _StaircaseBasis(basis)
+    cols = [coordinates(p) for p in basis]
     traces = {}
     for sigma in (S3_12, S3_123):
-        tr = Fraction(0)
+        traces[sigma] = 0
         for t, p in enumerate(basis):
-            image = act_on_polynomial(sigma, p)
-            coords = stair.coords(image)
+            coords = _staircase_coords(cols, act_on_polynomial(sigma, p))
             if coords is None:
                 raise KernelNotStable(
                     f"sigma={sigma} moved a degree-{k} kernel vector off the kernel"
                 )
-            tr += coords[t]
-        if tr.denominator != 1:
-            raise KernelNotStable("non-integral trace")
-        traces[sigma] = int(tr)
+            traces[sigma] += coords[t]
     return Character(len(basis), traces[S3_12], traces[S3_123])
 
 

@@ -89,7 +89,11 @@ class TestRank:
 
     def test_rational_entries(self):
         m = SparseMat(2, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-        assert rank(m) == 1
+        assert rank(m) == rank(m, "bareiss") == 1
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown rank method 'auto'"):
+            rank(SparseMat.identity(2), "auto")
 
 
 class TestKernel:
@@ -167,7 +171,7 @@ class TestKernel:
 
     @staticmethod
     def _count_primes(monkeypatch):
-        # only _kernel_attempt takes the residues of the matrix mod a prime
+        # only _kernel_block takes the residues of the matrix mod a prime
         used = []
         residues = _ColumnArrays.residues
 
@@ -365,14 +369,14 @@ class TestFallback:
         from mccool import exactla
 
         def broken(*args):
-            raise RuntimeError("hnf_rows entries exceed the supported range")
+            raise RuntimeError("int64 elimination bound fails")
 
         def exact(*args):
             raise AssertionError("exact route must not run")
 
-        monkeypatch.setattr(exactla, "_kernel_attempt", broken)
+        monkeypatch.setattr(exactla, "_nullspace_mod", broken)
         monkeypatch.setattr(exactla, "_kernel_exact", exact)
-        with pytest.raises(RuntimeError, match="supported range"):
+        with pytest.raises(RuntimeError, match="elimination bound fails"):
             kernel_lattice(SparseMat.from_dense([[1, 1]]))
 
     def test_saturation_too_hard_falls_back_to_exact(self, monkeypatch):
@@ -650,11 +654,17 @@ class TestColumnArrays:
         assert (csr.nrows, csr.ncols, csr.amax) == (arrays.nrows, arrays.ncols, arrays.amax)
         assert len(arrays) == 3
         assert list(arrays) == columns
-        assert [arrays[j] for j in range(3)] == columns
         assert all(type(v) is int for col in arrays for _, v in col)
-        for j in (-1, 3):
-            with pytest.raises(IndexError):
-                arrays[j]
+
+    def test_values_keep_their_exact_dtype(self):
+        # numpy's own inference would make [-1, 2^63] float64 and [2^63]
+        # uint64; the values go through _exact_array, which keeps them
+        columns = [[(0, -1), (1, 1 << 63)]]
+        arrays = _ColumnArrays(columns, 2)
+        assert arrays.vals.dtype == object and arrays.amax == 1 << 63
+        assert list(arrays) == columns
+        assert _ColumnArrays([[(0, 1 << 63)]], 1).vals.tolist() == [1 << 63]
+        assert _ColumnArrays([[(0, (1 << 63) - 1)]], 1).vals.dtype == np.int64
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_columns, st.sampled_from([0, 20, 62, 70]), st.data())
@@ -996,6 +1006,13 @@ class TestIntersection:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             intersect_columnspaces([SparseMat(2, 1), SparseMat(3, 1)])
+
+    def test_fraction_entries(self):
+        half = SparseMat(2, 1, {(0, 0): Fraction(1, 2)})
+        assert intersect_columnspaces([half, SparseMat.identity(2)]) == SparseMat(2, 1, {(0, 0): 1})
+        thirds = SparseMat(2, 1, {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 2)})
+        inter = intersect_columnspaces([SparseMat.identity(2), thirds])
+        assert inter == SparseMat(2, 1, {(0, 0): 2, (1, 0): 3})
 
 
 class TestMatrixText:

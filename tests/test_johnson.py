@@ -248,6 +248,39 @@ class TestKernelReports:
         assert kernel_report(k).kernel_basis == expected
 
 
+class TestKernelBlocks:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_each_block_equals_exact_route(self, k):
+        # the Hermite form of [M^T | I], with no primes, per block
+        from mccool import exactla
+        from mccool.johnson import _abc_tau_map
+
+        arrays = _abc_tau_map().tau_arrays(k)
+        for cols in exactla._column_blocks(arrays):
+            block = arrays.block(cols)
+            assert exactla._kernel_exact(list(block), block.nrows) == exactla._kernel_block(block)
+
+    @pytest.mark.parametrize("k, calls", [(8, 87), (9, 152)])
+    def test_primes_per_degree(self, k, calls, monkeypatch):
+        # one elimination per block and prime: 86 blocks at k = 8 and 141
+        # at k = 9, plus the further primes of the blocks whose first prime
+        # does not certify
+        from mccool import exactla
+        from mccool.johnson import _abc_tau_map
+
+        arrays = _abc_tau_map().tau_arrays(k)
+        solve = exactla._nullspace_mod
+        primes = []
+
+        def counted(a, p):
+            primes.append(p)
+            return solve(a, p)
+
+        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+        exactla._kernel_lattice_columns(arrays, arrays.nrows)
+        assert len(primes) == calls
+
+
 class TestClearCaches:
     def test_reports_recompute_equal(self):
         import mccool
@@ -343,6 +376,22 @@ class TestTauArrays:
 
 
 class TestBracketMap:
+    def test_modular_rank_equals_bareiss_oracle(self, monkeypatch):
+        # the rank behind each report comes from the certified kernel; the
+        # fraction-free elimination, with no primes, agrees on the matrix
+        from mccool import exactla
+
+        rank = exactla.rank
+        ranks = []
+
+        def both(m, method="modular"):
+            ranks.append((rank(m, method), rank(m, "bareiss")))
+            return ranks[-1][0]
+
+        monkeypatch.setattr(exactla, "rank", both)
+        assert [bracket_map_rank(k).rank for k in range(5, 9)] == [0, 3, 18, 72]
+        assert ranks == [(0, 0), (3, 3), (18, 18), (72, 72)]
+
     def test_degree5(self):
         rep = bracket_map_rank(5)
         assert rep.rank == 0

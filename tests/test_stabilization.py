@@ -156,3 +156,15 @@ class TestIndependence:
             independence_certificate(2)
         with pytest.raises(ValueError):
             independence_certificate(8)
+
+    def test_letter_maps_are_built_once_per_triple(self):
+        # 10 triples of {1..5}: pi_sym runs 100 times over the grid and
+        # iota_sym 10 times, plus once along (1, 2, 3) in rank 3 for embed_abc
+        from mccool import stabilization
+
+        stabilization._pi_images.cache_clear()
+        stabilization._iota_images.cache_clear()
+        assert independence_certificate(5).verified
+        pi, iota = stabilization._pi_images.cache_info(), stabilization._iota_images.cache_info()
+        assert (pi.misses, pi.hits) == (10, 90)
+        assert (iota.misses, iota.hits) == (11, 0)
