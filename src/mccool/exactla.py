@@ -371,6 +371,18 @@ class _ColumnArrays:
         )
         return out
 
+    @classmethod
+    def hstack(cls, parts) -> "_ColumnArrays":
+        """The columns of every part, side by side, in order; the parts
+        must have the same number of rows."""
+        nrows = parts[0].nrows
+        if any(part.nrows != nrows for part in parts):
+            raise ValueError("row counts differ")
+        offsets = np.cumsum([0] + [part.rows.size for part in parts])
+        indptr = np.concatenate([[0]] + [part.indptr[1:] + off for part, off in zip(parts, offsets)])
+        rows = np.concatenate([part.rows for part in parts])
+        return cls.from_csr(indptr, rows, np.concatenate([part.vals for part in parts]), nrows)
+
     def _set(self, indptr, rows, vals, nrows) -> None:
         self.indptr, self.rows, self.vals = indptr, rows, vals
         self.nrows = nrows
@@ -905,23 +917,27 @@ def rank(m: SparseMat, method: str = "modular") -> int:
 # Smith normal form
 
 
-def smith_normal_form(m: SparseMat, max_cols: int = 5000) -> SNFResult:
+def smith_normal_form(m: "SparseMat | _ColumnArrays", max_cols: int = 5000) -> SNFResult:
     """Elementary divisors d1 | d2 | ... (positive, nonzero ones only).
 
-    Up to a permutation of rows and columns the matrix is the direct sum
-    of its _column_blocks, so it is equivalent to the diagonal of all the
-    blocks' pivots, which _invariant_factors turns into the divisor chain.
+    m is a SparseMat or, as kernel_report passes its tau matrix, a
+    _ColumnArrays, which is read as it is.  Up to a permutation of rows
+    and columns the matrix is the direct sum of its _column_blocks, so it
+    is equivalent to the diagonal of all the blocks' pivots, which
+    _invariant_factors turns into the divisor chain.
     """
-    if m.cols > max_cols:
+    ncols = m.ncols if isinstance(m, _ColumnArrays) else m.cols
+    if ncols > max_cols:
         raise ValueError(
-            f"matrix has {m.cols} columns; raise max_cols to run SNF this large"
+            f"matrix has {ncols} columns; raise max_cols to run SNF this large"
         )
-    if any(isinstance(v, Fraction) for v in m.entries.values()):
-        raise ValueError("smith_normal_form requires integer entries")
-    arrays = _ColumnArrays(m.columns(), m.rows)
+    if isinstance(m, SparseMat):
+        if any(isinstance(v, Fraction) for v in m.entries.values()):
+            raise ValueError("smith_normal_form requires integer entries")
+        m = _ColumnArrays(m.columns(), m.rows)
     diagonal = []
-    for cols in _column_blocks(arrays):
-        block = arrays.block(cols)
+    for cols in _column_blocks(m):
+        block = m.block(cols)
         if block.rows.size:
             diagonal.extend(_smith_diagonal(block))
     return SNFResult(_invariant_factors(diagonal))

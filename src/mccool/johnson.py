@@ -18,7 +18,7 @@ re-evaluation of tau.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "BracketMapReport",
     "tau_generator",
     "tau_evaluate",
+    "tau_apply",
     "omega",
     "kernel_report",
     "bracket_map_rank",
@@ -105,16 +106,23 @@ class TauMap:
     tau(b(w)) of a Lyndon word w over the symbols, tau_generator for a
     letter and, for the standard factorization w = (u, v), the der_bracket
     of tau(b(u)) and tau(b(v)), whose own word memos hold the single-word
-    applications.  evaluate() reads these, so it touches only the words
-    of its input: over McCool alphabets of dozens of symbols no table of
-    a whole degree could be built.  Images of degree-k words have degree
-    k + 1, so evaluate() at degree k needs freelie.degree_cap() >= k + 1.
+    applications.  evaluate() and apply() read these, so they touch only
+    the words of their input: over McCool alphabets of dozens of symbols
+    no table of a whole degree could be built.  Images of degree-k words
+    have degree k + 1, so evaluate() at degree k needs
+    freelie.degree_cap() >= k + 1.  Readers: tau_evaluate (the
+    stabilization certificate over McCool symbols, the S3 equivariance
+    check, verify-omega, sd_tau) and tau_apply (the action of g on h in
+    psigma3.sd_bracket).
 
     Per degree, for the kernel solve: tau_arrays(k) is the matrix of tau
     on every Lyndon word of degree k, built by batched array products
     from the matrices of the lower degrees (_DegreeBuild); it makes no
-    Derivation and no LieElement, so no degree cap applies to it.  Tests
-    check the two granularities against each other.
+    Derivation and no LieElement, so no degree cap applies to it.
+    Readers: kernel_report (the solve, the _tau_kills certificate and the
+    Smith form), bracket_map_rank, and psigma3.sd_tau_kernel, which
+    stacks it beside the inner columns.  Tests check the two
+    granularities against each other.
     """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
@@ -145,6 +153,21 @@ class TauMap:
         alphabet = x_alphabet(self.n)
         images = tuple(LieElement(alphabet, p.degree + 1, d, _trust=True) for d in acc)
         return Derivation(alphabet, p.degree, images)
+
+    def apply(self, p: LiePolynomial, x: LieElement) -> LieElement:
+        """tau(p) applied to x, by linearity in p: the sum of
+        c_w * tau(b(w))(x), read from the word memos of the per-word
+        Derivations, so no Derivation of p itself is built."""
+        if p.alphabet != self.symbol_alphabet:
+            raise ValueError("symbol alphabet mismatch")
+        if x.alphabet != x_alphabet(self.n):
+            raise ValueError("alphabet mismatch")
+        acc: dict = {}
+        for word, c in p.coeffs.items():
+            apply_word = self.of_word(word)._apply_word
+            for u, cu in x.coeffs.items():
+                _add_into(acc, apply_word(u), c * cu)
+        return LieElement(x.alphabet, p.degree + x.degree, acc, _trust=True)
 
     def tau_arrays(self, k: int) -> exactla._ColumnArrays:
         """The degree-k tau matrix as column arrays, built once per degree.
@@ -482,6 +505,11 @@ def tau_evaluate(p: LiePolynomial) -> Derivation:
     return tau_map_for(p.alphabet).evaluate(p)
 
 
+def tau_apply(p: LiePolynomial, x: LieElement) -> LieElement:
+    """tau(P)(x), equal to apply(tau_evaluate(P), x), without building tau(P)."""
+    return tau_map_for(p.alphabet).apply(p, x)
+
+
 # ---------------------------------------------------------------------------
 # omega
 
@@ -555,9 +583,10 @@ def sign_normalize(p: LiePolynomial) -> LiePolynomial:
 def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
     """Kernel of tau_k on g for n = 3, with a certified integer basis.
 
-    with_divisors additionally computes the elementary divisors of the
-    tau_k matrix (exact Smith form; about 0.5 s at k = 8 on a 2-core
-    machine, and about 70 s at k = 9 when last measured).
+    with_divisors returns the cached report of the degree with the
+    elementary divisors of its tau arrays added (exact Smith form; about
+    0.5 s at k = 8 on a 2-core machine, and about 70 s at k = 9 when last
+    measured).
     """
     if not (1 <= k <= KERNEL_DEGREE_CAP):
         raise ValueError(
@@ -566,12 +595,11 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
         )
     engine = _abc_tau_map()
     arrays = engine.tau_arrays(k)
+    if with_divisors:
+        report = kernel_report(k)
+        return replace(report, elementary_divisors=exactla.smith_normal_form(arrays).divisors)
     domain = lyndon_tuples(3, k)
     basis_vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
-    divisors = None
-    if with_divisors:
-        mat = SparseMat.from_columns(list(arrays), arrays.nrows)
-        divisors = exactla.smith_normal_form(mat).divisors
     alphabet = abc_alphabet()
     basis = tuple(sign_normalize(from_coordinates(alphabet, k, v)) for v in basis_vecs)
     # certify by re-evaluation: tau of each basis element must vanish
@@ -587,7 +615,6 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
         image_rank=len(domain) - dim,
         kernel_dim=dim,
         kernel_basis=basis,
-        elementary_divisors=divisors,
     )
 
 

@@ -2,11 +2,15 @@
 
 It decomposes as a semidirect product h x| g of two free Lie rings: h on
 the inner classes C1, C2, C3 and g on a, b, c, with g acting on h
-through tau under the identification C_i <-> X_i.  The combined Johnson
-map sd_tau is ad on the h part plus tau on the g part; its kernel in
-every degree lives in the g summand.  intersection_kappa checks this
-independently through the S3 translates of g: g ^ c.g ^ c^2.g is the
-kernel of the h-parts of the c- and c^2-translates of g, stacked.
+through tau under the identification C_i <-> X_i, which sd_bracket
+applies with johnson.tau_apply through the tau engine's per-word memos.
+The combined Johnson map sd_tau is ad on the h part plus tau on the g
+part; its kernel in every degree lives in the g summand.  sd_tau_kernel
+solves ad on the inner words stacked beside johnson's tau arrays of the
+degree, and certifies the basis by an exact product with that matrix.
+intersection_kappa checks this independently through the S3 translates
+of g: g ^ c.g ^ c^2.g is the kernel of the h-parts of the c- and
+c^2-translates of g, stacked.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import functools
 from dataclasses import dataclass
 
 from . import exactla
-from .derivations import Derivation, apply as der_apply, inner_derivation
+from .derivations import Derivation, inner_derivation
 from .freelie import (
     Alphabet,
     LieElement,
@@ -26,7 +30,7 @@ from .freelie import (
     substitute,
     x_alphabet,
 )
-from .johnson import _ABC_PAIRS, tau_evaluate
+from .johnson import _ABC_PAIRS, _abc_tau_map, tau_apply, tau_evaluate
 from .symmetry import _SYMBOL_CLASSES, S3Element, _permutation_images
 from .words import lyndon_tuples, standard_factorization, witt_dimension
 
@@ -112,9 +116,9 @@ def sd_bracket(u: SDElement, v: SDElement) -> SDElement:
     """Bracket of the semidirect product: g acts on h through tau."""
     h = lie_bracket(u.hpart, v.hpart)
     if not u.gpart.is_zero() and not v.hpart.is_zero():
-        h = h + _x_to_c(der_apply(tau_evaluate(u.gpart), _c_to_x(v.hpart)))
+        h = h + _x_to_c(tau_apply(u.gpart, _c_to_x(v.hpart)))
     if not v.gpart.is_zero() and not u.hpart.is_zero():
-        h = h - _x_to_c(der_apply(tau_evaluate(v.gpart), _c_to_x(u.hpart)))
+        h = h - _x_to_c(tau_apply(v.gpart, _c_to_x(u.hpart)))
     return SDElement(h, lie_bracket(u.gpart, v.gpart))
 
 
@@ -181,25 +185,37 @@ def _sd_basis(k: int):
     ]
 
 
+def _sd_tau_arrays(k: int) -> exactla._ColumnArrays:
+    """The matrix of sd_tau on _sd_basis(k), column j as sd_tau(b_j).column():
+    ad of the inner words, then tau_arrays(k), the degree's tau matrix."""
+    tau = _abc_tau_map().tau_arrays(k)
+    inner = [
+        inner_derivation(LieElement(x_alphabet(3), k, {w: 1}, _trust=True)).column()
+        for w in lyndon_tuples(3, k)
+    ]
+    return exactla._ColumnArrays.hstack([exactla._ColumnArrays(inner, tau.nrows), tau])
+
+
 @functools.lru_cache(maxsize=None)
 def sd_tau_kernel(k: int):
-    """Kernel of sd_tau in degree k: a list of SDElements (certified basis)."""
+    """Kernel of sd_tau in degree k: a list of SDElements (certified basis).
+
+    One certified solve of _sd_tau_arrays(k); every basis vector is then
+    checked by an exact product with those same arrays."""
     if k < 1:
         raise ValueError("degree must be >= 1")
-    cols = [sd_tau(b).column() for b in _sd_basis(k)]
-    vecs = exactla._kernel_lattice_columns(cols, 3 * witt_dimension(3, k + 1))
+    arrays = _sd_tau_arrays(k)
+    vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
+    if not arrays.kills_rows(vecs):
+        raise exactla.CertificateError("sd_tau kernel vector not killed by the sd_tau matrix")
     w = witt_dimension(3, k)
-    out = [
+    return [
         SDElement(
             from_coordinates(c_alphabet(), k, v[:w]),
             from_coordinates(abc_alphabet(), k, v[w:]),
         )
         for v in vecs
     ]
-    for u in out:
-        if not sd_tau(u).is_zero():
-            raise exactla.CertificateError("sd_tau kernel vector failed re-evaluation")
-    return out
 
 
 def _g_translate_columns(sigma: S3Element, k: int):

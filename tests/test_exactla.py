@@ -364,7 +364,7 @@ class TestBlockSplit:
         assert [b.tolist() for b in blocks] == [list(range(n))]
 
 
-class TestFallback:
+class TestModularRouteAlone:
     def test_runtime_error_in_modular_route_is_not_hidden(self, monkeypatch):
         from mccool import exactla
 
@@ -379,7 +379,7 @@ class TestFallback:
         with pytest.raises(RuntimeError, match="elimination bound fails"):
             kernel_lattice(SparseMat.from_dense([[1, 1]]))
 
-    def test_saturation_too_hard_falls_back_to_exact(self, monkeypatch):
+    def test_large_entry_block_certifies_in_the_modular_route(self, monkeypatch):
         # the candidates (-big, 2, 0) and (-big, 0, 2) span an index-2
         # sublattice with entries beyond int64: a saturation that once gave
         # up and fell back to the exact route now ends in the modular route
@@ -405,7 +405,7 @@ class TestFallback:
         assert [max(map(abs, r)) >= 1 << 63 for r in inputs[0]] == [True, False]
         assert inputs[0] != expected  # saturation was needed
 
-    def test_both_routes_failing_names_route_shape_and_cause(self, monkeypatch):
+    def test_each_route_names_its_failure(self, monkeypatch):
         # one 23-bit prime cannot reconstruct the kernel vector (1, 2^61)
         from mccool import exactla
 
@@ -697,6 +697,21 @@ class TestColumnArrays:
         assert arrays.block([1]).vals.dtype == np.int64
         assert arrays.block([2]).vals.dtype == np.int16
 
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_columns, st.sampled_from([0, 20, 70]), st.data())
+    def test_hstack_equals_one_build(self, shaped, bits, data):
+        nrows, shape = shaped
+        columns = [sorted({i: v << bits for i, v in col}.items()) for col in shape]
+        cut = data.draw(st.integers(0, len(columns)))
+        parts = [_ColumnArrays(columns[:cut], nrows), _ColumnArrays(columns[cut:], nrows)]
+        stacked, whole = _ColumnArrays.hstack(parts), _ColumnArrays(columns, nrows)
+        for name in ("indptr", "rows", "vals"):
+            got, want = getattr(stacked, name), getattr(whole, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+        assert (stacked.nrows, stacked.ncols, stacked.amax) == (whole.nrows, whole.ncols, whole.amax)
+        with pytest.raises(ValueError, match="row counts differ"):
+            _ColumnArrays.hstack([parts[0], _ColumnArrays(columns, nrows + 1)])
+
     def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
         from mccool import exactla
         from mccool.johnson import kernel_report
@@ -886,10 +901,14 @@ class TestSNF:
         for a, b in zip(snf.divisors, snf.divisors[1:]):
             assert b % a == 0
         assert all(d > 0 for d in snf.divisors)
+        # column arrays are read as they are, with the same divisors
+        assert smith_normal_form(_ColumnArrays(m.columns(), m.rows)) == snf
 
     def test_column_guard(self):
         with pytest.raises(ValueError):
             smith_normal_form(SparseMat(1, 6000), max_cols=5000)
+        with pytest.raises(ValueError, match="6000 columns"):
+            smith_normal_form(_ColumnArrays([[]] * 6000, 1), max_cols=5000)
 
     def test_fraction_entries_rejected(self):
         with pytest.raises(ValueError, match="integer entries"):

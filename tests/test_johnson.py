@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -21,6 +22,7 @@ from mccool.johnson import (
     kernel_report,
     omega,
     sign_normalize,
+    tau_apply,
     tau_evaluate,
     tau_generator,
 )
@@ -84,6 +86,31 @@ class TestTauEvaluate:
         lhs = tau_evaluate(lie_bracket(p, q))
         rhs = der_bracket(tau_evaluate(p), tau_evaluate(q))
         assert lhs == rhs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tau_apply_is_apply_of_tau_evaluate(self, data):
+        p = data.draw(lie_elements(abc_alphabet(), data.draw(st.integers(1, 5))))
+        x = data.draw(lie_elements(x_alphabet(3), data.draw(st.integers(1, 5))))
+        assert tau_apply(p, x) == apply(tau_evaluate(p), x)
+
+    def test_tau_apply_over_mccool_symbols(self, rng):
+        sym = McCoolSymbols(4)
+        for _ in range(10):
+            p = random_lie_element(rng, sym.alphabet, rng.randint(1, 3))
+            x = random_lie_element(rng, x_alphabet(4), rng.randint(1, 3))
+            assert tau_apply(p, x) == apply(tau_evaluate(p), x)
+
+    def test_tau_apply_alphabet_errors(self):
+        a = LieElement.generator(abc_alphabet(), "a")
+        x1 = LieElement.generator(x_alphabet(3), "X1")
+        for wrong in (LieElement.generator(x_alphabet(4), "X1"), a):
+            with pytest.raises(ValueError, match="alphabet mismatch"):
+                apply(tau_evaluate(a), wrong)
+            with pytest.raises(ValueError, match="alphabet mismatch"):
+                tau_apply(a, wrong)
+        with pytest.raises(ValueError, match="no tau context"):
+            tau_apply(x1, x1)
 
     @pytest.mark.parametrize(
         "alphabet, max_degree",
@@ -175,6 +202,15 @@ class TestKernelReports:
         # element, which test_degree6 certifies
         rep = kernel_report(6, with_divisors=True)
         assert sorted(rep.elementary_divisors) == [1] * 113 + [2, 2]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_divisors_are_added_to_the_cached_report(self, k):
+        plain = kernel_report(k)
+        full = kernel_report(k, with_divisors=True)
+        assert plain.elementary_divisors is None
+        assert len(full.elementary_divisors) == plain.image_rank
+        assert dataclasses.replace(full, elementary_divisors=None) == plain
+        assert full.kernel_basis is plain.kernel_basis  # not solved again
 
     def test_degree7_divisors(self):
         rep = kernel_report(7, with_divisors=True)

@@ -7,6 +7,8 @@ from mccool.freelie import LieElement, abc_alphabet, coordinates, lie_bracket, x
 from mccool.johnson import kernel_report, tau_generator
 from mccool.psigma3 import (
     SDElement,
+    _sd_basis,
+    _sd_tau_arrays,
     c_alphabet,
     intersection_kappa,
     sd_bracket,
@@ -125,6 +127,45 @@ class TestSDTau:
             cols.append(sorted(col))
         m = SparseMat.from_columns(cols, 3 * wd)
         assert rank(m, "modular" if k > 6 else "bareiss") == witt_dimension(3, k)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_stacked_matrix_is_the_per_word_route(self, k):
+        # the inner columns beside tau_arrays(k) are the columns of sd_tau
+        # on the basis, evaluated word by word through tau_evaluate
+        arrays = _sd_tau_arrays(k)
+        assert arrays.nrows == 3 * witt_dimension(3, k + 1)
+        assert list(arrays) == [sd_tau(b).column() for b in _sd_basis(k)]
+
+    def test_corrupted_basis_vector_is_refused(self, monkeypatch):
+        # negative control: a basis vector moved off the kernel by one unit
+        # must fail the exact product with the stacked matrix
+        from mccool import exactla
+
+        solve = exactla._kernel_lattice_columns
+
+        def corrupted(columns, nrows):
+            basis = [list(v) for v in solve(columns, nrows)]
+            basis[0][0] += 1
+            return [tuple(v) for v in basis]
+
+        monkeypatch.setattr(exactla, "_kernel_lattice_columns", corrupted)
+        with pytest.raises(exactla.CertificateError, match="not killed by the sd_tau matrix"):
+            sd_tau_kernel.__wrapped__(6)
+
+    def test_results_recompute_equal_after_clear_caches(self, rng):
+        import mccool
+
+        pairs = [(random_sd(rng, rng.randint(1, 3)), random_sd(rng, rng.randint(1, 4))) for _ in range(20)]
+
+        def results():
+            return [sd_bracket(u, v) for u, v in pairs], [sd_tau_kernel(k) for k in range(1, 8)]
+
+        before = results()
+        mccool.clear_caches()
+        assert not sd_tau_kernel.cache_info().currsize
+        after = results()
+        assert after[1][6] is not before[1][6]
+        assert after == before
 
     def test_image_intersection_trivial(self):
         # tau(h) and tau(g) intersect trivially in low degrees: the
