@@ -93,7 +93,8 @@ def cmd_kernel(config: RunConfig):
     k = config.degree
     if k is None:
         raise SystemExit("kernel requires --degree")
-    rep = johnson.kernel_report(k, with_divisors=config.with_divisors)
+    # the plain report under kernel_report(k), the memo key every other caller uses
+    rep = johnson.kernel_report(k, with_divisors=True) if config.with_divisors else johnson.kernel_report(k)
     payload = rep.to_json_dict()
     payload["command"] = "kernel"
     payload["ring"] = "z"  # kernel lattices are over the integers

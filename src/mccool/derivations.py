@@ -4,8 +4,8 @@ A degree-k derivation (k >= 1) is stored by its tuple of images of the
 degree-1 generators, each a degree-(k+1) LieElement; the Leibniz rule
 then determines it everywhere.  apply() and der_bracket() (and so tau)
 evaluate by structural recursion over standard bracketings, with a
-per-derivation memo of word images; apply_via_tensor() is the
-independent cross-check route through the tensor ring (a test oracle).
+per-derivation memo of word images as coefficient dicts, which recursion
+reuses; apply_via_tensor() is the tensor-ring cross-check (a test oracle).
 """
 
 from __future__ import annotations
@@ -125,14 +125,14 @@ class Derivation:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _apply_word(self, word) -> tuple:
-        """Image of the standard bracketing of a Lyndon word, as items."""
+    def _apply_word(self, word):
+        """Image of b(word) as the items of its memoized coefficient dict."""
         cache = self._cache
         hit = cache.get(word)
         if hit is not None:
-            return hit
+            return hit.items()
         if len(word) == 1:
-            res = tuple(self.images[word[0]].coeffs.items())
+            acc = self.images[word[0]].coeffs
         else:
             t1, t2 = standard_factorization(word)
             # inline, not _add_into: a call per term slows der_bracket ~12%
@@ -151,9 +151,8 @@ class Derivation:
                         acc[w2] = val
                     elif w2 in acc:
                         del acc[w2]
-            res = tuple(acc.items())
-        cache[word] = res
-        return res
+        cache[word] = acc
+        return acc.items()
 
 
 def apply(d: Derivation, u: LieElement) -> LieElement:

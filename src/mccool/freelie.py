@@ -8,7 +8,8 @@ brackets are provided and must agree:
   * "tensor": expand both sides in the tensor ring via [x,y] -> xy - yx,
     multiply, and convert back with from_tensor.  This is the reference
     route; it relies only on the unitriangularity of Lyndon expansions
-    (b(w) = w + lexicographically larger words of the same degree).
+    (b(w) = w + lexicographically larger words of the same degree).  Its
+    memo holds what recursion reuses: the expansions of standard factors.
 
   * "table": division-free rewriting of [b(u), b(v)] using the classical
     recursion on the right standard factorization u = u1 u2 of the
@@ -181,9 +182,9 @@ def _conv(a: dict, b: dict) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _expand(word: Word) -> dict:
-    """Tensor expansion of the standard bracketing of a Lyndon word."""
+def _expansion(word: Word) -> dict:
+    """Tensor expansion of b(word), from the memoized expansions of its
+    standard factors; only the recursion reads that memo, _expand."""
     if len(word) == 1:
         return {word: 1}
     u, v = standard_factorization(word)
@@ -191,6 +192,9 @@ def _expand(word: Word) -> dict:
     out = _conv(eu, ev)
     _add_into(out, _conv(ev, eu).items(), -1)
     return out
+
+
+_expand = functools.lru_cache(maxsize=None)(_expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +368,20 @@ class LieElement(_Element):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieElement":
-        """Inverse of to_json_dict.  A coefficient that is not an integer
-        or a "p/q" string, an unknown letter or a repeated word raises
-        ValueError naming the term."""
+        """Inverse of to_json_dict.  A missing key, a term whose word does not
+        parse over the alphabet or whose coefficient is not an integer or a
+        "p/q" string, or a repeated word raises ValueError naming it."""
+        if missing := [key for key in ("alphabet", "degree", "terms") if key not in data]:
+            raise ValueError(f"missing key {missing[0]!r}")
         alphabet = Alphabet(tuple(data["alphabet"]))
         coeffs = {}
         for term in data["terms"]:
-            coeff = term["coeff"]
             try:
-                word = alphabet.parse_word(term["word"])
+                word, coeff = alphabet.parse_word(term["word"]), term["coeff"]
                 if isinstance(coeff, str):
                     coeff = Fraction(coeff) if "/" in coeff else int(coeff)
                 _check_coeff(coeff)
-            except (KeyError, ValueError, TypeError, ZeroDivisionError):
+            except (AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError):
                 raise ValueError(f"bad term {term!r}") from None
             if word in coeffs:
                 raise ValueError(f"term {term!r} repeats an earlier word")
@@ -418,7 +423,7 @@ def to_tensor(u: LieElement) -> TensorElement:
     """Expand into the tensor ring via [x, y] -> xy - yx on basis brackets."""
     out: dict = {}
     for word, c in u.coeffs.items():
-        _add_into(out, _expand(word).items(), c)
+        _add_into(out, _expansion(word).items(), c)
     return TensorElement(u.alphabet, u.degree, out, _trust=True)
 
 
@@ -437,7 +442,7 @@ def from_tensor(t: TensorElement) -> LieElement:
             raise NotALieElement(f"leading word {word!r} of residue is not Lyndon")
         c = residue[word]
         out[word] = c
-        _add_into(residue, _expand(word).items(), -c)
+        _add_into(residue, _expansion(word).items(), -c)
     return LieElement(t.alphabet, t.degree, out, _trust=True)
 
 

@@ -583,10 +583,10 @@ def sign_normalize(p: LiePolynomial) -> LiePolynomial:
 def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
     """Kernel of tau_k on g for n = 3, with a certified integer basis.
 
-    with_divisors returns the cached report of the degree with the
-    elementary divisors of its tau arrays added (exact Smith form; about
-    0.5 s at k = 8 on a 2-core machine, and about 70 s at k = 9 when last
-    measured).
+    with_divisors adds the elementary divisors of the tau arrays to the
+    cached report kernel_report(k), the plain report's one memo key (exact
+    Smith form; about 0.5 s at k = 8 on a 2-core machine, about 70 s at
+    k = 9 when last measured).
     """
     if not (1 <= k <= KERNEL_DEGREE_CAP):
         raise ValueError(

@@ -12,9 +12,10 @@ generators; the count is given by the Witt formula
     witt(n, k) = (1/k) * sum_{d | k} mobius(d) * n^(k/d).
 
 The right standard factorization of a Lyndon word w with len(w) >= 2 is
-w = u v where v is the longest proper suffix of w that is Lyndon; then u
-is Lyndon as well and u < v.  Iterating it yields the standard bracketing
-tree of w.
+w = u v where v is the longest proper Lyndon suffix of w, which is its
+lexicographically smallest proper suffix (Lothaire 1983; Reutenauer
+1993); then u is Lyndon as well and u < v.  Iterating it yields the
+standard bracketing tree of w.
 """
 
 from __future__ import annotations
@@ -99,16 +100,13 @@ def witt_dimension(n: int, k: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def standard_factorization(word: Word) -> tuple[Word, Word]:
-    """Right standard factorization w = u v, v the longest proper Lyndon suffix."""
+    """Right standard factorization w = u v, v the smallest proper suffix."""
     if len(word) < 2:
         raise ValueError("standard factorization needs length >= 2")
     if not is_lyndon(word):
         raise ValueError(f"{word!r} is not a Lyndon word")
-    for start in range(1, len(word)):
-        v = word[start:]
-        if is_lyndon(v):
-            return word[:start], v
-    raise AssertionError("unreachable: single letters are Lyndon")
+    v = min(word[start:] for start in range(1, len(word)))
+    return word[: len(word) - len(v)], v
 
 
 @functools.lru_cache(maxsize=None)

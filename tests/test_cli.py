@@ -62,6 +62,18 @@ class TestKernel:
         assert code == 0
         assert json.loads(out)["ring"] == "z"
 
+    @pytest.mark.parametrize("extra", [[], ["--divisors"]], ids=["plain", "divisors"])
+    def test_plain_report_is_solved_once(self, capsys, extra):
+        # the command files the plain report under kernel_report(k), so the
+        # next call with that key is a hit, not a second solve
+        report = mccool.johnson.kernel_report
+        report.cache_clear()
+        run_cli(capsys, ["kernel", "--degree", "5", *extra])
+        before = report.cache_info()
+        report(5)
+        after = report.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--ring", "q"]])
     def test_removed_flags_are_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as info:

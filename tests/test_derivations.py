@@ -14,7 +14,7 @@ from mccool.derivations import (
     inner_derivation,
     tangential_witness,
 )
-from mccool.freelie import LieElement, lie_bracket, x_alphabet
+from mccool.freelie import LieElement, abc_alphabet, lie_bracket, x_alphabet
 from mccool.johnson import tau_generator
 from mccool.words import lyndon_tuples, witt_dimension
 
@@ -69,6 +69,34 @@ class TestApply:
         for _ in range(20):
             u = random_lie_element(rng, alphabet, rng.randint(1, 4))
             assert apply(d2, u) == apply_via_tensor(d2, u)
+
+
+def derivations_over(alphabet, degree):
+    """Hypothesis strategy for derivations with arbitrary sparse images."""
+    image = lie_elements(alphabet, degree + 1, max_terms=3)
+    return st.lists(image, min_size=alphabet.size, max_size=alphabet.size).map(
+        lambda images: Derivation(alphabet, degree, images)
+    )
+
+
+class TestWordMemos:
+    # the word memos hold dicts, shared with the images for letters: every
+    # route must read them without changing them, on first use and on reuse
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_apply_and_der_bracket_agree_with_tensor_route(self, data):
+        alphabet = data.draw(st.sampled_from([abc_alphabet(), x_alphabet(4)]))
+        d = data.draw(derivations_over(alphabet, data.draw(st.integers(1, 2))))
+        e = data.draw(derivations_over(alphabet, data.draw(st.integers(1, 2))))
+        images = [LieElement(alphabet, img.degree, dict(img.coeffs)) for img in d.images]
+        u = data.draw(lie_elements(alphabet, data.draw(st.integers(1, 4))))
+        expected = apply_via_tensor(d, u)
+        assert apply(d, u) == expected
+        bracket = der_bracket(d, e)
+        for img, di, ei in zip(bracket.images, d.images, e.images):
+            assert img == apply_via_tensor(d, ei) - apply_via_tensor(e, di)
+        assert apply(d, u) == expected
+        assert list(d.images) == images
 
 
 class TestDerBracket:

@@ -1064,6 +1064,16 @@ class TestMatrixText:
         with pytest.raises(ValueError, match=f"bad (header|entry) line '{line}'"):
             read_matrix_text(text)
 
+    @settings(max_examples=3000, deadline=None)
+    @given(st.text(alphabet="0123456789 -/.x\n", max_size=30) | st.text(max_size=30))
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        # generated input: each text is read, or refused with ValueError
+        try:
+            m = read_matrix_text(text)
+        except ValueError:
+            return
+        assert read_matrix_text(write_matrix_text(m)) == m
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_roundtrip_property(self, data):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lie_elements
+from conftest import lie_elements, random_lie_element
 from mccool.freelie import (
     Alphabet,
     LieElement,
@@ -24,6 +24,14 @@ from mccool.freelie import (
 )
 from mccool.freelie import _expand
 from mccool.words import bracketing_tree, is_lyndon, lyndon_tuples, standard_factorization
+
+
+# any JSON value, for the fields of generated payloads
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
 
 
 def gens(alphabet):
@@ -154,6 +162,32 @@ class TestTensor:
         v = data.draw(lie_elements(alphabet, dv))
         assert to_tensor(lie_bracket(u, v)) == to_tensor(u).commutator(to_tensor(v))
 
+    def test_expand_memo_holds_factors_not_top_level_words(self, rng):
+        # the memo serves the recursion: after a degree-10 round trip it
+        # holds the standard factors of x's words, at every depth, and none
+        # of x's own words
+        import mccool
+
+        x = random_lie_element(rng, abc_alphabet(), 10, terms=4)
+        assert x.coeffs
+        mccool.clear_caches()
+        assert from_tensor(to_tensor(x)) == x
+        factors, stack = set(), list(x.coeffs)
+        while stack:
+            word = stack.pop()
+            if len(word) > 1:
+                parts = standard_factorization(word)
+                factors.update(parts)
+                stack.extend(parts)
+        held = _expand.cache_info()
+        assert held.currsize == len(factors)
+        for word in factors:
+            _expand(word)
+        assert _expand.cache_info().hits == held.hits + len(factors)
+        for word in x.coeffs:
+            _expand(word)
+        assert _expand.cache_info().misses == held.misses + len(x.coeffs)
+
     def test_unitriangularity(self):
         for k in range(1, 9):
             for w in lyndon_tuples(3, k):
@@ -249,6 +283,46 @@ class TestSerialization:
         data = {"alphabet": ["a", "b", "c"], "degree": degree, "terms": []}
         with pytest.raises(ValueError, match="degree must be an integer"):
             LieElement.from_json_dict(data)
+
+    @pytest.mark.parametrize("word", [None, 7], ids=["null", "integer"])
+    @pytest.mark.parametrize("labels", [("a", "b", "c"), ("X1", "X2", "X3")], ids=["abc", "x3"])
+    def test_word_that_is_not_a_string_names_the_term(self, labels, word):
+        data = {"alphabet": list(labels), "degree": 2, "terms": [{"word": word, "coeff": "1"}]}
+        with pytest.raises(ValueError, match="bad term .*'word': " + str(word)):
+            LieElement.from_json_dict(data)
+
+    @pytest.mark.parametrize("key", ["alphabet", "degree", "terms"])
+    def test_missing_key_is_named(self, key):
+        data = {"alphabet": ["a", "b"], "degree": 2, "terms": [{"word": "ab", "coeff": "1"}]}
+        del data[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            LieElement.from_json_dict(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_terms_parse_or_raise_value_error(self, data):
+        # generated input: each payload is read, or refused with ValueError
+        alphabet = data.draw(st.sampled_from([abc_alphabet(), x_alphabet(3)]))
+        sep, values = ("" if alphabet == abc_alphabet() else "."), JSON_VALUES
+        word = st.lists(st.sampled_from(alphabet.labels), max_size=4).map(sep.join) | values
+        coeff = st.integers() | st.integers().map(str) | st.fractions().map(str) | values
+        term = (
+            st.fixed_dictionaries({"word": word, "coeff": coeff})
+            | st.dictionaries(st.sampled_from(["word", "coeff", "other"]), values, max_size=3)
+            | values
+        )
+        payload = {
+            "alphabet": list(alphabet.labels),
+            "degree": data.draw(st.integers(-1, 4) | values),
+            "terms": data.draw(st.lists(term, max_size=4)),
+        }
+        for key in data.draw(st.sets(st.sampled_from(sorted(payload)), max_size=1)):
+            del payload[key]
+        try:
+            el = LieElement.from_json_dict(payload)
+        except ValueError:
+            return
+        assert LieElement.from_json_dict(el.to_json_dict()) == el
 
     def test_schema_shape(self, abc):
         data = LieElement(abc, 2, {(0, 1): 2}).to_json_dict()
