@@ -44,6 +44,7 @@ from .johnson import (
     LiePolynomial,
     McCoolSymbols,
     bracket_map_rank,
+    elementary_divisors,
     kernel_report,
     omega,
     tau_evaluate,

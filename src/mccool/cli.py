@@ -22,7 +22,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -59,11 +59,24 @@ def _reference_table() -> dict:
         return json.load(fh)
 
 
+def _top_degree() -> int:
+    """The top degree of the reference table, the one bound on the degrees
+    the CLI solves: dims and kernel refuse a degree above it, characters
+    and psigma stop there."""
+    return max(map(int, _reference_table()["kernel"]))
+
+
+def _refuse_above_top(k: int) -> None:
+    if k > (top := _top_degree()):
+        raise ValueError(f"degree {k} above {top}, the top degree of the reference table")
+
+
 # ---------------------------------------------------------------------------
 # individual commands; each returns (payload dict, ok flag)
 
 
 def cmd_dims(config: RunConfig):
+    _refuse_above_top(config.max_degree)
     ref = _reference_table()
     rows = []
     ok = True
@@ -93,8 +106,10 @@ def cmd_kernel(config: RunConfig):
     k = config.degree
     if k is None:
         raise SystemExit("kernel requires --degree")
-    # the plain report under kernel_report(k), the memo key every other caller uses
-    rep = johnson.kernel_report(k, with_divisors=True) if config.with_divisors else johnson.kernel_report(k)
+    _refuse_above_top(k)
+    rep = johnson.kernel_report(k)
+    if config.with_divisors:
+        rep = replace(rep, elementary_divisors=johnson.elementary_divisors(k))
     payload = rep.to_json_dict()
     payload["command"] = "kernel"
     payload["ring"] = "z"  # kernel lattices are over the integers
@@ -150,7 +165,7 @@ def cmd_characters(config: RunConfig):
     ref = _reference_table()["characters"]
     out = {}
     ok = True
-    top = min(config.max_degree, 9)
+    top = min(config.max_degree, _top_degree())
     for k in range(6, top + 1):
         ch = symmetry.kernel_character(k)
         out[str(k)] = {
@@ -196,9 +211,13 @@ def _check_jacobi(cap: int, rng) -> tuple:
     return ok, {"samples": 60}
 
 
+# the psigma checks that solve a kernel per degree stop here
+_PSIGMA_SOLVE_TOP = 7
+
+
 def _check_tau_kernel(cap: int, rng) -> tuple:
     ok, dims = True, {}
-    for k in range(1, min(cap, 7) + 1):
+    for k in range(1, min(cap, _PSIGMA_SOLVE_TOP) + 1):
         ker = psigma3.sd_tau_kernel(k)
         expect = johnson.kernel_report(k).kernel_dim
         dims[str(k)] = len(ker)
@@ -208,7 +227,7 @@ def _check_tau_kernel(cap: int, rng) -> tuple:
 
 def _check_intersection(cap: int, rng) -> tuple:
     ok, dims = True, {}
-    for k in range(1, min(cap, psigma3.INTERSECTION_DEGREE_CAP) + 1):
+    for k in range(1, min(cap, _PSIGMA_SOLVE_TOP) + 1):
         got = psigma3.intersection_kappa(k)
         dims[str(k)] = got
         ok = ok and got == johnson.kernel_report(k).kernel_dim
@@ -226,7 +245,7 @@ _PSIGMA_CHECKS = {
 
 def cmd_psigma(config: RunConfig):
     rng = random.Random(config.seed)
-    cap = min(config.max_degree, 9)
+    cap = min(config.max_degree, _top_degree())
     checks = []
     for name in config.checks or _PSIGMA_CHECKS:
         if name not in _PSIGMA_CHECKS:

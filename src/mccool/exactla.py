@@ -917,20 +917,23 @@ def rank(m: SparseMat, method: str = "modular") -> int:
 # Smith normal form
 
 
-def smith_normal_form(m: "SparseMat | _ColumnArrays", max_cols: int = 5000) -> SNFResult:
+# the Smith form refuses matrices wider than this: its Hermite forms are
+# dense and in Python ints
+_SMITH_MAX_COLS = 5000
+
+
+def smith_normal_form(m: "SparseMat | _ColumnArrays") -> SNFResult:
     """Elementary divisors d1 | d2 | ... (positive, nonzero ones only).
 
-    m is a SparseMat or, as kernel_report passes its tau matrix, a
+    m is a SparseMat or, as elementary_divisors passes a tau matrix, a
     _ColumnArrays, which is read as it is.  Up to a permutation of rows
     and columns the matrix is the direct sum of its _column_blocks, so it
     is equivalent to the diagonal of all the blocks' pivots, which
     _invariant_factors turns into the divisor chain.
     """
     ncols = m.ncols if isinstance(m, _ColumnArrays) else m.cols
-    if ncols > max_cols:
-        raise ValueError(
-            f"matrix has {ncols} columns; raise max_cols to run SNF this large"
-        )
+    if ncols > _SMITH_MAX_COLS:
+        raise ValueError(f"matrix has {ncols} columns, above the Smith form's {_SMITH_MAX_COLS}")
     if isinstance(m, SparseMat):
         if any(isinstance(v, Fraction) for v in m.entries.values()):
             raise ValueError("smith_normal_form requires integer entries")

@@ -58,39 +58,11 @@ __all__ = [
     "abc_alphabet",
     "substitute",
     "witt_dimension",
-    "degree_cap",
-    "set_degree_cap",
 ]
 
 
 class NotALieElement(ValueError):
     """A tensor element is not the expansion of any Lie element."""
-
-
-# elements above this degree are refused, keeping per-degree stores
-# bounded; raise it explicitly for larger experiments
-_DEGREE_CAP = 10
-
-
-def degree_cap() -> int:
-    return _DEGREE_CAP
-
-
-def set_degree_cap(cap: int) -> None:
-    global _DEGREE_CAP
-    if cap < 1:
-        raise ValueError("degree cap must be >= 1")
-    _DEGREE_CAP = cap
-
-
-def _check_degree(degree: int) -> int:
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if degree > _DEGREE_CAP:
-        raise ValueError(
-            f"degree {degree} above the cap {_DEGREE_CAP}; call set_degree_cap to raise it"
-        )
-    return degree
 
 
 class Alphabet:
@@ -129,6 +101,8 @@ class Alphabet:
         return ".".join(labs)
 
     def parse_word(self, text: str) -> Word:
+        if not isinstance(text, str):
+            raise TypeError(f"a word is written as a string, got {type(text)!r}")
         if all(len(lab) == 1 for lab in self.labels):
             return tuple(self._index[ch] for ch in text)
         return tuple(self._index[part] for part in text.split("."))
@@ -242,7 +216,8 @@ class _Element:
     _brackets = "()"
 
     def __init__(self, alphabet: Alphabet, degree: int, coeffs: dict, *, _trust=False):
-        _check_degree(degree)
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
         if not _trust:
             n = alphabet.size
             clean = {}
@@ -368,9 +343,10 @@ class LieElement(_Element):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieElement":
-        """Inverse of to_json_dict.  A missing key, a term whose word does not
-        parse over the alphabet or whose coefficient is not an integer or a
-        "p/q" string, or a repeated word raises ValueError naming it."""
+        """Inverse of to_json_dict.  A missing key, a term whose word is not
+        a string that parses over the alphabet or whose coefficient is not
+        an integer or a "p/q" string, or a repeated word raises ValueError
+        naming it."""
         if missing := [key for key in ("alphabet", "degree", "terms") if key not in data]:
             raise ValueError(f"missing key {missing[0]!r}")
         alphabet = Alphabet(tuple(data["alphabet"]))

@@ -18,7 +18,7 @@ re-evaluation of tau.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,12 @@ __all__ = [
     "tau_apply",
     "omega",
     "kernel_report",
+    "elementary_divisors",
     "bracket_map_rank",
-    "KERNEL_DEGREE_CAP",
 ]
 
 # elements of the free Lie ring on generator symbols are plain LieElements
 LiePolynomial = LieElement
-
-KERNEL_DEGREE_CAP = 9
 
 
 class McCoolSymbols:
@@ -108,9 +106,7 @@ class TauMap:
     of tau(b(u)) and tau(b(v)), whose own word memos hold the single-word
     applications.  evaluate() and apply() read these, so they touch only
     the words of their input: over McCool alphabets of dozens of symbols
-    no table of a whole degree could be built.  Images of degree-k words
-    have degree k + 1, so evaluate() at degree k needs
-    freelie.degree_cap() >= k + 1.  Readers: tau_evaluate (the
+    no table of a whole degree could be built.  Readers: tau_evaluate (the
     stabilization certificate over McCool symbols, the S3 equivariance
     check, verify-omega, sd_tau) and tau_apply (the action of g on h in
     psigma3.sd_bracket).
@@ -118,11 +114,11 @@ class TauMap:
     Per degree, for the kernel solve: tau_arrays(k) is the matrix of tau
     on every Lyndon word of degree k, built by batched array products
     from the matrices of the lower degrees (_DegreeBuild); it makes no
-    Derivation and no LieElement, so no degree cap applies to it.
-    Readers: kernel_report (the solve, the _tau_kills certificate and the
-    Smith form), bracket_map_rank, and psigma3.sd_tau_kernel, which
-    stacks it beside the inner columns.  Tests check the two
-    granularities against each other.
+    Derivation and no LieElement.  Readers: kernel_report (the solve and
+    the _tau_kills certificate), elementary_divisors (the Smith form),
+    bracket_map_rank, and psigma3.sd_tau_kernel, which stacks it beside
+    the inner columns.  Tests check the two granularities against each
+    other.
     """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
@@ -493,10 +489,10 @@ def tau_map_for(alphabet: Alphabet) -> TauMap:
     """The tau context for a symbol alphabet ({a,b,c} or McCool symbols)."""
     if alphabet == abc_alphabet():
         return _abc_tau_map()
-    if all(lab.startswith("k") and len(lab) == 3 for lab in alphabet.labels):
-        n = max(int(ch) for lab in alphabet.labels for ch in lab[1:])
-        if mccool_symbols(n).alphabet == alphabet:
-            return _mccool_tau_map(n)
+    # the rank-n symbols are the n(n - 1) symbols k_ij
+    n = next((n for n in range(2, 10) if n * (n - 1) == alphabet.size), None)
+    if n is not None and mccool_symbols(n).alphabet == alphabet:
+        return _mccool_tau_map(n)
     raise ValueError(f"no tau context for alphabet {alphabet!r}")
 
 
@@ -580,24 +576,19 @@ def sign_normalize(p: LiePolynomial) -> LiePolynomial:
 
 
 @functools.lru_cache(maxsize=None)
-def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
+def kernel_report(k: int, /) -> KernelReport:
     """Kernel of tau_k on g for n = 3, with a certified integer basis.
 
-    with_divisors adds the elementary divisors of the tau arrays to the
-    cached report kernel_report(k), the plain report's one memo key (exact
-    Smith form; about 0.5 s at k = 8 on a 2-core machine, about 70 s at
-    k = 9 when last measured).
+    k is positional only, so each degree is one memo entry.  Any k >= 1
+    is solved; the cost grows fast with k (about 30 s at k = 10 on a
+    2-core machine), and the CLI bounds it by its reference table.  The
+    report's elementary_divisors is None: the Smith form is its own memo,
+    elementary_divisors(k), which kernel --divisors attaches.
     """
-    if not (1 <= k <= KERNEL_DEGREE_CAP):
-        raise ValueError(
-            f"degree {k} outside the default cap {KERNEL_DEGREE_CAP}; "
-            "call the engine directly to go higher"
-        )
+    if k < 1:
+        raise ValueError("degree must be >= 1")
     engine = _abc_tau_map()
     arrays = engine.tau_arrays(k)
-    if with_divisors:
-        report = kernel_report(k)
-        return replace(report, elementary_divisors=exactla.smith_normal_form(arrays).divisors)
     domain = lyndon_tuples(3, k)
     basis_vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
     alphabet = abc_alphabet()
@@ -616,6 +607,16 @@ def kernel_report(k: int, with_divisors: bool = False) -> KernelReport:
         kernel_dim=dim,
         kernel_basis=basis,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def elementary_divisors(k: int, /) -> tuple:
+    """The elementary divisors of the degree-k tau matrix, by the exact
+    Smith form of tau_arrays(k) (about 0.5 s at k = 8 on a 2-core
+    machine, about 70 s at k = 9 when last measured)."""
+    if k < 1:
+        raise ValueError("degree must be >= 1")
+    return exactla.smith_normal_form(_abc_tau_map().tau_arrays(k)).divisors
 
 
 def _tau_kills(engine: TauMap, k: int, polys) -> bool:
@@ -650,8 +651,6 @@ class BracketMapReport:
 
 def bracket_map_rank(k: int) -> BracketMapReport:
     """Rank of the span of [x, v], x a generator, v in the degree-k kernel."""
-    if not (1 <= k <= KERNEL_DEGREE_CAP - 1):
-        raise ValueError("need k+1 within the kernel degree cap")
     alphabet = abc_alphabet()
     engine = _abc_tau_map()
     kappa_k = kernel_report(k)

@@ -43,10 +43,7 @@ __all__ = [
     "sd_s3_action",
     "sd_tau_kernel",
     "intersection_kappa",
-    "INTERSECTION_DEGREE_CAP",
 ]
-
-INTERSECTION_DEGREE_CAP = 7
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +225,7 @@ def _g_translate_columns(sigma: S3Element, k: int):
 
 
 @functools.lru_cache(maxsize=None)
-def intersection_kappa(k: int, degree_cap: int = INTERSECTION_DEGREE_CAP) -> int:
+def intersection_kappa(k: int, /) -> int:
     """dim over Q of g ^ c.g ^ c^2.g in degree k, c the 3-cycle.
 
     x in g lies in sigma.g exactly when the h-part of sigma^-1.x
@@ -237,8 +234,8 @@ def intersection_kappa(k: int, degree_cap: int = INTERSECTION_DEGREE_CAP) -> int
     translate of the j-th basis word of g): one certified kernel solve.
     Must equal the kernel dimension of tau in that degree.
     """
-    if not (1 <= k <= degree_cap):
-        raise ValueError(f"degree {k} above the cap {degree_cap}; pass degree_cap to extend")
+    if k < 1:
+        raise ValueError("degree must be >= 1")
     from .symmetry import S3_123, S3_132
 
     w = witt_dimension(3, k)

@@ -69,24 +69,24 @@ def _as_triple(i, n: int) -> IndexTriple:
 def _iota_images(triple: IndexTriple, source: Alphabet) -> tuple:
     """iota_sym's letter map along the triple, from {a, b, c} or the
     rank-3 symbols: k_st goes to k_{i_s i_t}."""
-    if source == abc_alphabet():
-        pairs = _ABC_PAIRS
-    else:
-        pairs = [(int(lab[1]), int(lab[2])) for lab in source.labels]
-    target = mccool_symbols(triple.n).alphabet
+    rank3 = mccool_symbols(3)
+    pairs = {abc_alphabet(): _ABC_PAIRS, rank3.alphabet: rank3.pairs}.get(source)
+    if pairs is None:
+        raise ValueError(f"iota_sym needs {{a, b, c}} or the rank-3 symbols, got {source!r}")
+    target = mccool_symbols(triple.n).pairs
     idx = triple.indices
-    return tuple((1, target.index(f"k{idx[s - 1]}{idx[t - 1]}")) for s, t in pairs)
+    return tuple((1, target.index((idx[s - 1], idx[t - 1]))) for s, t in pairs)
 
 
 @functools.lru_cache(maxsize=None)
 def _pi_images(triple: IndexTriple) -> tuple:
     """pi_sym's letter map along the triple: k_ij goes to
     k_{pos(i) pos(j)} when both indices lie in the triple, else to 0."""
-    target = mccool_symbols(3).alphabet
+    target = mccool_symbols(3).pairs
     images = []
     for a, b in mccool_symbols(triple.n).pairs:
         if a in triple.indices and b in triple.indices:
-            images.append((1, target.index(f"k{triple.position(a)}{triple.position(b)}")))
+            images.append((1, target.index((triple.position(a), triple.position(b)))))
         else:
             images.append(None)
     return tuple(images)

@@ -64,21 +64,39 @@ class TestKernel:
 
     @pytest.mark.parametrize("extra", [[], ["--divisors"]], ids=["plain", "divisors"])
     def test_plain_report_is_solved_once(self, capsys, extra):
-        # the command files the plain report under kernel_report(k), so the
-        # next call with that key is a hit, not a second solve
-        report = mccool.johnson.kernel_report
+        # the report and the divisors are each one memo entry per degree,
+        # shared by the command and every later caller
+        report, divisors = mccool.johnson.kernel_report, mccool.johnson.elementary_divisors
         report.cache_clear()
+        divisors.cache_clear()
         run_cli(capsys, ["kernel", "--degree", "5", *extra])
-        before = report.cache_info()
         report(5)
-        after = report.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        divisors(5)
+        assert report.cache_info()[:2] == (1, 1) and report.cache_info().currsize == 1
+        assert divisors.cache_info()[:2] == (len(extra), 1) and divisors.cache_info().currsize == 1
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--ring", "q"]])
     def test_removed_flags_are_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as info:
             main(["kernel", "--degree", "6", *flag])
         assert info.value.code == 2
+
+
+class TestDegreeBounds:
+    # the top degree of the reference table bounds every degree the CLI solves
+    @pytest.mark.parametrize(
+        "argv", [["dims", "--max-degree", "10"], ["kernel", "--degree", "10"]], ids=["dims", "kernel"]
+    )
+    def test_above_the_table_is_refused_before_solving(self, capsys, argv):
+        misses = mccool.johnson.kernel_report.cache_info().misses
+        assert run_cli(capsys, argv) == (2, "")
+        assert mccool.johnson.kernel_report.cache_info().misses == misses
+
+    @pytest.mark.parametrize("command", ["characters", "psigma"])
+    def test_clamped_to_the_table(self, capsys, command):
+        code, top = run_cli(capsys, [command, "--max-degree", "9"])
+        assert code == 0
+        assert run_cli(capsys, [command, "--max-degree", "12"]) == (0, top)
 
 
 class TestVerifyOmega:

@@ -15,10 +15,11 @@ from mccool.derivations import (
     inner_derivation,
     tangential_witness,
 )
-from mccool.freelie import LieElement, abc_alphabet, lie_bracket, to_tensor, x_alphabet
+from mccool.freelie import Alphabet, LieElement, abc_alphabet, lie_bracket, to_tensor, x_alphabet
 from mccool.johnson import (
     McCoolSymbols,
     bracket_map_rank,
+    elementary_divisors,
     kernel_report,
     omega,
     sign_normalize,
@@ -69,6 +70,10 @@ class TestTauEvaluate:
 
         with pytest.raises(ValueError, match="no tau context"):
             tau_evaluate(LieElement.generator(x_alphabet(3), "X1"))
+        # labels that look like symbols but are no rank's symbols
+        for labels in [("kab",), ("k11",), ("k00", "k01")]:
+            with pytest.raises(ValueError, match="no tau context"):
+                tau_map_for(Alphabet(labels))
         with pytest.raises(ValueError, match="symbol alphabet mismatch"):
             tau_map_for(abc_alphabet()).evaluate(McCoolSymbols(3).symbol(1, 2))
 
@@ -191,34 +196,31 @@ class TestKernelReports:
 
     def test_divisors_low_degrees_trivial(self):
         for k in range(1, 6):
-            rep = kernel_report(k, with_divisors=True)
-            assert all(d == 1 for d in rep.elementary_divisors)
-            assert len(rep.elementary_divisors) == rep.image_rank
+            divisors = elementary_divisors(k)
+            assert all(d == 1 for d in divisors)
+            assert len(divisors) == kernel_report(k).image_rank
 
     def test_degree6_divisors(self):
         # the degree-6 matrix genuinely has two divisors equal to 2
         # (cross-checked against an independent Smith implementation);
         # the kernel lattice is nevertheless generated by the degree-6
         # element, which test_degree6 certifies
-        rep = kernel_report(6, with_divisors=True)
-        assert sorted(rep.elementary_divisors) == [1] * 113 + [2, 2]
+        assert sorted(elementary_divisors(6)) == [1] * 113 + [2, 2]
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_divisors_are_added_to_the_cached_report(self, k):
+        # the divisors are their own memo; kernel --divisors attaches them
         plain = kernel_report(k)
-        full = kernel_report(k, with_divisors=True)
+        full = dataclasses.replace(plain, elementary_divisors=elementary_divisors(k))
         assert plain.elementary_divisors is None
         assert len(full.elementary_divisors) == plain.image_rank
-        assert dataclasses.replace(full, elementary_divisors=None) == plain
-        assert full.kernel_basis is plain.kernel_basis  # not solved again
+        assert kernel_report(k) is plain and elementary_divisors(k) is full.elementary_divisors
 
     def test_degree7_divisors(self):
-        rep = kernel_report(7, with_divisors=True)
-        assert sorted(rep.elementary_divisors) == [1] * 294 + [2] * 9 + [12] * 3
+        assert sorted(elementary_divisors(7)) == [1] * 294 + [2] * 9 + [12] * 3
 
     def test_degree8_divisors(self):
-        rep = kernel_report(8, with_divisors=True)
-        assert sorted(rep.elementary_divisors) == [1] * 732 + [2] * 42 + [4] * 6 + [12] * 6
+        assert sorted(elementary_divisors(8)) == [1] * 732 + [2] * 42 + [4] * 6 + [12] * 6
 
     @pytest.mark.parametrize("k", [7, 8])
     def test_divisors_agree_with_ranks_mod_p(self, k):
@@ -227,7 +229,7 @@ class TestKernelReports:
         from mccool import exactla
         from mccool.johnson import _abc_tau_map
 
-        divisors = kernel_report(k, with_divisors=True).elementary_divisors
+        divisors = elementary_divisors(k)
         arrays = _abc_tau_map().tau_arrays(k)
         blocks = [arrays.block(cols) for cols in exactla._column_blocks(arrays)]
         for p in (2, 3, 5, 7):
@@ -260,9 +262,17 @@ class TestKernelReports:
         assert blob["degree"] == 6 and blob["kernel_dim"] == 1
         assert blob["basis"][0]["terms"]
 
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            kernel_report(10)
+    @pytest.mark.parametrize("report", [kernel_report, elementary_divisors])
+    def test_one_memo_entry_per_degree(self, report):
+        # k is positional only, so no other spelling of a degree opens a second entry
+        report(5)
+        entries = report.cache_info().currsize
+        report(5)
+        with pytest.raises(TypeError):
+            report(k=5)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            report(0)
+        assert report.cache_info().currsize == entries
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_block_split_matches_unsplit_solve(self, k):

@@ -244,7 +244,7 @@ class TestS3ActionOnSD:
 class TestIntersection:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_kernel_dimension(self, k):
-        assert intersection_kappa(k, degree_cap=8) == kernel_report(k).kernel_dim
+        assert intersection_kappa(k) == kernel_report(k).kernel_dim
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_matches_generic_intersection(self, k):
@@ -265,7 +265,3 @@ class TestIntersection:
         inter = intersect_columnspaces([g, translates(S3_123), translates(S3_132)])
         assert all(i >= w for i, _ in inter.entries)  # the intersection lies in g
         assert intersection_kappa(k) == inter.cols
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            intersection_kappa(8)

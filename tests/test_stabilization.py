@@ -39,6 +39,11 @@ class TestSymbolLevel:
         sym = McCoolSymbols(4)
         assert img == sym.symbol(1, 4)
 
+    @pytest.mark.parametrize("alphabet", [x_alphabet(3), McCoolSymbols(4).alphabet])
+    def test_iota_names_a_source_it_cannot_embed(self, alphabet):
+        with pytest.raises(ValueError, match="iota_sym needs"):
+            iota_sym(IndexTriple((1, 2, 4), 4), LieElement.generator(alphabet, alphabet.labels[0]), 4)
+
     def test_projection_of_out_of_range_symbol(self):
         sym = McCoolSymbols(4)
         assert pi_sym(IndexTriple((1, 2, 3), 4), sym.symbol(1, 4), 4).is_zero()
