@@ -4,12 +4,15 @@ Subcommands reproduce the computations end to end and exit nonzero on
 the first failing check:
 
   dims          dimension table (ambient and kernel) up to --max-degree
-  kernel        one KernelReport as json/csv/md
+  kernel        the KernelReport of --degree [--divisors]
   verify-omega  the four-part certificate for the degree-6 generator
-  characters    S3 characters of the kernel in degrees 6..max
+  characters    S3 characters of the kernel in degrees 6..--max-degree
   stabilize     the delta_IJ propagation certificate for --n
-  psigma        structure checks of the semidirect Lie ring
-  all           everything above, aggregated
+  psigma        semidirect Lie ring checks to --max-degree [--seed, --check]
+  all           everything above, aggregated [--max-degree, --n, --seed]
+
+Every subcommand also takes --format json|csv|md and --out PATH; each
+other option is a keyword parameter of the subcommand's cmd_* function.
 
 Output is deterministic: no timestamps, sorted keys in JSON.  The
 computation is single-threaded; identical configurations give
@@ -19,10 +22,11 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -30,30 +34,10 @@ from . import johnson, psigma3, stabilization, symmetry
 from .freelie import LieElement, abc_alphabet, to_tensor
 from .words import lyndon_tuples, witt_dimension
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 3
-    max_degree: int = 9
-    degree: int | None = None
-    format: str = "json"
-    out: str | None = None
-    seed: int = 0
-    verbosity: int = 0
-    checks: list = field(default_factory=list)
-    self_test_corrupt: bool = False
-    with_divisors: bool = False
-
-    def __post_init__(self):
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        if self.format not in ("json", "csv", "md"):
-            raise ValueError("format must be json, csv or md")
-
-
+@functools.cache
 def _reference_table() -> dict:
     with resources.files("mccool.data").joinpath("expected_dimensions.json").open() as fh:
         return json.load(fh)
@@ -61,8 +45,8 @@ def _reference_table() -> dict:
 
 def _top_degree() -> int:
     """The top degree of the reference table, the one bound on the degrees
-    the CLI solves: dims and kernel refuse a degree above it, characters
-    and psigma stop there."""
+    the CLI solves and the default --max-degree: dims and kernel refuse a
+    degree above it, characters and psigma stop there."""
     return max(map(int, _reference_table()["kernel"]))
 
 
@@ -75,12 +59,12 @@ def _refuse_above_top(k: int) -> None:
 # individual commands; each returns (payload dict, ok flag)
 
 
-def cmd_dims(config: RunConfig):
-    _refuse_above_top(config.max_degree)
+def cmd_dims(max_degree: int):
+    _refuse_above_top(max_degree)
     ref = _reference_table()
     rows = []
     ok = True
-    for k in range(1, config.max_degree + 1):
+    for k in range(1, max_degree + 1):
         ambient = witt_dimension(3, k)
         kernel = johnson.kernel_report(k).kernel_dim
         rows.append({"k": k, "ambient": ambient, "kernel": kernel})
@@ -93,32 +77,27 @@ def cmd_dims(config: RunConfig):
     payload = {
         "command": "dims",
         "n": 3,
-        "max_degree": config.max_degree,
+        "max_degree": max_degree,
         "rows": rows,
         "matches_reference": ok,
     }
     return payload, ok
 
 
-def cmd_kernel(config: RunConfig):
-    if config.n != 3:
-        raise SystemExit("kernel reports are computed for n = 3 only")
-    k = config.degree
-    if k is None:
-        raise SystemExit("kernel requires --degree")
-    _refuse_above_top(k)
-    rep = johnson.kernel_report(k)
-    if config.with_divisors:
-        rep = replace(rep, elementary_divisors=johnson.elementary_divisors(k))
+def cmd_kernel(degree: int, with_divisors: bool):
+    _refuse_above_top(degree)
+    rep = johnson.kernel_report(degree)
+    if with_divisors:
+        rep = replace(rep, elementary_divisors=johnson.elementary_divisors(degree))
     payload = rep.to_json_dict()
     payload["command"] = "kernel"
     payload["ring"] = "z"  # kernel lattices are over the integers
     return payload, True
 
 
-def cmd_verify_omega(config: RunConfig):
+def cmd_verify_omega(self_test_corrupt: bool = False):
     om = johnson.omega()
-    if config.self_test_corrupt:
+    if self_test_corrupt:
         # negative control: damage the element and watch the checks fail
         alphabet = abc_alphabet()
         gens = {lab: LieElement.generator(alphabet, lab) for lab in "abc"}
@@ -161,11 +140,11 @@ def cmd_verify_omega(config: RunConfig):
     return {"command": "verify-omega", "checks": checks, "pass": ok}, ok
 
 
-def cmd_characters(config: RunConfig):
+def cmd_characters(max_degree: int):
     ref = _reference_table()["characters"]
     out = {}
     ok = True
-    top = min(config.max_degree, _top_degree())
+    top = min(max_degree, _top_degree())
     for k in range(6, top + 1):
         ch = symmetry.kernel_character(k)
         out[str(k)] = {
@@ -185,8 +164,8 @@ def cmd_characters(config: RunConfig):
     return payload, ok
 
 
-def cmd_stabilize(config: RunConfig):
-    cert = stabilization.independence_certificate(config.n)
+def cmd_stabilize(n: int):
+    cert = stabilization.independence_certificate(n)
     payload = cert.to_json_dict()
     payload["command"] = "stabilize"
     return payload, cert.verified
@@ -243,17 +222,17 @@ _PSIGMA_CHECKS = {
 }
 
 
-def cmd_psigma(config: RunConfig):
-    rng = random.Random(config.seed)
-    cap = min(config.max_degree, _top_degree())
-    checks = []
-    for name in config.checks or _PSIGMA_CHECKS:
+def cmd_psigma(max_degree: int, seed: int, checks=None):
+    rng = random.Random(seed)
+    cap = min(max_degree, _top_degree())
+    results = []
+    for name in checks or _PSIGMA_CHECKS:
         if name not in _PSIGMA_CHECKS:
             raise SystemExit(f"unknown psigma check {name!r}")
         ok, detail = _PSIGMA_CHECKS[name](cap, rng)
-        checks.append({"id": name, "pass": ok, "detail": detail})
-    ok = all(c["pass"] for c in checks)
-    return {"command": "psigma", "checks": checks, "pass": ok}, ok
+        results.append({"id": name, "pass": ok, "detail": detail})
+    ok = all(c["pass"] for c in results)
+    return {"command": "psigma", "checks": results, "pass": ok}, ok
 
 
 def _random_sd(rng: random.Random, degree: int):
@@ -267,19 +246,16 @@ def _random_sd(rng: random.Random, degree: int):
     )
 
 
-def cmd_all(config: RunConfig):
-    reports = {}
-    ok = True
-    for name, fn in (
-        ("dims", cmd_dims),
-        ("verify_omega", cmd_verify_omega),
-        ("characters", cmd_characters),
-        ("stabilize", cmd_stabilize),
-        ("psigma", cmd_psigma),
-    ):
-        payload, sub_ok = fn(config)
-        reports[name] = payload
-        ok = ok and sub_ok
+def cmd_all(max_degree: int, n: int, seed: int):
+    results = {
+        "dims": cmd_dims(max_degree),
+        "verify_omega": cmd_verify_omega(),
+        "characters": cmd_characters(max_degree),
+        "stabilize": cmd_stabilize(n),
+        "psigma": cmd_psigma(max_degree, seed),
+    }
+    reports = {name: payload for name, (payload, _) in results.items()}
+    ok = all(sub_ok for _, sub_ok in results.values())
     return {"command": "all", "reports": reports, "pass": ok}, ok
 
 
@@ -360,21 +336,20 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    if config.format == "json":
-        text = _render_json(payload)
-        _write(text, config.out)
-    elif config.format == "md":
-        _write(_render_md(payload), config.out)
+def _emit(payload: dict, format: str, out: str | None) -> None:
+    if format == "json":
+        _write(_render_json(payload), out)
+    elif format == "md":
+        _write(_render_md(payload), out)
     else:
         tables = _render_csv(payload)
-        if config.out is None:
+        if out is None:
             for name in sorted(tables):
                 sys.stdout.write(f"# {name}\n{tables[name]}")
         else:
-            base = Path(config.out)
+            base = Path(out)
             if len(tables) == 1 and not base.is_dir():
-                _write(next(iter(tables.values())), config.out)
+                _write(next(iter(tables.values())), out)
             else:
                 base.mkdir(parents=True, exist_ok=True)
                 for name in sorted(tables):
@@ -392,6 +367,13 @@ def _write(text: str, out: str | None) -> None:
 # argument parsing
 
 
+def _positive(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{k} is below 1")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mccool",
@@ -399,39 +381,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=False, with_degree=False):
-        p.add_argument("--max-degree", type=int, default=9, dest="max_degree")
-        if with_n:
-            p.add_argument("--n", type=int, default=3)
-        if with_degree:
-            p.add_argument("--degree", type=int, required=True)
+    def command(name, help, max_degree=False, n=False, seed=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("-v", "--verbose", action="count", default=0, dest="verbosity")
+        if max_degree:
+            p.add_argument("--max-degree", type=_positive, default=_top_degree())
+        if n:
+            p.add_argument("--n", type=int, default=3)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        return p
 
-    common(sub.add_parser("dims", help="dimension table and reference comparison"))
-    p_kernel = sub.add_parser("kernel", help="kernel report for one degree")
-    common(p_kernel, with_n=True, with_degree=True)
+    command("dims", "dimension table and reference comparison", max_degree=True)
+    p_kernel = command("kernel", "kernel report for one degree")
+    p_kernel.add_argument("--degree", type=int, required=True)
     p_kernel.add_argument("--divisors", action="store_true", dest="with_divisors")
-    p_omega = sub.add_parser("verify-omega", help="certificate for the degree-6 kernel generator")
-    common(p_omega)
-    p_omega.add_argument(
-        "--self-test-corrupt", action="store_true", dest="self_test_corrupt",
+    command("verify-omega", "certificate for the degree-6 kernel generator").add_argument(
+        "--self-test-corrupt", action="store_true",
         help="negative control: corrupt the element and expect failure",
     )
-    common(sub.add_parser("characters", help="S3 characters of the kernel"))
-    common(sub.add_parser("stabilize", help="propagation certificate"), with_n=True)
-    p_ps = sub.add_parser("psigma", help="semidirect-product structure checks")
-    common(p_ps)
-    p_ps.add_argument(
+    command("characters", "S3 characters of the kernel", max_degree=True)
+    command("stabilize", "propagation certificate", n=True)
+    command("psigma", "semidirect-product structure checks", max_degree=True, seed=True).add_argument(
         "--check",
         action="append",
         dest="checks",
         choices=tuple(_PSIGMA_CHECKS),
         default=None,
     )
-    common(sub.add_parser("all", help="run every check"), with_n=True)
+    command("all", "run every check", max_degree=True, n=True, seed=True)
     return parser
 
 
@@ -447,26 +426,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command, format, out = options.pop("command"), options.pop("format"), options.pop("out")
     try:
-        config = RunConfig(
-            command=args.command,
-            n=getattr(args, "n", 3),
-            max_degree=args.max_degree,
-            degree=getattr(args, "degree", None),
-            format=args.format,
-            out=args.out,
-            seed=args.seed,
-            verbosity=args.verbosity,
-            checks=getattr(args, "checks", None) or [],
-            self_test_corrupt=getattr(args, "self_test_corrupt", False),
-            with_divisors=getattr(args, "with_divisors", False),
-        )
-        payload, ok = _COMMANDS[config.command](config)
+        payload, ok = _COMMANDS[command](**options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, config)
+    _emit(payload, format, out)
     return 0 if ok else 1
 
 

@@ -69,6 +69,8 @@ class McCoolSymbols:
         self.alphabet = Alphabet(tuple(f"k{i}{j}" for i, j in self.pairs))
 
     def symbol(self, i: int, j: int) -> LiePolynomial:
+        if (i, j) not in self.pairs:
+            raise ValueError(f"no symbol k_ij for (i, j) = ({i}, {j}) in rank {self.n}")
         return LieElement.generator(self.alphabet, f"k{i}{j}")
 
 

@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +10,192 @@ from pathlib import Path
 import pytest
 
 import mccool
-from mccool.cli import main
+from mccool.cli import _COMMANDS, build_parser, main
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def refused(capsys, argv):
+    """The exit status and stdout of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code, capsys.readouterr().out
+
+
+# the md and csv renderings and the files --out writes, byte for byte;
+# the CI goldens pin the JSON of the same commands
+
+PSIGMA_4_JSON = """\
+{
+  "checks": [
+    {
+      "detail": {
+        "1": 6,
+        "2": 6,
+        "3": 16,
+        "4": 36
+      },
+      "id": "ranks",
+      "pass": true
+    },
+    {
+      "detail": {
+        "samples": 60
+      },
+      "id": "jacobi",
+      "pass": true
+    },
+    {
+      "detail": {
+        "1": 0,
+        "2": 0,
+        "3": 0,
+        "4": 0
+      },
+      "id": "tau-kernel",
+      "pass": true
+    },
+    {
+      "detail": {
+        "1": 0,
+        "2": 0,
+        "3": 0,
+        "4": 0
+      },
+      "id": "intersection",
+      "pass": true
+    }
+  ],
+  "command": "psigma",
+  "pass": true
+}
+"""
+
+VERIFY_OMEGA_JSON = """\
+{
+  "checks": [
+    {
+      "detail": {
+        "coefficient": "-1",
+        "word": "ccbbaa"
+      },
+      "id": "omega-nonzero-tensor-coefficient",
+      "pass": true
+    },
+    {
+      "detail": {},
+      "id": "tau-of-omega-vanishes",
+      "pass": true
+    },
+    {
+      "detail": {
+        "kernel_dim": 1
+      },
+      "id": "degree6-kernel-lattice-is-generated-by-omega",
+      "pass": true
+    },
+    {
+      "detail": {
+        "character": [
+          1,
+          -1,
+          1
+        ]
+      },
+      "id": "degree6-character-is-sign",
+      "pass": true
+    }
+  ],
+  "command": "verify-omega",
+  "pass": true
+}
+"""
+
+RENDERED = {
+    "dims --max-degree 5 --format md": """\
+| k | 1 | 2 | 3 | 4 | 5 |
+|---|---|---|---|---|---|
+| dim L_k | 3 | 3 | 8 | 18 | 48 |
+| dim kernel_k | 0 | 0 | 0 | 0 | 0 |
+""",
+    "dims --max-degree 5 --format csv": """\
+# dims.csv
+k,ambient,kernel
+1,3,0
+2,3,0
+3,8,0
+4,18,0
+5,48,0
+""",
+    "characters --max-degree 7 --format md": """\
+| k | 6 | 7 |
+|---|---|---|
+| character of kernel_k | (1, -1, 1) | (6, 0, 0) |
+""",
+    "characters --max-degree 7 --format csv": """\
+# characters.csv
+k,chi_id,chi_transposition,chi_3cycle
+6,1,-1,1
+7,6,0,0
+""",
+    "kernel --degree 6 --format md": """\
+degree 6: domain 116, rank 115, kernel 1
+
+- 1*[aabbcc] 1*[aabcbc] 1*[aabccb] 1*[aacbbc] 2*[aacbcb] -1*[abaccb] -1*[abbacc] -1*[abbcac] -1*[abcacb] -2*[abcbac] 1*[acacbb]
+""",
+    "kernel --degree 6 --format csv": """\
+# kernel_6.csv
+degree,domain_dim,image_rank,kernel_dim
+6,116,115,1
+""",
+    "stabilize --n 4 --format md": """\
+{
+  "checks": {
+    "embedded_elements_nonzero": true,
+    "projection_grid_is_identity": true,
+    "tau_kills_each_element": true
+  },
+  "command": "stabilize",
+  "count": 4,
+  "n": 4,
+  "verified": true
+}
+""",
+    "verify-omega --format csv": "# verify-omega.csv\n" + VERIFY_OMEGA_JSON,
+    "psigma --max-degree 4 --seed 3 --format csv": "# psigma.csv\n" + PSIGMA_4_JSON,
+}
+
+ALL_CSV_FILES = {
+    "characters.csv": """\
+k,chi_id,chi_transposition,chi_3cycle
+""",
+    "dims.csv": """\
+k,ambient,kernel
+1,3,0
+2,3,0
+3,8,0
+4,18,0
+""",
+    "psigma.csv": PSIGMA_4_JSON,
+    "stabilize.csv": """\
+{
+  "checks": {
+    "embedded_elements_nonzero": true,
+    "projection_grid_is_identity": true,
+    "tau_kills_each_element": true
+  },
+  "command": "stabilize",
+  "count": 1,
+  "n": 3,
+  "verified": true
+}
+""",
+    "verify-omega.csv": VERIFY_OMEGA_JSON,
+}
 
 
 class TestDims:
@@ -43,7 +225,7 @@ class TestDims:
 
 class TestKernel:
     def test_json_schema(self, capsys):
-        code, out = run_cli(capsys, ["kernel", "--n", "3", "--degree", "6"])
+        code, out = run_cli(capsys, ["kernel", "--degree", "6"])
         assert code == 0
         data = json.loads(out)
         assert data["degree"] == 6
@@ -52,10 +234,6 @@ class TestKernel:
         assert data["kernel_dim"] == 1
         assert len(data["basis"]) == 1
         assert {"word", "coeff"} == set(data["basis"][0]["terms"][0])
-
-    def test_rejects_other_n(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["kernel", "--n", "4", "--degree", "3"])
 
     def test_ring_is_always_z(self, capsys):
         code, out = run_cli(capsys, ["kernel", "--degree", "6"])
@@ -75,11 +253,31 @@ class TestKernel:
         assert report.cache_info()[:2] == (1, 1) and report.cache_info().currsize == 1
         assert divisors.cache_info()[:2] == (len(extra), 1) and divisors.cache_info().currsize == 1
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--ring", "q"]])
+    # each removed flag on a subcommand whose argv is otherwise valid
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["kernel", "--degree", "6", "--threads", "2"],
+            ["kernel", "--degree", "6", "--ring", "q"],
+            ["kernel", "--degree", "6", "--n", "3"],
+            *(
+                [*base, "-v"]
+                for base in (["dims"], ["kernel", "--degree", "6"], ["verify-omega"],
+                             ["characters"], ["stabilize"], ["psigma"], ["all"])
+            ),
+            *(
+                [*base, "--seed", "0"]
+                for base in (["dims"], ["kernel", "--degree", "6"], ["verify-omega"],
+                             ["characters"], ["stabilize"])
+            ),
+            *(
+                [*base, "--max-degree", "6"]
+                for base in (["kernel", "--degree", "6"], ["verify-omega"], ["stabilize"])
+            ),
+        ],
+    )
     def test_removed_flags_are_rejected(self, capsys, flag):
-        with pytest.raises(SystemExit) as info:
-            main(["kernel", "--degree", "6", *flag])
-        assert info.value.code == 2
+        assert refused(capsys, flag) == (2, "")
 
 
 class TestDegreeBounds:
@@ -91,6 +289,19 @@ class TestDegreeBounds:
         misses = mccool.johnson.kernel_report.cache_info().misses
         assert run_cli(capsys, argv) == (2, "")
         assert mccool.johnson.kernel_report.cache_info().misses == misses
+
+    @pytest.mark.parametrize("command", ["dims", "characters", "psigma", "all"])
+    def test_below_one_is_refused_before_solving(self, capsys, command):
+        misses = mccool.johnson.kernel_report.cache_info().misses
+        assert refused(capsys, [command, "--max-degree", "0"]) == (2, "")
+        assert mccool.johnson.kernel_report.cache_info().misses == misses
+
+    def test_reference_table_is_read_once(self, capsys):
+        from mccool.cli import _reference_table
+
+        _reference_table.cache_clear()
+        assert run_cli(capsys, ["all", "--max-degree", "4"])[0] == 0
+        assert _reference_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("command", ["characters", "psigma"])
     def test_clamped_to_the_table(self, capsys, command):
@@ -156,7 +367,7 @@ class TestPsigma:
         assert data["pass"] is True
 
     def test_checks_come_from_one_table(self, capsys):
-        from mccool.cli import _PSIGMA_CHECKS, RunConfig, build_parser, cmd_psigma
+        from mccool.cli import _PSIGMA_CHECKS, cmd_psigma
 
         assert list(_PSIGMA_CHECKS) == ["ranks", "jacobi", "tau-kernel", "intersection"]
         _, out = run_cli(capsys, ["psigma", "--max-degree", "3"])
@@ -165,7 +376,7 @@ class TestPsigma:
             build_parser().parse_args(["psigma", "--check", "nope"])
         capsys.readouterr()
         with pytest.raises(SystemExit, match="unknown psigma check 'nope'"):
-            cmd_psigma(RunConfig(command="psigma", max_degree=3, checks=["nope"]))
+            cmd_psigma(3, 0, ["nope"])
 
     def test_exit_code_contract(self, capsys):
         code, out = run_cli(capsys, ["psigma", "--max-degree", "3"])
@@ -201,6 +412,43 @@ class TestDeterminism:
         assert code == 0
         names = sorted(p.name for p in outdir.iterdir())
         assert "dims.csv" in names and "characters.csv" in names
+
+
+class TestOptions:
+    def test_every_option_has_a_reader(self):
+        # --format and --out go to the renderer, every other option to the command
+        actions = build_parser()._actions
+        commands = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(_COMMANDS)
+        for name, parser in commands.items():
+            dests = {a.dest for a in parser._actions if a.dest != "help"} - {"format", "out"}
+            assert dests == set(inspect.signature(_COMMANDS[name]).parameters), name
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = [line.strip() for line in readme.splitlines() if line.startswith("    mccool ")]
+        assert len(lines) >= len(_COMMANDS)
+        assert {shlex.split(line)[1] for line in lines} == set(_COMMANDS)
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+
+class TestRenderedBytes:
+    @pytest.mark.parametrize("command", list(RENDERED))
+    def test_stdout(self, capsys, command):
+        assert run_cli(capsys, command.split()) == (0, RENDERED[command])
+
+    def test_all_csv_out(self, capsys, tmp_path):
+        outdir = tmp_path / "tables"
+        argv = ["all", "--max-degree", "4", "--format", "csv", "--out", str(outdir)]
+        assert run_cli(capsys, argv) == (0, "")
+        assert {p.name: p.read_text() for p in outdir.iterdir()} == ALL_CSV_FILES
+
+    def test_single_table_out_is_the_file(self, capsys, tmp_path):
+        target = tmp_path / "kernel.md"
+        argv = ["kernel", "--degree", "6", "--format", "md", "--out", str(target)]
+        assert run_cli(capsys, argv) == (0, "")
+        assert target.read_text() == RENDERED["kernel --degree 6 --format md"]
 
 
 class TestOptimizedInterpreter:

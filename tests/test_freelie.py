@@ -336,6 +336,34 @@ class TestSerialization:
         assert all(isinstance(term["word"], str) for term in payload["terms"])
         assert LieElement.from_json_dict(el.to_json_dict()) == el
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_bad_word_in_a_valid_payload_is_named(self, data):
+        # every field but one term's word is valid, so the refusal names that term
+        alphabet = data.draw(st.sampled_from([abc_alphabet(), x_alphabet(3)]))
+        degree = data.draw(st.integers(1, 5))
+        el = data.draw(lie_elements(alphabet, degree).filter(lambda e: not e.is_zero()))
+        payload = el.to_json_dict()
+        letter = st.sampled_from(alphabet.labels)
+        if alphabet == abc_alphabet():
+            # one-letter labels: a token with a letter outside the alphabet
+            token, sep = st.text(min_size=1, max_size=3).filter(lambda t: not set(t) <= set("abc")), ""
+        else:
+            token, sep = st.text(max_size=3).filter(lambda t: "." not in t and t not in alphabet.labels), "."
+        malformed = st.tuples(st.lists(letter, max_size=3), token, st.lists(letter, max_size=3)).map(
+            lambda parts: sep.join([*parts[0], parts[1], *parts[2]])
+        )
+        word = (
+            st.lists(letter, max_size=degree)
+            | st.dictionaries(letter, st.integers(0, 2), max_size=2)
+            | st.integers()
+            | malformed
+        )
+        term = data.draw(st.sampled_from(payload["terms"]))
+        term["word"] = data.draw(word)
+        with pytest.raises(ValueError, match=re.escape(f"bad term {term!r}")):
+            LieElement.from_json_dict(payload)
+
     def test_schema_shape(self, abc):
         data = LieElement(abc, 2, {(0, 1): 2}).to_json_dict()
         assert set(data) == {"alphabet", "degree", "terms"}

@@ -54,6 +54,11 @@ class TestTauGenerator:
         with pytest.raises(IndexError):
             tau_generator(3, 1, 4)
 
+    @pytest.mark.parametrize("i, j", [(1, 1), (1, 4), (0, 2)])
+    def test_symbol_outside_the_rank_is_named(self, i, j):
+        with pytest.raises(ValueError, match=rf"\(i, j\) = \({i}, {j}\) in rank 3"):
+            McCoolSymbols(3).symbol(i, j)
+
 
 class TestTauEvaluate:
     def test_generator_case(self):
