@@ -116,11 +116,14 @@ class TauMap:
     Per degree, for the kernel solve: tau_arrays(k) is the matrix of tau
     on every Lyndon word of degree k, built by batched array products
     from the matrices of the lower degrees (_DegreeBuild); it makes no
-    Derivation and no LieElement.  Readers: kernel_report (the solve and
-    the _tau_kills certificate), elementary_divisors (the Smith form),
-    bracket_map_rank, and psigma3.sd_tau_kernel, which stacks it beside
-    the inner columns.  Tests check the two granularities against each
-    other.
+    Derivation and no LieElement.  The build drops each pair of levels
+    {a, k - a} before the next and sums one letter-content class at a
+    time, with the int64 bound checked per class (no column's sums leave
+    its class), so its temporaries follow the largest class.  Readers:
+    kernel_report (the solve and the _tau_kills certificate),
+    elementary_divisors (the Smith form), bracket_map_rank, and
+    psigma3.sd_tau_kernel, which stacks it beside the inner columns.
+    Tests check the two granularities against each other.
     """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
@@ -208,6 +211,14 @@ def _factor_arrays(n: int, m: int) -> np.ndarray:
         t1, t2 = standard_factorization(t)
         out[:, j] = len(t1), lyndon_index(n, len(t1))[t1], lyndon_index(n, len(t2))[t2]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _content_labels(n: int, k: int) -> np.ndarray:
+    """The letter-content class of every Lyndon word of degree k on n
+    letters, in lex order: equal labels for equal letter counts."""
+    seen: dict = {}
+    return np.array([seen.setdefault(tuple(sorted(w)), len(seen)) for w in lyndon_tuples(n, k)])
 
 
 class _BracketTable:
@@ -333,6 +344,23 @@ def _csr(nrows: int, rows: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _assemble(chunks, ncols: int, nrows: int) -> exactla._ColumnArrays:
+    """Column arrays from a nonempty list of chunks (columns, rows,
+    values), in any order, each sorted by column and then row and holding
+    every entry of its columns, placed through per-column counts.  Each
+    chunk's values are narrowed, so their widest dtype is what _narrowest
+    gives for the whole."""
+    counts = sum(np.bincount(cols, minlength=ncols) for cols, _, _ in chunks)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.empty(indptr[-1], dtype=exactla._row_dtype(nrows))
+    vals = np.empty(indptr[-1], dtype=np.result_type(*(v.dtype for _, _, v in chunks)))
+    for cols, chunk_rows, chunk_vals in chunks:
+        # the entries of a column follow its first one in the chunk
+        pos = indptr[cols] + np.arange(cols.size) - np.searchsorted(cols, cols)
+        rows[pos], vals[pos] = chunk_rows, chunk_vals
+    return exactla._ColumnArrays.from_csr(indptr, rows, vals, nrows)
+
+
 class _DegreeBuild:
     """One degree k >= 2 of TauMap.tau_arrays, from the lower degrees.
 
@@ -348,9 +376,13 @@ class _DegreeBuild:
 
     so the needed rows are found top-down and computed bottom-up.  The
     columns read only the top level (a, k + 1 - a) of each a, so the lower
-    ones are dropped once it is built.  Each step gathers rows, multiplies
-    and sums them with numpy in int64 (_sum_products checks the bound);
-    the columns are summed per degree of u, one group at a time.
+    ones are dropped once it is built.  The columns with deg u = a read
+    the top levels of a and k - a only, so the u-degrees go in pairs
+    {a, k - a}, whose levels are dropped before the next pair's are built.
+    Each step gathers rows, multiplies and sums them with numpy in int64.
+    The unit of summing is a chunk, the columns of one group and one
+    letter-content class; _sum_products checks the int64 bound per chunk,
+    which is exact since every term of a column's sums lies in its chunk.
     """
 
     def __init__(self, engine: TauMap, k: int):
@@ -360,31 +392,43 @@ class _DegreeBuild:
         self.columns = {a: engine.tau_arrays(a) for a in range(1, k)}
 
     def run(self) -> exactla._ColumnArrays:
-        n, k = self.n, self.k
-        nrows = n * witt_dimension(n, k + 1)
-        ulen, uidx, vidx = _factor_arrays(self.engine.symbol_alphabet.size, k)
-        groups = []
-        need: dict = {}
-        for a in range(1, k):
+        nrows = self.n * witt_dimension(self.n, self.k + 1)
+        ncols = witt_dimension(self.engine.symbol_alphabet.size, self.k)
+        chunks = []
+        for a in range(1, self.k // 2 + 1):
+            chunks.extend(self._pair_chunks(sorted({a, self.k - a}), nrows))
+        return _assemble(chunks, ncols, nrows)
+
+    def _pair_chunks(self, pair, nrows: int):
+        """The chunks (columns, rows, values) of the groups deg u = a in
+        pair; the pair's top levels live until the last is yielded."""
+        size = self.engine.symbol_alphabet.size
+        ulen, uidx, vidx = _factor_arrays(size, self.k)
+        labels = _content_labels(size, self.k)
+        groups, need = [], {}
+        for a in pair:
             w = np.flatnonzero(ulen == a)
+            w = w[np.argsort(labels[w], kind="stable")]
             # D_u on the image of v, and -D_v on the image of u
-            terms = (self._terms(w, uidx[w], a, vidx[w], 1), self._terms(w, vidx[w], k - a, uidx[w], -1))
+            terms = (self._terms(w, uidx[w], a, vidx[w], 1),
+                     self._terms(w, vidx[w], self.k - a, uidx[w], -1))
             for deg, _, _, key, _ in terms:
                 need.setdefault(deg, []).append(key)
-            groups.append(terms)
+            groups.append((_unique(labels[w]), terms))
         top = {a: self._top_level(a, _unique(np.concatenate(keys))) for a, keys in need.items()}
-        keys, vals = [], []
-        for terms in groups:
-            group_keys, group_vals = _sum_products(
-                (self._column_part(top[deg], *rest) for deg, *rest in terms), nrows
-            )
-            keys.append(group_keys)
-            vals.append(group_vals)
-        keys, vals = np.concatenate(keys), np.concatenate(vals)
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        indptr = _csr(len(ulen), keys // nrows)
-        return exactla._ColumnArrays.from_csr(indptr, keys % nrows, vals, nrows)
+        for classes, terms in groups:
+            # each term's entries run through the classes in order
+            cuts = [np.append(np.searchsorted(labels[target], classes), target.size)
+                    for _, target, *_ in terms]
+            for c in range(classes.size):
+                keys, sums = _sum_products(
+                    (self._column_part(top[deg], *(x[at[c]:at[c + 1]] for x in rest))
+                     for (deg, *rest), at in zip(terms, cuts)),
+                    nrows,
+                )
+                cols, rows = np.divmod(keys, nrows)
+                rows = rows.astype(exactla._row_dtype(nrows))
+                yield cols.astype(np.int32), rows, exactla._narrowest(sums)
 
     def _terms(self, w, d, a, e, sign) -> tuple:
         """D_d, deg d = a, on the image slots of tau(e) for the words w:
@@ -442,7 +486,9 @@ class _DegreeBuild:
             rows, words = np.divmod(row_keys, out_width)
             level = keys[m], _csr(keys[m].size, rows), words, sums
             if m < top:
-                store = _append(store, (offset[m] + keys[m],) + level[1:])
+                # the level's CSR rows after the store's (keys stay sorted)
+                tail = (offset[m] + keys[m], level[1][1:] + store[1][-1]) + level[2:]
+                store = tuple(np.concatenate(both) for both in zip(store, tail))
         return level
 
     def _leibniz_parts(self, a, m, keys, store, offset, widths):
@@ -463,17 +509,6 @@ class _DegreeBuild:
         left, right = np.repeat(m1, lengths), np.repeat(a + m2, lengths)
         codes = table.code(left, np.repeat(i1, lengths), right, words)
         yield table.expand(np.repeat(rows, lengths), codes, vals)
-
-
-def _append(store: tuple, level: tuple) -> tuple:
-    """The CSR rows of level after those of store (keys stay sorted)."""
-    keys, indptr, words, vals = store
-    return (
-        np.concatenate([keys, level[0]]),
-        np.concatenate([indptr, level[1][1:] + indptr[-1]]),
-        np.concatenate([words, level[2]]),
-        np.concatenate([vals, level[3]]),
-    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import lie_elements, random_lie_element
@@ -424,6 +424,101 @@ class TestTauArrays:
         assert scaled.vals.tolist() == [v << 40 for v in base.vals.tolist()]
         with pytest.raises(OverflowError, match=r"N \* max\|a\| \* max\|b\| < 2\^63"):
             planted(31).tau_arrays(2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_chunks_assemble_as_one_global_sort(self, data):
+        # random columns, cut into chunks of whole columns that come in a
+        # random order, give the arrays of one sort of every key
+        from mccool import exactla
+        from mccool.johnson import _assemble, _csr
+
+        ncols = data.draw(st.integers(1, 12))
+        nrows = data.draw(st.integers(1, 20))
+        bound = data.draw(st.sampled_from([(1 << 15) - 1, 1 << 40]))
+        value = st.integers(-bound, bound).filter(bool)
+        columns = [
+            data.draw(st.dictionaries(st.integers(0, nrows - 1), value, max_size=nrows))
+            for _ in range(ncols)
+        ]
+        owner = data.draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+        chunks = []
+        for c in data.draw(st.permutations(range(4))):
+            entries = sorted((j, i, v) for j in range(ncols) if owner[j] == c for i, v in columns[j].items())
+            cols, rows, vals = (np.array([e[x] for e in entries], dtype=np.int64) for x in range(3))
+            chunks.append((cols.astype(np.int32), rows.astype(np.int32), exactla._narrowest(vals)))
+        got = _assemble(chunks, ncols, nrows)
+
+        keys = np.array([j * nrows + i for j in range(ncols) for i in columns[j]], dtype=np.int64)
+        vals = np.array([v for col in columns for v in col.values()], dtype=np.int64)
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        want = exactla._ColumnArrays.from_csr(_csr(ncols, keys // nrows), keys % nrows, vals, nrows)
+        for got_arr, want_arr in zip((got.indptr, got.rows, got.vals), (want.indptr, want.rows, want.vals)):
+            assert got_arr.dtype == want_arr.dtype
+            assert got_arr.tolist() == want_arr.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.integers(2, 1 << 31), st.integers(-2, 2))
+    def test_int64_bound_is_checked_per_chunk(self, count, amax, shift):
+        # count products amax * bmax into one key, bmax about the bound
+        from mccool.johnson import _sum_products
+
+        bmax = (1 << 63) // (count * amax) + shift
+        assume(bmax >= 1)
+        zeros = np.zeros(count, dtype=np.int64)
+        chunk = [(zeros, zeros, np.full(count, amax, dtype=np.int64), np.full(count, bmax, dtype=np.int64))]
+        if count * amax * bmax >= 1 << 63:
+            with pytest.raises(OverflowError):
+                _sum_products(iter(chunk), 1)
+            return
+        keys, sums = _sum_products(iter(chunk), 1)
+        assert keys.tolist() == [0] and sums.tolist() == [count * amax * bmax]
+        if 2 * count * amax * bmax >= 1 << 63:
+            # exact chunk by chunk, while one sum of both would not be
+            with pytest.raises(OverflowError):
+                _sum_products(iter(chunk * 2), 1)
+
+    @pytest.mark.parametrize("size, max_degree", [(3, 9), (12, 3)], ids=["abc", "mccool4"])
+    def test_content_labels_group_equal_letter_counts(self, size, max_degree):
+        from collections import Counter
+
+        from mccool.johnson import _content_labels
+
+        for k in range(1, max_degree + 1):
+            labels = _content_labels(size, k).tolist()
+            contents = [frozenset(Counter(w).items()) for w in lyndon_tuples(size, k)]
+            assert len(labels) == len(contents)
+            assert len(set(zip(labels, contents))) == len(set(labels)) == len(set(contents))
+
+    @pytest.mark.parametrize("n, max_degree", [(3, 9), (4, 3)], ids=["abc", "mccool4"])
+    def test_each_column_sum_holds_one_content_class(self, n, max_degree, monkeypatch):
+        from mccool import johnson
+        from mccool.johnson import _ABC_PAIRS, TauMap, mccool_symbols
+
+        if n == 3:
+            engine = TauMap(abc_alphabet(), 3, _ABC_PAIRS)
+        else:
+            engine = TauMap(mccool_symbols(n).alphabet, n, mccool_symbols(n).pairs)
+        sum_products, calls = johnson._sum_products, []
+
+        def recording(parts, width):
+            parts = list(parts)
+            calls.append((width, np.concatenate([p[0] for p in parts])))
+            return sum_products(parts, width)
+
+        monkeypatch.setattr(johnson, "_sum_products", recording)
+        size = engine.symbol_alphabet.size
+        for k in range(2, max_degree + 1):
+            calls.clear()
+            nrows = engine.tau_arrays(k).nrows
+            labels = johnson._content_labels(size, k)
+            ulen = johnson._factor_arrays(size, k)[0]
+            # the column sums have width nrows, the level sums witt(n, m) < nrows
+            chunks = [labels[targets] for width, targets in calls if width == nrows]
+            # a chunk of columns that tau kills (over McCool symbols) is empty
+            assert all(np.unique(chunk).size <= 1 for chunk in chunks)
+            assert len(chunks) == len(set(zip(ulen.tolist(), labels.tolist())))
 
 
 class TestBracketMap:
