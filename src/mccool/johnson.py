@@ -36,6 +36,7 @@ from .freelie import (
     x_alphabet,
 )
 from .freelie import _add_into, _bw
+from .words import _lyndon_tuples_cached
 from .words import lyndon_index, lyndon_tuples, standard_factorization, witt_dimension
 
 __all__ = [
@@ -116,10 +117,11 @@ class TauMap:
     Per degree, for the kernel solve: tau_arrays(k) is the matrix of tau
     on every Lyndon word of degree k, built by batched array products
     from the matrices of the lower degrees (_DegreeBuild); it makes no
-    Derivation and no LieElement.  The build drops each pair of levels
-    {a, k - a} before the next and sums one letter-content class at a
-    time, with the int64 bound checked per class (no column's sums leave
-    its class), so its temporaries follow the largest class.  Readers:
+    Derivation and no LieElement.  Every table the build reads is indexed
+    by position alone: the lower matrices by column, its levels by row key
+    and the brackets of Lyndon words by pair (_bracket_table, shared by
+    the engines of rank n).  It sums one (group, letter-content class)
+    chunk at a time, so its temporaries follow the largest class.  Readers:
     kernel_report (the solve and the _tau_kills certificate),
     elementary_divisors (the Smith form), bracket_map_rank, and
     psigma3.sd_tau_kernel, which stacks it beside the inner columns.
@@ -135,7 +137,6 @@ class TauMap:
             (t,): tau_generator(n, *pair) for t, pair in enumerate(generator_pairs)
         }
         self._arrays: dict = {}
-        self._brackets: dict = {}  # degree -> _BracketTable over x_alphabet(n)
 
     def of_word(self, word) -> Derivation:
         hit = self._word_cache.get(word)
@@ -194,12 +195,6 @@ class TauMap:
         ]
         return exactla._ColumnArrays(columns, self.n * width)
 
-    def _bracket_table(self, d: int) -> "_BracketTable":
-        hit = self._brackets.get(d)
-        if hit is None:
-            hit = self._brackets[d] = _BracketTable(self.n, d)
-        return hit
-
 
 @functools.lru_cache(maxsize=None)
 def _factor_arrays(n: int, m: int) -> np.ndarray:
@@ -225,66 +220,63 @@ class _BracketTable:
     """[b(x), b(y)] for Lyndon words x, y over n letters of total degree d,
     in the Lyndon basis of degree d, as flat arrays.
 
-    The Lyndon words of degrees 1..d-1 are numbered in one list, by degree
-    and then in lex order, and a pair is coded x * len(list) + y.  Pairs
-    are added, from freelie._bw, the first time they are asked for: codes
-    are kept sorted, with the start and length of each pair's bracket in
-    words (positions in degree d) and coeffs.
+    The pair of x of degree p and y of degree d - p, each given by its
+    position within its degree, is coded first[p] + x * witt(n, d - p) + y,
+    which numbers the pairs of degree d from 0.  A pair is added, from
+    freelie._bw, the first time it is asked for: starts[code] and
+    lengths[code] place its bracket in words (positions in degree d) and
+    coeffs, and lengths[code] is -1 until then.
     """
 
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
-        self.below = [w for m in range(1, d) for w in lyndon_tuples(n, m)]
-        # first[m] is the number of the first word of degree m
-        self.first = np.cumsum([0, 0] + [witt_dimension(n, m) for m in range(1, d - 1)])
-        self.codes = np.empty(0, dtype=np.int64)
-        self.starts = np.empty(0, dtype=np.int64)
-        self.lengths = np.empty(0, dtype=np.int64)
+        self.widths = np.array([0] + [witt_dimension(n, m) for m in range(1, d)])
+        # first[p] is the code of the first pair with deg x = p
+        self.first = np.concatenate(([0, 0], np.cumsum(self.widths[1:] * self.widths[:0:-1])))
+        self.starts = np.zeros(self.first[-1], dtype=np.int64)
+        self.lengths = np.full(self.first[-1], -1, dtype=np.int64)
         self.words = np.empty(0, dtype=np.int64)
         self.coeffs = np.empty(0, dtype=np.int64)
 
-    def code(self, px, x, py, y) -> np.ndarray:
+    def code(self, px, x, y) -> np.ndarray:
         """The codes of the pairs of the words x of degree px and y of
-        degree py, each given by its position within its degree."""
-        return (self.first[px] + x) * len(self.below) + self.first[py] + y
+        degree d - px, each given by its position within its degree."""
+        return self.first[px] + x * self.widths[self.d - px] + y
 
     def _add(self, codes: np.ndarray) -> None:
-        idx = lyndon_index(self.n, self.d)
+        n, d = self.n, self.d
+        idx = lyndon_index(n, d)
+        px = np.searchsorted(self.first, codes, side="right") - 1
+        x, y = np.divmod(codes - self.first[px], self.widths[d - px])
         words, coeffs, lengths = [], [], []
-        for code in codes.tolist():
-            x, y = divmod(code, len(self.below))
-            terms = _bw(self.below[x], self.below[y])
+        for p, i, j in zip(px.tolist(), x.tolist(), y.tolist()):
+            terms = _bw(_lyndon_tuples_cached(n, p)[i], _lyndon_tuples_cached(n, d - p)[j])
             lengths.append(len(terms))
             for w, c in terms:
                 words.append(idx[w])
                 coeffs.append(c)
         lengths = np.array(lengths, dtype=np.int64)
-        starts = self.words.size + np.cumsum(lengths) - lengths
-        codes = np.concatenate([self.codes, codes])
-        order = np.argsort(codes)
-        self.codes = codes[order]
-        self.starts = np.concatenate([self.starts, starts])[order]
-        self.lengths = np.concatenate([self.lengths, lengths])[order]
+        self.starts[codes] = self.words.size + np.cumsum(lengths) - lengths
+        self.lengths[codes] = lengths
         self.words = np.concatenate([self.words, np.array(words, dtype=np.int64)])
         self.coeffs = np.concatenate([self.coeffs, np.array(coeffs, dtype=np.int64)])
 
     def expand(self, target, codes, vals) -> tuple:
         """The terms val * [b(x), b(y)] of each (target, code, val) as a
         product part (target, word, val, coeff) for _sum_products."""
-        at = np.searchsorted(self.codes, codes)
-        new = at == self.codes.size
-        new[~new] = self.codes[at[~new]] != codes[~new]
+        new = self.lengths[codes] < 0
         if new.any():
             self._add(_unique(codes[new]))
-            at = np.searchsorted(self.codes, codes)
-        lengths = self.lengths[at]
-        pos = exactla._spans(self.starts[at], lengths)
-        return (
-            np.repeat(target, lengths),
-            self.words[pos],
-            np.repeat(vals, lengths),
-            self.coeffs[pos],
-        )
+        lengths = self.lengths[codes]
+        pos = exactla._spans(self.starts[codes], lengths)
+        return (np.repeat(target, lengths), self.words[pos],
+                np.repeat(vals, lengths), self.coeffs[pos])
+
+
+@functools.lru_cache(maxsize=None)
+def _bracket_table(n: int, d: int) -> _BracketTable:
+    """The degree-d bracket table over n letters, shared by the builds of rank n."""
+    return _BracketTable(n, d)
 
 
 def _sum_products(parts, width: int):
@@ -329,11 +321,11 @@ def _unique(a: np.ndarray) -> np.ndarray:
 
 
 def _gather(level, keys) -> tuple:
-    """The entries of the rows keys of a level: words, values, row lengths."""
-    level_keys, indptr, words, vals = level
-    at = np.searchsorted(level_keys, keys)
-    lengths = indptr[at + 1] - indptr[at]
-    pos = exactla._spans(indptr[at], lengths)
+    """The entries of the rows keys of a CSR level (indptr, words, values):
+    words, values, row lengths."""
+    indptr, words, vals = level
+    lengths = indptr[keys + 1] - indptr[keys]
+    pos = exactla._spans(indptr[keys], lengths)
     return words[pos], vals[pos], lengths
 
 
@@ -366,15 +358,16 @@ class _DegreeBuild:
 
     For w = (u, v), slot i of tau(b(w)) is D_u(tau(v)_i) - D_v(tau(u)_i),
     where D_u = tau(b(u)).  The rows D_u b(t) (t a Lyndon word over
-    x_alphabet(n)) are kept in levels: level (a, m) holds the rows with
-    deg u = a and deg t = m that the degree needs, as CSR arrays over the
-    Lyndon words of degree a + m, keyed u * witt(n, m) + t.  Level (a, 1)
-    is the degree-a matrix, since D_u X_i = tau(u)_i; a level m >= 2
-    follows from the Leibniz rule on t = (t1, t2),
+    x_alphabet(n)) are kept in levels: level (a, m) is CSR (indptr, words,
+    values) over every key u * witt(n, m) + t with deg u = a and deg t = m,
+    a row holding words of degree a + m and left empty unless the degree
+    needs it.  Level (a, 1) is the degree-a matrix, since D_u X_i =
+    tau(u)_i; a level m >= 2 follows from the Leibniz rule on t = (t1, t2),
 
         D_u b(t) = [D_u b(t1), b(t2)] + [b(t1), D_u b(t2)],
 
-    so the needed rows are found top-down and computed bottom-up.  The
+    so the needed rows are found top-down and computed bottom-up, each
+    bracket read from _bracket_table(n, a + m) by its pair.  The
     columns read only the top level (a, k + 1 - a) of each a, so the lower
     ones are dropped once it is built.  The columns with deg u = a read
     the top levels of a and k - a only, so the u-degrees go in pairs
@@ -450,11 +443,13 @@ class _DegreeBuild:
                 np.repeat(coeff, lengths), vals)
 
     def _top_level(self, a: int, top_keys: np.ndarray) -> tuple:
-        """Level (a, k + 1 - a) at top_keys, from every lower row it needs.
+        """Level (a, k + 1 - a) with its rows top_keys filled, from every
+        lower row it needs.
 
-        The lower levels are kept in one CSR store, level m keyed
-        offset[m] + u * witt(n, m) + t, so that each level is built by one
-        gather per Leibniz term whatever the lengths of t1 and t2.
+        The lower levels are kept in one CSR store, level m at the rows
+        offset[m] + u * witt(n, m) + t, offset[m] being the store's row
+        count when the level is appended, so that each level is built by
+        one gather per Leibniz term whatever the lengths of t1 and t2.
         """
         n, top = self.n, self.k + 1 - a
         wanted = {top: [top_keys]}
@@ -471,44 +466,42 @@ class _DegreeBuild:
                     wanted.setdefault(x, []).append(u[sel] * witt_dimension(n, x) + pos[sel])
         src = self.columns[a]
         widths = np.array([0] + [witt_dimension(n, m) for m in range(1, top + 1)])
-        offset = np.concatenate(([0, 0], np.cumsum(src.ncols * widths[1:])))
         width = witt_dimension(n, a + 1)
+        # level 1 is the degree-a matrix, row u * n + i holding tau(u)_i
         store = (
-            np.arange(src.ncols * n),
             _csr(src.ncols * n, src.entry_columns() * n + src.rows // width),
             (src.rows % width).astype(np.int64),
             src.vals.astype(np.int64),
         )
+        offset = np.zeros(top, dtype=np.int64)
         for m in sorted(keys):
             out_width = witt_dimension(n, a + m)
             parts = self._leibniz_parts(a, m, keys[m], store, offset, widths)
             row_keys, sums = _sum_products(parts, out_width)
             rows, words = np.divmod(row_keys, out_width)
-            level = keys[m], _csr(keys[m].size, rows), words, sums
+            level = _csr(src.ncols * widths[m], rows), words, sums
             if m < top:
-                # the level's CSR rows after the store's (keys stay sorted)
-                tail = (offset[m] + keys[m], level[1][1:] + store[1][-1]) + level[2:]
+                # the level's CSR rows after the store's
+                offset[m] = store[0].size - 1
+                tail = (level[0][1:] + store[0][-1],) + level[1:]
                 store = tuple(np.concatenate(both) for both in zip(store, tail))
         return level
 
     def _leibniz_parts(self, a, m, keys, store, offset, widths):
         """The two Leibniz terms of the rows keys of level (a, m), as
-        product parts."""
+        product parts keyed by the rows' level keys."""
         u, t = np.divmod(keys, widths[m])
         m1, i1, i2 = _factor_arrays(self.n, m)[:, t]
         m2 = m - m1
-        rows = np.arange(keys.size)
-        table = self.engine._bracket_table(a + m)
+        table = _bracket_table(self.n, a + m)
         # [D_u b(t1), b(t2)]
         words, vals, lengths = _gather(store, offset[m1] + u * widths[m1] + i1)
-        left, right = np.repeat(a + m1, lengths), np.repeat(m2, lengths)
-        codes = table.code(left, words, right, np.repeat(i2, lengths))
-        yield table.expand(np.repeat(rows, lengths), codes, vals)
+        codes = table.code(np.repeat(a + m1, lengths), words, np.repeat(i2, lengths))
+        yield table.expand(np.repeat(keys, lengths), codes, vals)
         # [b(t1), D_u b(t2)]
         words, vals, lengths = _gather(store, offset[m2] + u * widths[m2] + i2)
-        left, right = np.repeat(m1, lengths), np.repeat(a + m2, lengths)
-        codes = table.code(left, np.repeat(i1, lengths), right, words)
-        yield table.expand(np.repeat(rows, lengths), codes, vals)
+        codes = table.code(np.repeat(m1, lengths), np.repeat(i1, lengths), words)
+        yield table.expand(np.repeat(keys, lengths), codes, vals)
 
 
 @functools.lru_cache(maxsize=None)

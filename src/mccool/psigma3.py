@@ -217,11 +217,7 @@ def sd_tau_kernel(k: int):
 
 def _g_translate_columns(sigma: S3Element, k: int):
     """Column j is the h-part of sigma.(0, w_j), w_j the j-th Lyndon word."""
-    cols = []
-    for w in lyndon_tuples(3, k):
-        g = LieElement(abc_alphabet(), k, {w: 1}, _trust=True)
-        cols.append(coordinates(sd_s3_action(sigma, SDElement.from_g(g)).hpart))
-    return cols
+    return [coordinates(_act_g_word(sigma, w).hpart) for w in lyndon_tuples(3, k)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -335,7 +335,7 @@ class TestKernelBlocks:
 class TestClearCaches:
     def test_reports_recompute_equal(self):
         import mccool
-        from mccool import freelie, psigma3, words
+        from mccool import freelie, johnson, psigma3, words
         from mccool.psigma3 import intersection_kappa
         from mccool.symmetry import S3_123, act_on_polynomial
 
@@ -346,7 +346,7 @@ class TestClearCaches:
         before = results()
         memos = (
             freelie._bw, freelie._expand, freelie._substitution_memo,
-            words.standard_factorization, psigma3._act_g_word,
+            words.standard_factorization, psigma3._act_g_word, johnson._bracket_table,
             kernel_report, intersection_kappa, omega,
         )
         assert all(m.cache_info().currsize for m in memos)
@@ -478,6 +478,40 @@ class TestTauArrays:
             # exact chunk by chunk, while one sum of both would not be
             with pytest.raises(OverflowError):
                 _sum_products(iter(chunk * 2), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bracket_table_expands_pairs_as_bw(self, data):
+        # pairs asked for in random batches, repeats included, expand to
+        # freelie._bw in lyndon_index positions; the codes of the pairs of
+        # degree d are 0, 1, ... in order of (deg x, x, y)
+        from mccool.freelie import _bw
+        from mccool.johnson import _BracketTable
+        from mccool.words import lyndon_index, witt_dimension
+
+        n, d = data.draw(st.sampled_from([(3, d) for d in range(2, 9)] + [(4, d) for d in range(2, 6)]))
+        table = _BracketTable(n, d)
+        widths = [0] + [witt_dimension(n, p) for p in range(1, d)]
+        codes = [table.code(p, x, y) for p in range(1, d) for x in range(widths[p]) for y in range(widths[d - p])]
+        assert codes == list(range(len(codes)))
+        pair = st.integers(1, d - 1).flatmap(
+            lambda p: st.tuples(st.just(p), st.integers(0, widths[p] - 1), st.integers(0, widths[d - p] - 1))
+        )
+        idx, asked = lyndon_index(n, d), []
+        for _ in range(data.draw(st.integers(1, 4))):
+            batch = data.draw(st.lists(pair, min_size=1, max_size=20))
+            batch += data.draw(st.lists(st.sampled_from(batch + asked), max_size=10))
+            asked += batch
+            px, x, y = (np.array(c, dtype=np.int64) for c in zip(*batch))
+            vals = np.arange(1, len(batch) + 1)
+            parts = table.expand(np.arange(len(batch)), table.code(px, x, y), vals)
+            got = list(zip(*(part.tolist() for part in parts)))
+            want = [
+                (i, idx[w], i + 1, c)
+                for i, (p, a, b) in enumerate(batch)
+                for w, c in _bw(lyndon_tuples(n, p)[a], lyndon_tuples(n, d - p)[b])
+            ]
+            assert got == want
 
     @pytest.mark.parametrize("size, max_degree", [(3, 9), (12, 3)], ids=["abc", "mccool4"])
     def test_content_labels_group_equal_letter_counts(self, size, max_degree):
