@@ -120,8 +120,10 @@ class TauMap:
     Derivation and no LieElement.  Every table the build reads is indexed
     by position alone: the lower matrices by column, its levels by row key
     and the brackets of Lyndon words by pair (_bracket_table, shared by
-    the engines of rank n).  It sums one (group, letter-content class)
-    chunk at a time, so its temporaries follow the largest class.  Readers:
+    the engines of rank n and built whole from the tables of lower
+    degrees, so the build fills no freelie._bw memo).  It sums one
+    (group, letter-content class) chunk at a time, so its temporaries
+    follow the largest class.  Readers:
     kernel_report (the solve and the _tau_kills certificate),
     elementary_divisors (the Smith form), bracket_map_rank, and
     psigma3.sd_tau_kernel, which stacks it beside the inner columns.
@@ -218,14 +220,27 @@ def _content_labels(n: int, k: int) -> np.ndarray:
 
 class _BracketTable:
     """[b(x), b(y)] for Lyndon words x, y over n letters of total degree d,
-    in the Lyndon basis of degree d, as flat arrays.
+    in the Lyndon basis of degree d, as CSR arrays over the pairs.
 
     The pair of x of degree p and y of degree d - p, each given by its
     position within its degree, is coded first[p] + x * witt(n, d - p) + y,
-    which numbers the pairs of degree d from 0.  A pair is added, from
-    freelie._bw, the first time it is asked for: starts[code] and
-    lengths[code] place its bracket in words (positions in degree d) and
-    coeffs, and lengths[code] is -1 until then.
+    which numbers the pairs of degree d from 0.  Row code of csr = (indptr,
+    words, coeffs) is the bracket of that pair, words being positions in
+    degree d.
+
+    The table is built whole from the tables of lower degrees by the
+    rewriting of freelie._bw (Reutenauer 1993, §5.1), every pair at once,
+    with x and y compared by their ranks in lex order: [b(x), b(x)] = 0;
+    for x > y the bracket is -[b(y), b(x)]; a standard pair, (x, y) the
+    standard factorization of the Lyndon word xy, is b(xy); any other
+    x < y has x = (x1, x2) with x2 < y, and
+
+        [b(x), b(y)] = [[b(x1), b(y)], b(x2)] + [b(x1), [b(x2), b(y)]],
+
+    whose inner brackets are read from the lower tables.  That leaves
+    degree-d pairs, the children, of the graph of _bw's recursion, which
+    is acyclic; it is evaluated in rounds, each summing the pairs whose
+    children are done.
     """
 
     def __init__(self, n: int, d: int):
@@ -233,44 +248,108 @@ class _BracketTable:
         self.widths = np.array([0] + [witt_dimension(n, m) for m in range(1, d)])
         # first[p] is the code of the first pair with deg x = p
         self.first = np.concatenate(([0, 0], np.cumsum(self.widths[1:] * self.widths[:0:-1])))
-        self.starts = np.zeros(self.first[-1], dtype=np.int64)
-        self.lengths = np.full(self.first[-1], -1, dtype=np.int64)
-        self.words = np.empty(0, dtype=np.int64)
-        self.coeffs = np.empty(0, dtype=np.int64)
+        self.csr = self._evaluate(*self._graph())
 
     def code(self, px, x, y) -> np.ndarray:
         """The codes of the pairs of the words x of degree px and y of
         degree d - px, each given by its position within its degree."""
         return self.first[px] + x * self.widths[self.d - px] + y
 
-    def _add(self, codes: np.ndarray) -> None:
+    def _graph(self) -> tuple:
+        """The pairs that have children, as a mask over the codes; the
+        codes of the standard pairs, in the lex order of their words; and
+        the children as (parent, child, coefficient) arrays: (y, x) with
+        -1 for x > y and, for x < y not standard, (w, x2) for every term
+        c * b(w) of [b(x1), b(y)] and (x1, w) for every term of
+        [b(x2), b(y)], each with coefficient c."""
         n, d = self.n, self.d
-        idx = lyndon_index(n, d)
-        px = np.searchsorted(self.first, codes, side="right") - 1
-        x, y = np.divmod(codes - self.first[px], self.widths[d - px])
-        words, coeffs, lengths = [], [], []
-        for p, i, j in zip(px.tolist(), x.tolist(), y.tolist()):
-            terms = _bw(_lyndon_tuples_cached(n, p)[i], _lyndon_tuples_cached(n, d - p)[j])
-            lengths.append(len(terms))
-            for w, c in terms:
-                words.append(idx[w])
-                coeffs.append(c)
-        lengths = np.array(lengths, dtype=np.int64)
-        self.starts[codes] = self.words.size + np.cumsum(lengths) - lengths
-        self.lengths[codes] = lengths
-        self.words = np.concatenate([self.words, np.array(words, dtype=np.int64)])
-        self.coeffs = np.concatenate([self.coeffs, np.array(coeffs, dtype=np.int64)])
+        px = np.repeat(np.arange(1, d), self.widths[1:] * self.widths[:0:-1])
+        x, y = np.divmod(np.arange(self.first[-1]) - self.first[px], self.widths[d - px])
+        # the Lyndon words of degree < d, degree after degree, word x of
+        # degree p at offset[p] + x; rank is their order among them all
+        offset = np.cumsum(self.widths) - self.widths
+        lower = [w for m in range(1, d) for w in _lyndon_tuples_cached(n, m)]
+        rank = np.empty(len(lower), dtype=np.int64)
+        rank[sorted(range(len(lower)), key=lower.__getitem__)] = np.arange(len(lower))
+        sign = np.sign(rank[offset[d - px] + y] - rank[offset[px] + x])
+        word_codes = self.code(*_factor_arrays(n, d))
+        todo = sign != 0
+        todo[word_codes] = False
+        s = np.flatnonzero(sign < 0)
+        parent, child, coef = [s], [self.code(d - px[s], y[s], x[s])], [np.full(s.size, -1)]
+        nodes = np.flatnonzero(todo & (sign > 0))
+        px, x, y = px[nodes], x[nodes], y[nodes]
+        factors = [np.zeros((3, n), dtype=np.int64)] + [_factor_arrays(n, m) for m in range(2, d)]
+        m1, i1, i2 = np.concatenate(factors, axis=1)[:, offset[px] + x]
+        for inner, (deg, pos) in enumerate(((m1, i1), (px - m1, i2))):
+            e = deg + d - px
+            for f in _unique(e).tolist():
+                sel = e == f
+                table = _bracket_table(n, f)
+                words, coeffs, lengths = _gather(table.csr, table.code(deg[sel], pos[sel], y[sel]))
+                if inner == 0:
+                    child.append(self.code(f, words, np.repeat(i2[sel], lengths)))
+                else:
+                    x1 = (np.repeat(m1[sel], lengths), np.repeat(i1[sel], lengths))
+                    child.append(self.code(*x1, words))
+                parent.append(np.repeat(nodes[sel], lengths))
+                coef.append(coeffs)
+        dtype = exactla._row_dtype(todo.size)
+        return (todo, word_codes, np.concatenate(parent).astype(dtype),
+                np.concatenate(child).astype(dtype), exactla._narrowest(np.concatenate(coef)))
+
+    def _evaluate(self, todo, word_codes, parent, child, coef) -> tuple:
+        """The CSR rows of every pair, in rounds from the standard pairs:
+        each round sums the pairs of todo whose children are all done."""
+        npairs, width = todo.size, word_codes.size
+        # chunk r holds the rows of its codes in order, row code at
+        # starts[code] in chunk chunk_of[code]; equal pairs stay empty
+        chunks = [(word_codes, np.arange(width), np.ones(width, dtype=np.int64))]
+        chunk_of = np.zeros(npairs, dtype=np.int64)
+        starts, lengths = np.zeros(npairs, dtype=np.int64), np.zeros(npairs, dtype=np.int64)
+        starts[word_codes], lengths[word_codes] = np.arange(width), 1
+        while todo.any():
+            ready = todo.copy()
+            ready[parent[todo[child]]] = False
+            if not ready.any():
+                raise RuntimeError(
+                    f"bracket table (n, d) = ({self.n}, {self.d}): no pending pair has its children done"
+                )
+            sel = ready[parent]
+            parts = self._child_parts(parent[sel], child[sel], coef[sel], chunks, chunk_of, starts, lengths)
+            keys, sums = _sum_products(parts, width)
+            rows = np.flatnonzero(ready)
+            codes, words = np.divmod(keys, width)
+            lengths[rows] = np.bincount(codes, minlength=npairs)[rows]
+            starts[rows] = np.cumsum(lengths[rows]) - lengths[rows]
+            chunk_of[rows] = len(chunks)
+            chunks.append((rows, words, sums))
+            todo[rows] = False
+            parent, child, coef = parent[~sel], child[~sel], coef[~sel]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        words = np.empty(indptr[-1], dtype=exactla._row_dtype(width))
+        coeffs = np.empty(indptr[-1], dtype=np.int64)
+        for codes, chunk_words, chunk_coeffs in chunks:
+            pos = exactla._spans(indptr[codes], lengths[codes])
+            words[pos], coeffs[pos] = chunk_words, chunk_coeffs
+        return indptr, words, exactla._narrowest(coeffs)
+
+    @staticmethod
+    def _child_parts(parent, child, coef, chunks, chunk_of, starts, lengths):
+        """coef * [b(x), b(y)] for every pair child, as product parts
+        keyed by parent, one part per chunk."""
+        for r, (_, words, coeffs) in enumerate(chunks):
+            on = chunk_of[child] == r
+            at = child[on]
+            pos = exactla._spans(starts[at], lengths[at])
+            yield (np.repeat(parent[on], lengths[at]), words[pos],
+                   np.repeat(coef[on], lengths[at]), coeffs[pos])
 
     def expand(self, target, codes, vals) -> tuple:
         """The terms val * [b(x), b(y)] of each (target, code, val) as a
         product part (target, word, val, coeff) for _sum_products."""
-        new = self.lengths[codes] < 0
-        if new.any():
-            self._add(_unique(codes[new]))
-        lengths = self.lengths[codes]
-        pos = exactla._spans(self.starts[codes], lengths)
-        return (np.repeat(target, lengths), self.words[pos],
-                np.repeat(vals, lengths), self.coeffs[pos])
+        words, coeffs, lengths = _gather(self.csr, codes)
+        return np.repeat(target, lengths), words, np.repeat(vals, lengths), coeffs
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,6 +367,7 @@ def _sum_products(parts, width: int):
     Every sum has at most N terms, N the number of products, so int64 is
     exact when N * max|a| * max|b| < 2^63, with the maxima taken part by
     part; that is checked, on the products so far, before each multiply.
+    Keys and products are formed in int64 whatever the parts' dtypes.
     """
     keys, products = [], []
     count = bound = 0
@@ -299,8 +379,8 @@ def _sum_products(parts, width: int):
                 f"int64 exactness bound N * max|a| * max|b| < 2^63 fails "
                 f"for N = {count} and max|a| * max|b| = {bound}"
             )
-        keys.append(target * width + word)
-        products.append(a * b)
+        keys.append(np.multiply(target, width, dtype=np.int64) + word)
+        products.append(np.multiply(a, b, dtype=np.int64))
     if not keys:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     keys, products = np.concatenate(keys), np.concatenate(products)

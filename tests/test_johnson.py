@@ -479,6 +479,17 @@ class TestTauArrays:
             with pytest.raises(OverflowError):
                 _sum_products(iter(chunk * 2), 1)
 
+    def test_narrow_parts_are_summed_in_int64(self):
+        # int32 targets and int16 factors, as the bracket table passes them:
+        # the key 2^20 * 2^20 + 1 and the product 300 * 300 leave both dtypes
+        from mccool.johnson import _sum_products
+
+        target = np.full(2, 1 << 20, dtype=np.int32)
+        word = np.ones(2, dtype=np.int32)
+        factor = np.full(2, 300, dtype=np.int16)
+        keys, sums = _sum_products([(target, word, factor, factor)], 1 << 20)
+        assert keys.tolist() == [(1 << 40) + 1] and sums.tolist() == [180000]
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_bracket_table_expands_pairs_as_bw(self, data):
@@ -512,6 +523,42 @@ class TestTauArrays:
                 for w, c in _bw(lyndon_tuples(n, p)[a], lyndon_tuples(n, d - p)[b])
             ]
             assert got == want
+
+    @pytest.mark.parametrize("n, max_degree", [(3, 9), (4, 6), (2, 12)])
+    def test_bracket_table_equals_bw_on_every_pair(self, n, max_degree):
+        # row code of the table, in code order (deg x, x, y), is
+        # freelie._bw of the pair in lyndon_index positions
+        from mccool.freelie import _bw
+        from mccool.johnson import _bracket_table
+        from mccool.words import lyndon_index
+
+        for d in range(2, max_degree + 1):
+            idx = lyndon_index(n, d)
+            want = [
+                [(idx[w], c) for w, c in _bw(x, y)]
+                for p in range(1, d)
+                for x in lyndon_tuples(n, p)
+                for y in lyndon_tuples(n, d - p)
+            ]
+            indptr, words, coeffs = _bracket_table(n, d).csr
+            bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+            got = [list(zip(words[a:b].tolist(), coeffs[a:b].tolist())) for a, b in bounds]
+            assert got == want, f"(n, d) = ({n}, {d})"
+
+    def test_tau_build_fills_no_bw(self):
+        # the build reads the bracket tables, which are made from each
+        # other; _bw keeps only the letter pairs of the degree-1 images
+        import mccool
+        from mccool import freelie, johnson
+        from mccool.johnson import _ABC_PAIRS, TauMap
+
+        mccool.clear_caches()
+        engine = TauMap(abc_alphabet(), 3, _ABC_PAIRS)
+        for k in range(1, 9):
+            engine.tau_arrays(k)
+        assert freelie._bw.cache_info().currsize <= 9
+        # the tables of degrees 2..9 were built in this window
+        assert johnson._bracket_table.cache_info().currsize == 8
 
     @pytest.mark.parametrize("size, max_degree", [(3, 9), (12, 3)], ids=["abc", "mccool4"])
     def test_content_labels_group_equal_letter_counts(self, size, max_degree):
@@ -571,6 +618,16 @@ class TestBracketMap:
         monkeypatch.setattr(exactla, "rank", both)
         assert [bracket_map_rank(k).rank for k in range(5, 9)] == [0, 3, 18, 72]
         assert ranks == [(0, 0), (3, 3), (18, 18), (72, 72)]
+
+    def test_bracket_outside_the_kernel_is_refused(self, monkeypatch):
+        # the kernels of degrees 6 and 7 are certified first; then, with the
+        # membership check stubbed to fail, the bracket map must refuse
+        from mccool import exactla, johnson
+
+        kernel_report(6), kernel_report(7)
+        monkeypatch.setattr(johnson, "_tau_kills", lambda engine, k, polys: False)
+        with pytest.raises(exactla.CertificateError, match="bracket of a kernel element left the kernel"):
+            bracket_map_rank(6)
 
     def test_degree5(self):
         rep = bracket_map_rank(5)

@@ -53,6 +53,17 @@ def test_witt_reference_row():
     assert witt_dimension(2, 3) == len(brute_lyndon(2, 3)) == 2
 
 
+def test_witt_integrality_is_certified(monkeypatch):
+    # with every Mobius value 1 the necklace sum of degree 4 is 81 + 9 + 3,
+    # which 4 does not divide; the uncached function must refuse it
+    from mccool import words
+    from mccool.exactla import CertificateError
+
+    monkeypatch.setattr(words, "_mobius", lambda m: 1)
+    with pytest.raises(CertificateError, match="necklace sum 93 is not divisible by 4"):
+        witt_dimension.__wrapped__(3, 4)
+
+
 def test_standard_factorization_is_longest_lyndon_suffix():
     # oracle: scan suffixes longest-first
     for n in (2, 3):
