@@ -191,6 +191,8 @@ def read_matrix_text(text: str) -> SparseMat:
             value = Fraction(v) if "/" in v else int(v)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad entry line {ln!r}") from None
+        if not (0 <= key[0] < rows and 0 <= key[1] < cols):
+            raise ValueError(f"entry line {ln!r} is outside the {rows} x {cols} matrix")
         if key in entries:
             raise ValueError(f"entry line {ln!r} repeats position ({i}, {j})")
         entries[key] = value
@@ -321,6 +323,29 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _indptr(counts) -> np.ndarray:
+    """The int64 indptr of CSR rows with the row lengths counts."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _gather(csr, keys) -> tuple:
+    """The entries of the rows keys of CSR arrays (indptr, words, values),
+    row r at the positions indptr[r]:indptr[r + 1], concatenated in key
+    order: words, values and the rows' lengths."""
+    indptr, words, vals = csr
+    lengths = indptr[keys + 1] - indptr[keys]
+    pos = _spans(indptr[keys], lengths)
+    return words[pos], vals[pos], lengths
+
+
+def _append(store, csr) -> tuple:
+    """The row of the CSR arrays store at which the rows of csr start once
+    appended, and the arrays of store with them appended."""
+    start = store[0].size - 1
+    tail = (csr[0][1:] + store[0][-1],) + tuple(csr[1:])
+    return start, tuple(np.concatenate(both) for both in zip(store, tail))
+
+
 def _narrowest(vals: np.ndarray) -> np.ndarray:
     """Integer values in their narrowest exact dtype: int16 when every
     one fits, else int64 when every one fits, else object."""
@@ -352,10 +377,9 @@ class _ColumnArrays:
 
     def __init__(self, columns, nrows: int):
         entries = [e for col in columns for e in col]
-        indptr = np.zeros(len(columns) + 1, dtype=np.int64)
-        np.cumsum([len(col) for col in columns], out=indptr[1:])
         rows = np.array([i for i, _ in entries], dtype=_row_dtype(nrows))
-        self._set(indptr, rows, _narrowest(_exact_array([v for _, v in entries])), nrows)
+        vals = _narrowest(_exact_array([v for _, v in entries]))
+        self._set(_indptr([len(col) for col in columns]), rows, vals, nrows)
 
     @classmethod
     def from_csr(cls, indptr, rows, vals, nrows: int) -> "_ColumnArrays":
@@ -378,8 +402,7 @@ class _ColumnArrays:
         nrows = parts[0].nrows
         if any(part.nrows != nrows for part in parts):
             raise ValueError("row counts differ")
-        offsets = np.cumsum([0] + [part.rows.size for part in parts])
-        indptr = np.concatenate([[0]] + [part.indptr[1:] + off for part, off in zip(parts, offsets)])
+        indptr = _indptr(np.concatenate([np.diff(part.indptr) for part in parts]))
         rows = np.concatenate([part.rows for part in parts])
         return cls.from_csr(indptr, rows, np.concatenate([part.vals for part in parts]), nrows)
 
@@ -398,20 +421,16 @@ class _ColumnArrays:
         for lo, hi in zip(bounds, bounds[1:]):
             yield list(zip(rows[lo:hi], vals[lo:hi]))
 
-    def _positions(self, j: np.ndarray):
-        """Entry positions of the columns j, concatenated, and their lengths."""
-        lengths = self.indptr[j + 1] - self.indptr[j]
-        return _spans(self.indptr[j], lengths), lengths
-
     def block(self, cols) -> "_ColumnArrays":
         """The submatrix of the columns cols, in that order, with the rows
         they touch renumbered 0.. in ascending order."""
-        j = np.asarray(cols, dtype=np.int64)
-        pos, lengths = self._positions(j)
-        touched, local = np.unique(self.rows[pos], return_inverse=True)
-        indptr = np.zeros(j.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        return _ColumnArrays.from_csr(indptr, local, self.vals[pos], touched.size)
+        rows, vals, lengths = _gather(self.csr, np.asarray(cols, dtype=np.int64))
+        touched, local = np.unique(rows, return_inverse=True)
+        return _ColumnArrays.from_csr(_indptr(lengths), local, vals, touched.size)
+
+    @property
+    def csr(self) -> tuple:
+        return self.indptr, self.rows, self.vals
 
     def entry_columns(self) -> np.ndarray:
         """The column index of every entry."""
@@ -439,17 +458,17 @@ class _ColumnArrays:
         """
         for col_index, coeffs in vectors:
             x = _exact_array(coeffs)
-            pos, lengths = self._positions(np.asarray(col_index, dtype=np.int64))
+            rows, vals, lengths = _gather(self.csr, np.asarray(col_index, dtype=np.int64))
             fits = (
                 self.vals.dtype != object
                 and x.dtype != object
-                and pos.size * self.amax * _abs_max(x) < 1 << 63
+                and rows.size * self.amax * _abs_max(x) < 1 << 63
             )
             dtype = np.int64 if fits else object
-            prod = self.vals[pos].astype(dtype)
+            prod = vals.astype(dtype)
             prod *= np.repeat(x.astype(dtype), lengths)
             acc = np.zeros(self.nrows, dtype=dtype)
-            np.add.at(acc, self.rows[pos], prod)
+            np.add.at(acc, rows, prod)
             if acc.any():
                 return False
         return True

@@ -240,7 +240,7 @@ class _BracketTable:
     whose inner brackets are read from the lower tables.  That leaves
     degree-d pairs, the children, of the graph of _bw's recursion, which
     is acyclic; it is evaluated in rounds, each summing the pairs whose
-    children are done.
+    children are done and appending their rows to one CSR store.
     """
 
     def __init__(self, n: int, d: int):
@@ -284,14 +284,12 @@ class _BracketTable:
         for inner, (deg, pos) in enumerate(((m1, i1), (px - m1, i2))):
             e = deg + d - px
             for f in _unique(e).tolist():
-                sel = e == f
-                table = _bracket_table(n, f)
-                words, coeffs, lengths = _gather(table.csr, table.code(deg[sel], pos[sel], y[sel]))
+                sel, table = e == f, _bracket_table(n, f)
+                words, coeffs, lengths = exactla._gather(table.csr, table.code(deg[sel], pos[sel], y[sel]))
                 if inner == 0:
                     child.append(self.code(f, words, np.repeat(i2[sel], lengths)))
                 else:
-                    x1 = (np.repeat(m1[sel], lengths), np.repeat(i1[sel], lengths))
-                    child.append(self.code(*x1, words))
+                    child.append(self.code(np.repeat(m1[sel], lengths), np.repeat(i1[sel], lengths), words))
                 parent.append(np.repeat(nodes[sel], lengths))
                 coef.append(coeffs)
         dtype = exactla._row_dtype(todo.size)
@@ -302,12 +300,13 @@ class _BracketTable:
         """The CSR rows of every pair, in rounds from the standard pairs:
         each round sums the pairs of todo whose children are all done."""
         npairs, width = todo.size, word_codes.size
-        # chunk r holds the rows of its codes in order, row code at
-        # starts[code] in chunk chunk_of[code]; equal pairs stay empty
-        chunks = [(word_codes, np.arange(width), np.ones(width, dtype=np.int64))]
-        chunk_of = np.zeros(npairs, dtype=np.int64)
-        starts, lengths = np.zeros(npairs, dtype=np.int64), np.zeros(npairs, dtype=np.int64)
-        starts[word_codes], lengths[word_codes] = np.arange(width), 1
+        # one CSR store, pair code at its row slot[code]: row 0 is empty,
+        # for the equal pairs, rows 1.. the standard pairs, then each
+        # round's rows, their words narrowed as the finished table's
+        ones = np.ones(width, dtype=np.int64)
+        store = exactla._indptr(np.append(0, ones)), np.arange(width, dtype=exactla._row_dtype(width)), ones
+        slot = np.zeros(npairs, dtype=np.int64)
+        slot[word_codes] = np.arange(1, width + 1)
         while todo.any():
             ready = todo.copy()
             ready[parent[todo[child]]] = False
@@ -316,39 +315,23 @@ class _BracketTable:
                     f"bracket table (n, d) = ({self.n}, {self.d}): no pending pair has its children done"
                 )
             sel = ready[parent]
-            parts = self._child_parts(parent[sel], child[sel], coef[sel], chunks, chunk_of, starts, lengths)
-            keys, sums = _sum_products(parts, width)
+            words, coeffs, lengths = exactla._gather(store, slot[child[sel]])
+            parts = np.repeat(parent[sel], lengths), words, np.repeat(coef[sel], lengths), coeffs
+            keys, sums = _sum_products([parts], width)
             rows = np.flatnonzero(ready)
             codes, words = np.divmod(keys, width)
-            lengths[rows] = np.bincount(codes, minlength=npairs)[rows]
-            starts[rows] = np.cumsum(lengths[rows]) - lengths[rows]
-            chunk_of[rows] = len(chunks)
-            chunks.append((rows, words, sums))
+            counts = np.bincount(codes, minlength=npairs)[rows]
+            start, store = exactla._append(store, (exactla._indptr(counts), words.astype(store[1].dtype), sums))
+            slot[rows] = start + np.arange(rows.size)
             todo[rows] = False
             parent, child, coef = parent[~sel], child[~sel], coef[~sel]
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        words = np.empty(indptr[-1], dtype=exactla._row_dtype(width))
-        coeffs = np.empty(indptr[-1], dtype=np.int64)
-        for codes, chunk_words, chunk_coeffs in chunks:
-            pos = exactla._spans(indptr[codes], lengths[codes])
-            words[pos], coeffs[pos] = chunk_words, chunk_coeffs
-        return indptr, words, exactla._narrowest(coeffs)
-
-    @staticmethod
-    def _child_parts(parent, child, coef, chunks, chunk_of, starts, lengths):
-        """coef * [b(x), b(y)] for every pair child, as product parts
-        keyed by parent, one part per chunk."""
-        for r, (_, words, coeffs) in enumerate(chunks):
-            on = chunk_of[child] == r
-            at = child[on]
-            pos = exactla._spans(starts[at], lengths[at])
-            yield (np.repeat(parent[on], lengths[at]), words[pos],
-                   np.repeat(coef[on], lengths[at]), coeffs[pos])
+        words, coeffs, lengths = exactla._gather(store, slot)
+        return exactla._indptr(lengths), words, exactla._narrowest(coeffs)
 
     def expand(self, target, codes, vals) -> tuple:
         """The terms val * [b(x), b(y)] of each (target, code, val) as a
         product part (target, word, val, coeff) for _sum_products."""
-        words, coeffs, lengths = _gather(self.csr, codes)
+        words, coeffs, lengths = exactla._gather(self.csr, codes)
         return np.repeat(target, lengths), words, np.repeat(vals, lengths), coeffs
 
 
@@ -400,22 +383,6 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
-def _gather(level, keys) -> tuple:
-    """The entries of the rows keys of a CSR level (indptr, words, values):
-    words, values, row lengths."""
-    indptr, words, vals = level
-    lengths = indptr[keys + 1] - indptr[keys]
-    pos = exactla._spans(indptr[keys], lengths)
-    return words[pos], vals[pos], lengths
-
-
-def _csr(nrows: int, rows: np.ndarray) -> np.ndarray:
-    """The indptr of nrows CSR rows, from the sorted row of every entry."""
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-    return indptr
-
-
 def _assemble(chunks, ncols: int, nrows: int) -> exactla._ColumnArrays:
     """Column arrays from a nonempty list of chunks (columns, rows,
     values), in any order, each sorted by column and then row and holding
@@ -423,7 +390,7 @@ def _assemble(chunks, ncols: int, nrows: int) -> exactla._ColumnArrays:
     chunk's values are narrowed, so their widest dtype is what _narrowest
     gives for the whole."""
     counts = sum(np.bincount(cols, minlength=ncols) for cols, _, _ in chunks)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indptr = exactla._indptr(counts)
     rows = np.empty(indptr[-1], dtype=exactla._row_dtype(nrows))
     vals = np.empty(indptr[-1], dtype=np.result_type(*(v.dtype for _, _, v in chunks)))
     for cols, chunk_rows, chunk_vals in chunks:
@@ -510,15 +477,15 @@ class _DegreeBuild:
         b = self.k - a
         src = self.columns[b]
         width = witt_dimension(self.n, b + 1)
-        at, lengths = src._positions(e)
-        slot, t = np.divmod(src.rows[at].astype(np.int64), width)
+        rows, vals, lengths = exactla._gather(src.csr, e)
+        slot, t = np.divmod(rows.astype(np.int64), width)
         key = np.repeat(d, lengths) * width + t
-        coeff = src.vals[at].astype(np.int64) * sign
+        coeff = vals.astype(np.int64) * sign
         return a, np.repeat(w, lengths), slot * witt_dimension(self.n, self.k + 1), key, coeff
 
     @staticmethod
     def _column_part(level, target, offset, key, coeff) -> tuple:
-        words, vals, lengths = _gather(level, key)
+        words, vals, lengths = exactla._gather(level, key)
         return (np.repeat(target, lengths), np.repeat(offset, lengths) + words,
                 np.repeat(coeff, lengths), vals)
 
@@ -548,23 +515,17 @@ class _DegreeBuild:
         widths = np.array([0] + [witt_dimension(n, m) for m in range(1, top + 1)])
         width = witt_dimension(n, a + 1)
         # level 1 is the degree-a matrix, row u * n + i holding tau(u)_i
-        store = (
-            _csr(src.ncols * n, src.entry_columns() * n + src.rows // width),
-            (src.rows % width).astype(np.int64),
-            src.vals.astype(np.int64),
-        )
+        counts = np.bincount(src.entry_columns() * n + src.rows // width, minlength=src.ncols * n)
+        store = exactla._indptr(counts), (src.rows % width).astype(np.int64), src.vals.astype(np.int64)
         offset = np.zeros(top, dtype=np.int64)
         for m in sorted(keys):
             out_width = witt_dimension(n, a + m)
             parts = self._leibniz_parts(a, m, keys[m], store, offset, widths)
             row_keys, sums = _sum_products(parts, out_width)
             rows, words = np.divmod(row_keys, out_width)
-            level = _csr(src.ncols * widths[m], rows), words, sums
+            level = exactla._indptr(np.bincount(rows, minlength=src.ncols * widths[m])), words, sums
             if m < top:
-                # the level's CSR rows after the store's
-                offset[m] = store[0].size - 1
-                tail = (level[0][1:] + store[0][-1],) + level[1:]
-                store = tuple(np.concatenate(both) for both in zip(store, tail))
+                offset[m], store = exactla._append(store, level)
         return level
 
     def _leibniz_parts(self, a, m, keys, store, offset, widths):
@@ -575,11 +536,11 @@ class _DegreeBuild:
         m2 = m - m1
         table = _bracket_table(self.n, a + m)
         # [D_u b(t1), b(t2)]
-        words, vals, lengths = _gather(store, offset[m1] + u * widths[m1] + i1)
+        words, vals, lengths = exactla._gather(store, offset[m1] + u * widths[m1] + i1)
         codes = table.code(np.repeat(a + m1, lengths), words, np.repeat(i2, lengths))
         yield table.expand(np.repeat(keys, lengths), codes, vals)
         # [b(t1), D_u b(t2)]
-        words, vals, lengths = _gather(store, offset[m2] + u * widths[m2] + i2)
+        words, vals, lengths = exactla._gather(store, offset[m2] + u * widths[m2] + i2)
         codes = table.code(np.repeat(m1, lengths), np.repeat(i1, lengths), words)
         yield table.expand(np.repeat(keys, lengths), codes, vals)
 

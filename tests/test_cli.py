@@ -384,6 +384,68 @@ class TestPsigma:
         assert (code == 0) == data["pass"]
 
 
+def _flipped_action(bracket):
+    """sd_bracket with the action of v's g-part on u's h-part added where
+    it is subtracted: the h-action's sign flipped on one side."""
+    from mccool import johnson, psigma3
+
+    def flipped(u, v):
+        out = bracket(u, v)
+        if v.gpart.is_zero() or u.hpart.is_zero():
+            return out
+        act = psigma3._x_to_c(johnson.tau_apply(v.gpart, psigma3._c_to_x(u.hpart)))
+        return psigma3.SDElement(out.hpart + act.scale(2), out.gpart)
+
+    return flipped
+
+
+class TestPsigmaNegativeControls:
+    # each check fails, exit 1 and "pass": false, when the quantity it
+    # compares is damaged; the degree-<= 5 kernels are empty, so the
+    # dropped kernel vector needs degree 6 (omega)
+    @pytest.mark.parametrize(
+        "check, name, damage, max_degree",
+        [
+            ("ranks", "sd_rank", lambda f: lambda k: f(k) + 1, 4),
+            ("jacobi", "sd_bracket", _flipped_action, 4),
+            ("tau-kernel", "sd_tau_kernel", lambda f: lambda k: f(k)[1:], 6),
+            ("intersection", "intersection_kappa", lambda f: lambda k: f(k) + 1, 4),
+        ],
+        ids=["ranks", "jacobi", "tau-kernel", "intersection"],
+    )
+    def test_damaged_check_fails(self, capsys, monkeypatch, check, name, damage, max_degree):
+        from mccool import psigma3
+
+        argv = ["psigma", "--max-degree", str(max_degree), "--check", check]
+        assert run_cli(capsys, argv)[0] == 0
+        monkeypatch.setattr(psigma3, name, damage(getattr(psigma3, name)))
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        assert [(c["id"], c["pass"]) for c in json.loads(out)["checks"]] == [(check, False)]
+        assert json.loads(out)["pass"] is False
+
+
+class TestUnwritableOut:
+    # a path that cannot be written exits 2, the code of a refused run,
+    # with the reason on stderr and nothing on stdout
+    def refused_write(self, capsys, argv, target):
+        code = main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+
+    def test_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        self.refused_write(capsys, ["dims", "--max-degree", "3"], target)
+        assert not target.parent.exists()
+
+    def test_csv_directory_that_is_a_file(self, capsys, tmp_path):
+        target = tmp_path / "tables"
+        target.write_text("kept\n")
+        self.refused_write(capsys, ["all", "--max-degree", "3", "--format", "csv"], target)
+        assert target.read_text() == "kept\n"
+
+
 class TestDeterminism:
     def test_identical_bytes(self, capsys):
         _, out1 = run_cli(capsys, ["psigma", "--max-degree", "4", "--seed", "5"])

@@ -21,10 +21,13 @@ from mccool.exactla import (
     write_matrix_text,
 )
 from mccool.exactla import (
+    _append,
     _ColumnArrays,
     _column_blocks,
     _crt_pair,
     _exact_array,
+    _gather,
+    _indptr,
     _invariant_factors,
     _is_prime,
     _kernel_exact,
@@ -582,6 +585,52 @@ class TestSaturationGuard:
         assert kernel_lattice(short, method="exact") == [tuple(1 << 80 * j for j in range(n - 1))]
 
 
+# CSR rows as a list of rows, each a list of (word, value) pairs
+csr_rows = st.lists(st.lists(st.tuples(st.integers(0, 20), st.integers(-9, 9)), max_size=4), max_size=8)
+
+
+def csr_model(rows):
+    """The CSR arrays of rows, with the indptr summed in Python."""
+    indptr = np.array([0] + list(itertools.accumulate(len(row) for row in rows)), dtype=np.int64)
+    words = np.array([w for row in rows for w, _ in row], dtype=np.int64)
+    return indptr, words, np.array([v for row in rows for _, v in row], dtype=np.int64)
+
+
+class TestCSRPrimitives:
+    def test_indptr_of_no_rows(self):
+        indptr = _indptr([])
+        assert indptr.dtype == np.int64 and indptr.tolist() == [0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_gather_reads_the_keyed_rows(self, data):
+        # keys repeat, may be empty and may name empty rows
+        rows = data.draw(csr_rows.filter(bool))
+        csr = csr_model(rows)
+        got = _indptr([len(row) for row in rows])
+        assert got.dtype == np.int64 and got.tolist() == csr[0].tolist()
+        keys = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+        words, vals, lengths = _gather(csr, np.array(keys, dtype=np.int64))
+        assert lengths.tolist() == [len(rows[k]) for k in keys]
+        assert list(zip(words.tolist(), vals.tolist())) == [e for k in keys for e in rows[k]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(csr_rows, min_size=1, max_size=5))
+    def test_appends_are_the_concatenated_rows(self, parts):
+        store, starts = csr_model(parts[0]), [0]
+        for part in parts[1:]:
+            start, store = _append(store, csr_model(part))
+            starts.append(start)
+        want = csr_model([row for part in parts for row in part])
+        for got_arr, want_arr in zip(store, want):
+            assert got_arr.dtype == np.int64 and got_arr.tolist() == want_arr.tolist()
+        # each part is read back from the row its append returned
+        for start, part in zip(starts, parts):
+            words, vals, lengths = _gather(store, start + np.arange(len(part)))
+            assert lengths.tolist() == [len(row) for row in part]
+            assert list(zip(words.tolist(), vals.tolist())) == [e for row in part for e in row]
+
+
 class TestColumnArrays:
     def test_wraparound_is_rejected(self):
         # 2^32 * 2^32 = 2^64 wraps to 0 in int64; the bound must send this
@@ -1063,6 +1112,12 @@ class TestMatrixText:
     def test_malformed_line_named(self, text, line):
         with pytest.raises(ValueError, match=f"bad (header|entry) line '{line}'"):
             read_matrix_text(text)
+
+    @pytest.mark.parametrize("line", ["3 1 5", "0 1 5", "1 3 5", "1 -1 5", "-1 0 5"])
+    def test_out_of_range_entry_names_its_line(self, line):
+        # positions are 1-based: row 1..2 and column 1..2 of a 2 x 2 matrix
+        with pytest.raises(ValueError, match=f"entry line '{line}' is outside the 2 x 2 matrix"):
+            read_matrix_text(f"2 2 1\n{line}\n")
 
     @settings(max_examples=3000, deadline=None)
     @given(st.text(alphabet="0123456789 -/.x\n", max_size=30) | st.text(max_size=30))

@@ -431,7 +431,7 @@ class TestTauArrays:
         # random columns, cut into chunks of whole columns that come in a
         # random order, give the arrays of one sort of every key
         from mccool import exactla
-        from mccool.johnson import _assemble, _csr
+        from mccool.johnson import _assemble
 
         ncols = data.draw(st.integers(1, 12))
         nrows = data.draw(st.integers(1, 20))
@@ -453,7 +453,8 @@ class TestTauArrays:
         vals = np.array([v for col in columns for v in col.values()], dtype=np.int64)
         order = np.argsort(keys)
         keys, vals = keys[order], vals[order]
-        want = exactla._ColumnArrays.from_csr(_csr(ncols, keys // nrows), keys % nrows, vals, nrows)
+        indptr = exactla._indptr(np.bincount(keys // nrows, minlength=ncols))
+        want = exactla._ColumnArrays.from_csr(indptr, keys % nrows, vals, nrows)
         for got_arr, want_arr in zip((got.indptr, got.rows, got.vals), (want.indptr, want.rows, want.vals)):
             assert got_arr.dtype == want_arr.dtype
             assert got_arr.tolist() == want_arr.tolist()
@@ -544,6 +545,24 @@ class TestTauArrays:
             bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
             got = [list(zip(words[a:b].tolist(), coeffs[a:b].tolist())) for a, b in bounds]
             assert got == want, f"(n, d) = ({n}, {d})"
+
+    def test_bracket_table_refuses_a_pair_never_ready(self, monkeypatch):
+        # a pending pair made its own child never becomes ready, so the
+        # rounds stop making progress before the table is whole
+        from mccool.johnson import _BracketTable
+
+        graph = _BracketTable._graph
+
+        def looped(self):
+            todo, word_codes, parent, child, coef = graph(self)
+            if self.d == 4:
+                pair = np.flatnonzero(todo)[:1]
+                parent, child, coef = np.append(parent, pair), np.append(child, pair), np.append(coef, 1)
+            return todo, word_codes, parent, child, coef
+
+        monkeypatch.setattr(_BracketTable, "_graph", looped)
+        with pytest.raises(RuntimeError, match=r"bracket table \(n, d\) = \(3, 4\): no pending pair"):
+            _BracketTable(3, 4)
 
     def test_tau_build_fills_no_bw(self):
         # the build reads the bracket tables, which are made from each
