@@ -31,7 +31,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import johnson, psigma3, stabilization, symmetry
-from .freelie import LieElement, abc_alphabet, to_tensor
+from .freelie import LieElement, abc_alphabet, left_normed, to_tensor
+from .psigma3 import SDElement, c_alphabet
 from .words import lyndon_tuples, witt_dimension
 
 __all__ = ["main", "build_parser"]
@@ -101,8 +102,6 @@ def cmd_verify_omega(self_test_corrupt: bool = False):
         # negative control: damage the element and watch the checks fail
         alphabet = abc_alphabet()
         gens = {lab: LieElement.generator(alphabet, lab) for lab in "abc"}
-        from .freelie import left_normed
-
         om = om + left_normed([gens[ch] for ch in "abacbc"])
     checks = []
 
@@ -236,8 +235,6 @@ def cmd_psigma(max_degree: int, seed: int, checks=None):
 
 
 def _random_sd(rng: random.Random, degree: int):
-    from .psigma3 import SDElement, c_alphabet
-
     words = lyndon_tuples(3, degree)
     h = {rng.choice(words): rng.randint(-2, 2) for _ in range(2)}
     g = {rng.choice(words): rng.randint(-2, 2) for _ in range(2)}

@@ -20,11 +20,11 @@ as cols - dim ker, come from one certified modular route:
     lattice, with no primes, and certifies that the quotient's columns
     span Z^d.  A block fails only when the prime pool runs out.
 
-Two oracles use no primes and are never fallen back to: a fraction-free
-Bareiss elimination over Z (sparse, Markowitz-style pivoting, lazy
-telescoped rescaling of rows that miss the pivot column), behind
-rank(method="bareiss"), and the Hermite form of [M^T | I], behind
-kernel_lattice(method="exact").
+Two oracles use no primes, and no product path calls them; the tests
+check the certified route against them by name: _rank_bareiss, a
+fraction-free Bareiss elimination over Z (sparse, Markowitz-style
+pivoting, lazy telescoped rescaling of rows that miss the pivot column),
+and _kernel_exact, the Hermite form of [M^T | I].
 
 One Hermite engine, hnf_rows, serves the kernel (the canonical basis
 and the independence check), saturation, the exact oracle and the Smith
@@ -174,8 +174,8 @@ def write_matrix_text(m: SparseMat) -> str:
 
 
 def read_matrix_text(text: str) -> SparseMat:
-    """Inverse of write_matrix_text: a malformed line, or a second entry
-    at one position, raises ValueError naming the line."""
+    """Inverse of write_matrix_text: a malformed line, a zero entry or a
+    second entry at one position raises ValueError naming the line."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()] or [""]
     try:
         rows, cols, nnz = (int(x) for x in lines[0].split())
@@ -195,6 +195,8 @@ def read_matrix_text(text: str) -> SparseMat:
             raise ValueError(f"entry line {ln!r} is outside the {rows} x {cols} matrix")
         if key in entries:
             raise ValueError(f"entry line {ln!r} repeats position ({i}, {j})")
+        if not value:
+            raise ValueError(f"entry line {ln!r} is zero: the text lists only nonzero entries")
         entries[key] = value
     return SparseMat(rows, cols, entries)
 
@@ -394,17 +396,6 @@ class _ColumnArrays:
             nrows,
         )
         return out
-
-    @classmethod
-    def hstack(cls, parts) -> "_ColumnArrays":
-        """The columns of every part, side by side, in order; the parts
-        must have the same number of rows."""
-        nrows = parts[0].nrows
-        if any(part.nrows != nrows for part in parts):
-            raise ValueError("row counts differ")
-        indptr = _indptr(np.concatenate([np.diff(part.indptr) for part in parts]))
-        rows = np.concatenate([part.rows for part in parts])
-        return cls.from_csr(indptr, rows, np.concatenate([part.vals for part in parts]), nrows)
 
     def _set(self, indptr, rows, vals, nrows) -> None:
         self.indptr, self.rows, self.vals = indptr, rows, vals
@@ -726,7 +717,7 @@ def _kernel_exact(columns, nrows: int) -> list:
     """Integer kernel from the Hermite normal form of [M^T | I].
 
     Independent of the modular engine (no primes, no reconstruction):
-    the oracle behind kernel_lattice(method="exact").  Row j is
+    an oracle that only the tests call.  Row j is
     column j of M followed by the unit vector e_j, so the lattice is all
     (x M^T, x).  The Hermite rows whose first nrows entries vanish are a
     basis of its part with x M^T = 0, and their identity parts are in
@@ -839,11 +830,9 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
     rational reconstruction, and the candidates certify when they are
     exact kernel vectors and independent; otherwise the target grows
     (1, 2, 3, 4, 6, 9, ...).  A RuntimeError naming the block is raised
-    when the pool runs out first.
+    when the pool runs out first.  The block of zero columns has no rows:
+    its nullspace mod the first prime is the identity, which certifies.
     """
-    ncols = arrays.ncols
-    if not arrays.rows.size:
-        return [tuple(1 if j == k else 0 for j in range(ncols)) for k in range(ncols)]
     best, kept = None, []  # kept: (p, nullspace mod p) of the best signature
     target = 1
     for p in _PRIMES:
@@ -864,7 +853,7 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
                 return _saturate_rows(basis, arrays)
         target += max(1, target // 2)  # more modulus needed
     raise RuntimeError(
-        f"modular kernel failed to certify a {arrays.nrows}x{ncols} block: "
+        f"modular kernel failed to certify a {arrays.nrows}x{arrays.ncols} block: "
         f"no prime set certified within the pool of {len(_PRIMES)} primes"
     )
 
@@ -901,35 +890,21 @@ def _reconstruct_candidates(per_prime, primes):
     return out
 
 
-def kernel_lattice(m: SparseMat, method: str = "modular") -> list:
+def kernel_lattice(m: SparseMat) -> list:
     """Basis of the saturated integer kernel lattice {v : M v = 0}.
 
     Returns tuples of ints: the Hermite normal form of the kernel
     lattice (deterministic; first nonzero entry of each vector is
     positive).  Fraction entries are cleared row by row first (same
-    kernel).  method="exact" runs the independent route, the Hermite
-    form of [M^T | I] (small matrices; used as a cross-check).
+    kernel).
     """
     m = _cleared(m, 0)
-    if method == "modular":
-        return _kernel_lattice_columns(m.columns(), m.rows)
-    if method == "exact":
-        return _kernel_exact(m.columns(), m.rows)
-    raise ValueError(f"unknown kernel method {method!r}")
+    return _kernel_lattice_columns(m.columns(), m.rows)
 
 
-def rank(m: SparseMat, method: str = "modular") -> int:
-    """Exact rank over Q.
-
-    method="modular" certifies cols - dim ker through the kernel route;
-    method="bareiss" runs the fraction-free elimination, the oracle with
-    no primes.  Both return the exact rank.
-    """
-    if method == "modular":
-        return m.cols - len(kernel_lattice(m))
-    if method == "bareiss":
-        return _rank_bareiss(m)
-    raise ValueError(f"unknown rank method {method!r}")
+def rank(m: SparseMat) -> int:
+    """Exact rank over Q, certified as cols - dim ker by the kernel route."""
+    return m.cols - len(kernel_lattice(m))
 
 
 # ---------------------------------------------------------------------------

@@ -115,19 +115,20 @@ class TauMap:
     psigma3.sd_bracket).
 
     Per degree, for the kernel solve: tau_arrays(k) is the matrix of tau
-    on every Lyndon word of degree k, built by batched array products
-    from the matrices of the lower degrees (_DegreeBuild); it makes no
-    Derivation and no LieElement.  Every table the build reads is indexed
-    by position alone: the lower matrices by column, its levels by row key
-    and the brackets of Lyndon words by pair (_bracket_table, shared by
-    the engines of rank n and built whole from the tables of lower
-    degrees, so the build fills no freelie._bw memo).  It sums one
-    (group, letter-content class) chunk at a time, so its temporaries
-    follow the largest class.  Readers:
+    on every Lyndon word of degree k.  Degree 1 is the column() of each
+    letter's Derivation; a degree k >= 2 is built by batched array
+    products from the matrices of the lower degrees (_DegreeBuild), which
+    makes no Derivation and no LieElement.  Every table the build reads
+    is indexed by position alone: the lower matrices by column, its
+    levels by row key and the brackets of Lyndon words by pair
+    (_bracket_table, shared by the engines of rank n and built whole from
+    the tables of lower degrees, so the build fills no freelie._bw memo).
+    It sums one (group, letter-content class) chunk at a time, so its
+    temporaries follow the largest class.  Readers:
     kernel_report (the solve and the _tau_kills certificate),
     elementary_divisors (the Smith form), bracket_map_rank, and
     psigma3.sd_tau_kernel, which stacks it beside the inner columns.
-    Tests check the two granularities against each other.
+    Tests check the two granularities against each other from degree 2.
     """
 
     def __init__(self, symbol_alphabet: Alphabet, n: int, generator_pairs: tuple):
@@ -184,18 +185,13 @@ class TauMap:
         """
         hit = self._arrays.get(k)
         if hit is None:
-            hit = self._arrays[k] = self._letter_arrays() if k == 1 else _DegreeBuild(self, k).run()
+            if k == 1:
+                letters = [self.of_word((t,)).column() for t in range(len(self.generator_pairs))]
+                hit = exactla._ColumnArrays(letters, self.n * witt_dimension(self.n, 2))
+            else:
+                hit = _DegreeBuild(self, k).run()
+            self._arrays[k] = hit
         return hit
-
-    def _letter_arrays(self) -> exactla._ColumnArrays:
-        # tau(K_ij) sends X_i to [X_j, X_i] and the other letters to 0
-        idx = lyndon_index(self.n, 2)
-        width = len(idx)
-        columns = [
-            [((i - 1) * width + idx[w], c) for w, c in _bw((j - 1,), (i - 1,))]
-            for i, j in self.generator_pairs
-        ]
-        return exactla._ColumnArrays(columns, self.n * width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,9 +311,7 @@ class _BracketTable:
                     f"bracket table (n, d) = ({self.n}, {self.d}): no pending pair has its children done"
                 )
             sel = ready[parent]
-            words, coeffs, lengths = exactla._gather(store, slot[child[sel]])
-            parts = np.repeat(parent[sel], lengths), words, np.repeat(coef[sel], lengths), coeffs
-            keys, sums = _sum_products([parts], width)
+            keys, sums = _sum_products([_scaled_rows(store, slot[child[sel]], parent[sel], coef[sel])], width)
             rows = np.flatnonzero(ready)
             codes, words = np.divmod(keys, width)
             counts = np.bincount(codes, minlength=npairs)[rows]
@@ -328,17 +322,18 @@ class _BracketTable:
         words, coeffs, lengths = exactla._gather(store, slot)
         return exactla._indptr(lengths), words, exactla._narrowest(coeffs)
 
-    def expand(self, target, codes, vals) -> tuple:
-        """The terms val * [b(x), b(y)] of each (target, code, val) as a
-        product part (target, word, val, coeff) for _sum_products."""
-        words, coeffs, lengths = exactla._gather(self.csr, codes)
-        return np.repeat(target, lengths), words, np.repeat(vals, lengths), coeffs
-
 
 @functools.lru_cache(maxsize=None)
 def _bracket_table(n: int, d: int) -> _BracketTable:
     """The degree-d bracket table over n letters, shared by the builds of rank n."""
     return _BracketTable(n, d)
+
+
+def _scaled_rows(csr, keys, target, coef) -> tuple:
+    """The rows keys of CSR arrays, row keys[i] scaled by coef[i], as a
+    product part (target, word, coef, value) for _sum_products."""
+    words, vals, lengths = exactla._gather(csr, keys)
+    return np.repeat(target, lengths), words, np.repeat(coef, lengths), vals
 
 
 def _sum_products(parts, width: int):
@@ -429,19 +424,20 @@ class _DegreeBuild:
         self.engine = engine
         self.n = engine.n
         self.k = k
+        self.nrows = self.n * witt_dimension(self.n, k + 1)
         self.columns = {a: engine.tau_arrays(a) for a in range(1, k)}
 
     def run(self) -> exactla._ColumnArrays:
-        nrows = self.n * witt_dimension(self.n, self.k + 1)
         ncols = witt_dimension(self.engine.symbol_alphabet.size, self.k)
         chunks = []
         for a in range(1, self.k // 2 + 1):
-            chunks.extend(self._pair_chunks(sorted({a, self.k - a}), nrows))
-        return _assemble(chunks, ncols, nrows)
+            chunks.extend(self._pair_chunks(sorted({a, self.k - a})))
+        return _assemble(chunks, ncols, self.nrows)
 
-    def _pair_chunks(self, pair, nrows: int):
+    def _pair_chunks(self, pair):
         """The chunks (columns, rows, values) of the groups deg u = a in
         pair; the pair's top levels live until the last is yielded."""
+        nrows = self.nrows
         size = self.engine.symbol_alphabet.size
         ulen, uidx, vidx = _factor_arrays(size, self.k)
         labels = _content_labels(size, self.k)
@@ -452,19 +448,19 @@ class _DegreeBuild:
             # D_u on the image of v, and -D_v on the image of u
             terms = (self._terms(w, uidx[w], a, vidx[w], 1),
                      self._terms(w, vidx[w], self.k - a, uidx[w], -1))
-            for deg, _, _, key, _ in terms:
+            for deg, _, key, _ in terms:
                 need.setdefault(deg, []).append(key)
             groups.append((_unique(labels[w]), terms))
         top = {a: self._top_level(a, _unique(np.concatenate(keys))) for a, keys in need.items()}
         for classes, terms in groups:
             # each term's entries run through the classes in order
-            cuts = [np.append(np.searchsorted(labels[target], classes), target.size)
+            cuts = [np.append(np.searchsorted(labels[target // nrows], classes), target.size)
                     for _, target, *_ in terms]
             for c in range(classes.size):
                 keys, sums = _sum_products(
-                    (self._column_part(top[deg], *(x[at[c]:at[c + 1]] for x in rest))
-                     for (deg, *rest), at in zip(terms, cuts)),
-                    nrows,
+                    (_scaled_rows(top[deg], *(x[at[c]:at[c + 1]] for x in (key, target, coeff)))
+                     for (deg, target, key, coeff), at in zip(terms, cuts)),
+                    1,
                 )
                 cols, rows = np.divmod(keys, nrows)
                 rows = rows.astype(exactla._row_dtype(nrows))
@@ -472,22 +468,17 @@ class _DegreeBuild:
 
     def _terms(self, w, d, a, e, sign) -> tuple:
         """D_d, deg d = a, on the image slots of tau(e) for the words w:
-        the top-level row keys it needs, with their columns, row offsets
-        and coefficients."""
+        the top-level row keys it needs, each with its coefficient and
+        target, column * nrows + slot * witt(n, k + 1), the key of the
+        entry before the level row's word is added."""
         b = self.k - a
         src = self.columns[b]
         width = witt_dimension(self.n, b + 1)
         rows, vals, lengths = exactla._gather(src.csr, e)
         slot, t = np.divmod(rows.astype(np.int64), width)
         key = np.repeat(d, lengths) * width + t
-        coeff = vals.astype(np.int64) * sign
-        return a, np.repeat(w, lengths), slot * witt_dimension(self.n, self.k + 1), key, coeff
-
-    @staticmethod
-    def _column_part(level, target, offset, key, coeff) -> tuple:
-        words, vals, lengths = exactla._gather(level, key)
-        return (np.repeat(target, lengths), np.repeat(offset, lengths) + words,
-                np.repeat(coeff, lengths), vals)
+        target = np.repeat(w, lengths) * self.nrows + slot * witt_dimension(self.n, self.k + 1)
+        return a, target, key, vals.astype(np.int64) * sign
 
     def _top_level(self, a: int, top_keys: np.ndarray) -> tuple:
         """Level (a, k + 1 - a) with its rows top_keys filled, from every
@@ -538,11 +529,11 @@ class _DegreeBuild:
         # [D_u b(t1), b(t2)]
         words, vals, lengths = exactla._gather(store, offset[m1] + u * widths[m1] + i1)
         codes = table.code(np.repeat(a + m1, lengths), words, np.repeat(i2, lengths))
-        yield table.expand(np.repeat(keys, lengths), codes, vals)
+        yield _scaled_rows(table.csr, codes, np.repeat(keys, lengths), vals)
         # [b(t1), D_u b(t2)]
         words, vals, lengths = exactla._gather(store, offset[m2] + u * widths[m2] + i2)
         codes = table.code(np.repeat(m1, lengths), np.repeat(i1, lengths), words)
-        yield table.expand(np.repeat(keys, lengths), codes, vals)
+        yield _scaled_rows(table.csr, codes, np.repeat(keys, lengths), vals)
 
 
 @functools.lru_cache(maxsize=None)

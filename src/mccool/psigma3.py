@@ -31,7 +31,7 @@ from .freelie import (
     x_alphabet,
 )
 from .johnson import _ABC_PAIRS, _abc_tau_map, tau_apply, tau_evaluate
-from .symmetry import _SYMBOL_CLASSES, S3Element, _permutation_images
+from .symmetry import _SYMBOL_CLASSES, S3_123, S3_132, S3Element, _permutation_images
 from .words import lyndon_tuples, standard_factorization, witt_dimension
 
 __all__ = [
@@ -190,7 +190,7 @@ def _sd_tau_arrays(k: int) -> exactla._ColumnArrays:
         inner_derivation(LieElement(x_alphabet(3), k, {w: 1}, _trust=True)).column()
         for w in lyndon_tuples(3, k)
     ]
-    return exactla._ColumnArrays.hstack([exactla._ColumnArrays(inner, tau.nrows), tau])
+    return exactla._ColumnArrays(inner + list(tau), tau.nrows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,8 +232,6 @@ def intersection_kappa(k: int, /) -> int:
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
-    from .symmetry import S3_123, S3_132
-
     w = witt_dimension(3, k)
     cols = [
         hc + [(i + w, v) for i, v in hcc]

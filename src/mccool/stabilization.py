@@ -16,6 +16,7 @@ exactly what forces linear independence of the family.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .derivations import Derivation
@@ -180,12 +181,7 @@ class IndependenceCertificate:
 
 
 def _triples(n: int):
-    out = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                out.append(IndexTriple((a, b, c), n))
-    return out
+    return [IndexTriple(t, n) for t in itertools.combinations(range(1, n + 1), 3)]
 
 
 def independence_certificate(n: int) -> IndependenceCertificate:

@@ -107,16 +107,3 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
         raise ValueError(f"{word!r} is not a Lyndon word")
     v = min(word[start:] for start in range(1, len(word)))
     return word[: len(word) - len(v)], v
-
-
-@functools.lru_cache(maxsize=None)
-def bracketing_tree(word: Word):
-    """Standard bracketing of a Lyndon word as a nested pair tree.
-
-    Leaves are letter indices; internal nodes are pairs (left, right)
-    following the standard factorization.
-    """
-    if len(word) == 1:
-        return word[0]
-    u, v = standard_factorization(word)
-    return (bracketing_tree(u), bracketing_tree(v))

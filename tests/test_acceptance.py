@@ -292,7 +292,7 @@ def _prop_snf_chain(rng):
         if b % a:
             return False
     # rank consistency against the independent elimination
-    return snf.rank == exactla.rank(SparseMat.from_dense(dense), "bareiss")
+    return snf.rank == exactla._rank_bareiss(SparseMat.from_dense(dense))
 
 
 PROPERTY_SUITES = [

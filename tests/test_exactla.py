@@ -32,6 +32,7 @@ from mccool.exactla import (
     _is_prime,
     _kernel_exact,
     _PRIMES,
+    _rank_bareiss,
     _rat_reconstruct,
     _reconstruct_candidates,
     _saturate_rows,
@@ -81,22 +82,18 @@ class TestRank:
     def test_rank_methods_agree_with_oracle(self, dense):
         m = SparseMat.from_dense(dense)
         expected = frac_rank(dense)
-        assert rank(m, "bareiss") == expected
-        assert rank(m, "modular") == expected
+        assert _rank_bareiss(m) == expected
+        assert rank(m) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices)
     def test_rank_equals_transpose_rank(self, dense):
         m = SparseMat.from_dense(dense)
-        assert rank(m, "bareiss") == rank(SparseMat.from_dense(zip(*dense)), "bareiss")
+        assert _rank_bareiss(m) == _rank_bareiss(SparseMat.from_dense(zip(*dense)))
 
     def test_rational_entries(self):
         m = SparseMat(2, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-        assert rank(m) == rank(m, "bareiss") == 1
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown rank method 'auto'"):
-            rank(SparseMat.identity(2), "auto")
+        assert rank(m) == _rank_bareiss(m) == 1
 
 
 class TestKernel:
@@ -113,7 +110,7 @@ class TestKernel:
     @given(small_matrices)
     def test_exact_and_modular_agree(self, dense):
         m = SparseMat.from_dense(dense)
-        assert kernel_lattice(m, "exact") == kernel_lattice(m, "modular")
+        assert _kernel_exact(m.columns(), m.rows) == kernel_lattice(m)
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
@@ -137,7 +134,7 @@ class TestKernel:
         ker = kernel_lattice(m)
         assert len(ker) == 40 - frac_rank(prod)
         assert _ColumnArrays(m.columns(), 30).kills_rows(ker)
-        assert [tuple(v) for v in kernel_lattice(m, "exact")] == [tuple(v) for v in ker]
+        assert [tuple(v) for v in _kernel_exact(m.columns(), m.rows)] == [tuple(v) for v in ker]
 
     @staticmethod
     def _rank_mod_p(rows, p):
@@ -209,7 +206,7 @@ class TestKernel:
         m1 = SparseMat.from_dense(dense)
         m2 = SparseMat.from_dense(dense)
         assert kernel_lattice(m1) == kernel_lattice(m2)
-        assert rank(m1, "modular") == rank(m2, "modular")
+        assert rank(m1) == rank(m2)
 
 
 def reconstruct_reference(per_prime, primes):
@@ -326,7 +323,7 @@ class TestBlockSplit:
         for comp in components:
             if all(any(dense[i][j] for i in range(m.rows)) for j in comp):
                 assert any(comp <= b for b in planted)
-        assert kernel_lattice(m) == kernel_lattice(m, "exact")
+        assert kernel_lattice(m) == _kernel_exact(m.columns(), m.rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -340,7 +337,7 @@ class TestBlockSplit:
         m = SparseMat.from_dense(dense)
         components = _column_blocks(_ColumnArrays(m.columns(), m.rows))
         assert any(ja in comp and jb in comp for comp in components)
-        assert kernel_lattice(m) == kernel_lattice(m, "exact")
+        assert kernel_lattice(m) == _kernel_exact(m.columns(), m.rows)
 
     @settings(max_examples=100, deadline=None)
     @given(incidence_patterns)
@@ -421,7 +418,7 @@ class TestModularRouteAlone:
         assert "no prime set certified within the pool of 1 primes" in msg
         monkeypatch.setattr(exactla, "_EXACT_KERNEL_BITS", 32)
         with pytest.raises(RuntimeError, match="exact kernel entries exceed the 32-bit bound"):
-            kernel_lattice(SparseMat.from_dense([[1 << 61, -1]]), method="exact")
+            _kernel_exact([[(0, 1 << 61)], [(0, -1)]], 1)
 
 
 def reference_blocks(columns, nrows):
@@ -579,10 +576,10 @@ class TestSaturationGuard:
         m = SparseMat(n - 1, n, entries)
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="exact kernel entries exceed the 2048-bit bound"):
-            kernel_lattice(m, method="exact")
+            _kernel_exact(m.columns(), m.rows)
         assert time.perf_counter() - start < 1.0
         short = SparseMat(n - 2, n - 1, {(i, j): v for (i, j), v in entries.items() if i < n - 2})
-        assert kernel_lattice(short, method="exact") == [tuple(1 << 80 * j for j in range(n - 1))]
+        assert _kernel_exact(short.columns(), short.rows) == [tuple(1 << 80 * j for j in range(n - 1))]
 
 
 # CSR rows as a list of rows, each a list of (word, value) pairs
@@ -745,21 +742,6 @@ class TestColumnArrays:
         assert big.kills_rows([[0]]) and not big.kills_rows([[1]])
         assert arrays.block([1]).vals.dtype == np.int64
         assert arrays.block([2]).vals.dtype == np.int16
-
-    @settings(max_examples=60, deadline=None)
-    @given(sparse_columns, st.sampled_from([0, 20, 70]), st.data())
-    def test_hstack_equals_one_build(self, shaped, bits, data):
-        nrows, shape = shaped
-        columns = [sorted({i: v << bits for i, v in col}.items()) for col in shape]
-        cut = data.draw(st.integers(0, len(columns)))
-        parts = [_ColumnArrays(columns[:cut], nrows), _ColumnArrays(columns[cut:], nrows)]
-        stacked, whole = _ColumnArrays.hstack(parts), _ColumnArrays(columns, nrows)
-        for name in ("indptr", "rows", "vals"):
-            got, want = getattr(stacked, name), getattr(whole, name)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
-        assert (stacked.nrows, stacked.ncols, stacked.amax) == (whole.nrows, whole.ncols, whole.amax)
-        with pytest.raises(ValueError, match="row counts differ"):
-            _ColumnArrays.hstack([parts[0], _ColumnArrays(columns, nrows + 1)])
 
     def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
         from mccool import exactla
@@ -1118,6 +1100,30 @@ class TestMatrixText:
         # positions are 1-based: row 1..2 and column 1..2 of a 2 x 2 matrix
         with pytest.raises(ValueError, match=f"entry line '{line}' is outside the 2 x 2 matrix"):
             read_matrix_text(f"2 2 1\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["1 1 0", "1 1 0/3", "2 1 -0"])
+    def test_zero_entry_names_its_line(self, line):
+        # the text lists only nonzero entries, so the header count is nnz
+        with pytest.raises(ValueError, match=f"entry line '{line}' is zero"):
+            read_matrix_text(f"2 2 1\n{line}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepted_text_writes_back_with_its_header_count(self, data):
+        # entry lines over a small matrix, zeros, fractions, repeats and
+        # out-of-range positions included: a text the reader accepts
+        # writes back to one that states the same count and reads the same
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        value = st.sampled_from(["0", "-0", "0/3", "2", "-7", "1/2", "-4/6", "4/2"])
+        line = st.builds("{} {} {}".format, st.integers(1, 4), st.integers(1, 4), value)
+        lines = data.draw(st.lists(line, max_size=5))
+        try:
+            m = read_matrix_text("\n".join([f"{rows} {cols} {len(lines)}"] + lines) + "\n")
+        except ValueError:
+            return
+        back = write_matrix_text(m)
+        assert back.splitlines()[0] == f"{rows} {cols} {len(lines)}"
+        assert read_matrix_text(back) == m
 
     @settings(max_examples=3000, deadline=None)
     @given(st.text(alphabet="0123456789 -/.x\n", max_size=30) | st.text(max_size=30))

@@ -24,7 +24,7 @@ from mccool.freelie import (
     x_alphabet,
 )
 from mccool.freelie import _expand
-from mccool.words import bracketing_tree, is_lyndon, lyndon_tuples, standard_factorization
+from mccool.words import is_lyndon, lyndon_tuples, standard_factorization
 
 
 # any JSON value, for the fields of generated payloads
@@ -72,7 +72,6 @@ class TestLyndonWords:
 
     def test_bracketing(self):
         w = (0, 0, 1)
-        assert bracketing_tree(w) == (0, (0, 1))
         assert standard_factorization(w) == ((0,), (0, 1))
 
 

@@ -390,8 +390,11 @@ class TestTauArrays:
         assert dtypes == (np.int64, np.int32, np.int16)
         assert arrays_digest(arrays) == TAU_ARRAYS_SHA256[k]
 
-    @pytest.mark.parametrize("n, max_degree", [(3, 7), (4, 3)], ids=["abc", "mccool4"])
+    @pytest.mark.parametrize("n, max_degree", [(3, 8), (4, 3)], ids=["abc", "mccool4"])
     def test_columns_match_per_word_route(self, n, max_degree):
+        # degree 1 is built from the letters' Derivations, so there the
+        # comparison is circular; tau_generator is checked on its own by
+        # the acceptance tests.  Degrees >= 2 are two independent routes.
         from mccool.johnson import _ABC_PAIRS, TauMap, mccool_symbols
 
         if n == 3:
@@ -498,7 +501,7 @@ class TestTauArrays:
         # freelie._bw in lyndon_index positions; the codes of the pairs of
         # degree d are 0, 1, ... in order of (deg x, x, y)
         from mccool.freelie import _bw
-        from mccool.johnson import _BracketTable
+        from mccool.johnson import _BracketTable, _scaled_rows
         from mccool.words import lyndon_index, witt_dimension
 
         n, d = data.draw(st.sampled_from([(3, d) for d in range(2, 9)] + [(4, d) for d in range(2, 6)]))
@@ -516,7 +519,7 @@ class TestTauArrays:
             asked += batch
             px, x, y = (np.array(c, dtype=np.int64) for c in zip(*batch))
             vals = np.arange(1, len(batch) + 1)
-            parts = table.expand(np.arange(len(batch)), table.code(px, x, y), vals)
+            parts = _scaled_rows(table.csr, table.code(px, x, y), np.arange(len(batch)), vals)
             got = list(zip(*(part.tolist() for part in parts)))
             want = [
                 (i, idx[w], i + 1, c)
@@ -614,8 +617,9 @@ class TestTauArrays:
             nrows = engine.tau_arrays(k).nrows
             labels = johnson._content_labels(size, k)
             ulen = johnson._factor_arrays(size, k)[0]
-            # the column sums have width nrows, the level sums witt(n, m) < nrows
-            chunks = [labels[targets] for width, targets in calls if width == nrows]
+            # the column sums have width 1, their targets column * nrows +
+            # row offset; the level and bracket-table sums width witt(n, m) > 1
+            chunks = [labels[targets // nrows] for width, targets in calls if width == 1]
             # a chunk of columns that tau kills (over McCool symbols) is empty
             assert all(np.unique(chunk).size <= 1 for chunk in chunks)
             assert len(chunks) == len(set(zip(ulen.tolist(), labels.tolist())))
@@ -630,8 +634,8 @@ class TestBracketMap:
         rank = exactla.rank
         ranks = []
 
-        def both(m, method="modular"):
-            ranks.append((rank(m, method), rank(m, "bareiss")))
+        def both(m):
+            ranks.append((rank(m), exactla._rank_bareiss(m)))
             return ranks[-1][0]
 
         monkeypatch.setattr(exactla, "rank", both)

@@ -1,11 +1,8 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mccool.words import (
-    bracketing_tree,
     is_lyndon,
     lyndon_tuples,
     standard_factorization,
@@ -76,25 +73,6 @@ def test_standard_factorization_is_longest_lyndon_suffix():
                     w[start:] for start in range(1, len(w)) if is_lyndon(w[start:])
                 )
                 assert v == longest
-
-
-def test_bracketing_examples():
-    assert bracketing_tree((0, 1)) == (0, 1)
-    # longest Lyndon proper suffix of xxy is xy
-    assert bracketing_tree((0, 0, 1)) == (0, (0, 1))
-    # longest Lyndon proper suffix of xyy is y
-    assert bracketing_tree((0, 1, 1)) == ((0, 1), 1)
-
-
-def _leaves(tree):
-    if isinstance(tree, int):
-        return (tree,)
-    return _leaves(tree[0]) + _leaves(tree[1])
-
-
-@given(st.sampled_from([w for k in range(1, 8) for w in lyndon_tuples(3, k)]))
-def test_bracketing_leaves_read_the_word(w):
-    assert _leaves(bracketing_tree(w)) == w
 
 
 def test_standard_factorization_rejects_non_lyndon():
