@@ -41,7 +41,6 @@ from .freelie import (
 from .johnson import (
     BracketMapReport,
     KernelReport,
-    LiePolynomial,
     McCoolSymbols,
     bracket_map_rank,
     elementary_divisors,

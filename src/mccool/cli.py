@@ -260,31 +260,29 @@ def cmd_all(max_degree: int, n: int, seed: int):
 # rendering
 
 
+def _md_table(rows) -> str:
+    """A markdown table of rows of cells, the first row the header."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in rows]
+    lines.insert(1, "|---" * len(rows[0]) + "|")
+    return "\n".join(lines) + "\n"
+
+
 def _render_md(payload: dict) -> str:
     cmd = payload["command"]
     if cmd == "dims":
-        ks = [str(r["k"]) for r in payload["rows"]]
-        amb = [str(r["ambient"]) for r in payload["rows"]]
-        ker = [str(r["kernel"]) for r in payload["rows"]]
-        lines = [
-            "| k | " + " | ".join(ks) + " |",
-            "|---" * (len(ks) + 1) + "|",
-            "| dim L_k | " + " | ".join(amb) + " |",
-            "| dim kernel_k | " + " | ".join(ker) + " |",
-        ]
-        return "\n".join(lines) + "\n"
+        rows = payload["rows"]
+        return _md_table([
+            ["k", *(str(r["k"]) for r in rows)],
+            ["dim L_k", *(str(r["ambient"]) for r in rows)],
+            ["dim kernel_k", *(str(r["kernel"]) for r in rows)],
+        ])
     if cmd == "characters":
         ks = sorted(payload["characters"], key=int)
         chars = [
             "(" + ", ".join(str(x) for x in payload["characters"][k]["character"]) + ")"
             for k in ks
         ]
-        lines = [
-            "| k | " + " | ".join(ks) + " |",
-            "|---" * (len(ks) + 1) + "|",
-            "| character of kernel_k | " + " | ".join(chars) + " |",
-        ]
-        return "\n".join(lines) + "\n"
+        return _md_table([["k", *ks], ["character of kernel_k", *chars]])
     if cmd == "kernel":
         lines = [
             f"degree {payload['degree']}: domain {payload['domain_dim']}, "

@@ -667,11 +667,11 @@ class CertificateError(RuntimeError):
     """An exact check that certifies a result failed."""
 
 
-def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
+def _saturate_rows(v: list, arrays: _ColumnArrays) -> list:
     """Certified Hermite basis of the saturation of an integer row basis.
 
-    Each input row must lie in the exact kernel of the columns.  V, the
-    Hermite form of the rows, has d independent rows.  When every pivot
+    V, the rows, must be a Hermite basis (hnf_rows) of d independent
+    rows, each in the exact kernel of the columns.  When every pivot
     is 1 the pivot-column minor is 1 and V is saturated.  Otherwise C,
     the Hermite form of V's columns, is an upper triangular d x d basis
     of the lattice they span in Z^d, and forward substitution solves
@@ -680,7 +680,6 @@ def _saturate_rows(v_rows: list, arrays: _ColumnArrays) -> list:
     section 2.4).  That spanning is certified, not assumed: the Hermite
     form of B's columns must be the identity.
     """
-    v = hnf_rows(v_rows)
     d = len(v)
     if any(next(x for x in row if x) != 1 for row in v):
         c = hnf_rows(list(zip(*v)))  # d x d: V has rank d
@@ -747,17 +746,16 @@ def _pivot_signature_key(pivots) -> tuple:
     return (-len(pivots), tuple(pivots))
 
 
-def _kernel_lattice_columns(columns, nrows: int) -> list:
+def _kernel_lattice_columns(arrays: _ColumnArrays, nrows: int) -> list:
     """Certified Hermite basis of the integer kernel lattice of the columns.
 
-    columns is a list of columns, each a list of (row, value) pairs, or a
-    _ColumnArrays; a list is converted to arrays once, and every block
-    below is cut from those arrays.  The columns are split into the
-    connected components of their column-row incidence graph: two columns
-    are in one block when they share a row, and all zero columns form one
-    block.  Up to a permutation of rows and columns the matrix is then
-    block diagonal, so its kernel lattice is the direct sum of the blocks'
-    kernel lattices.  Each block is solved on its own by _kernel_block,
+    The arrays must have nrows rows; every block below is cut from them.
+    The columns are split into the connected components of their
+    column-row incidence graph: two columns are in one block when they
+    share a row, and all zero columns form one block.  Up to a
+    permutation of rows and columns the matrix is then block diagonal,
+    so its kernel lattice is the direct sum of the blocks' kernel
+    lattices.  Each block is solved on its own by _kernel_block,
     rows renumbered locally and columns kept in ascending order.  Embedded
     back in global coordinates, a block's Hermite rows keep their pivots
     and are zero in every other block's columns, so the rows of all blocks
@@ -765,12 +763,8 @@ def _kernel_lattice_columns(columns, nrows: int) -> list:
     lattice.  The Hermite normal form is unique, hence this is exactly the
     basis one solve of the unsplit matrix returns.
     """
-    if isinstance(columns, _ColumnArrays):
-        if columns.nrows != nrows:
-            raise ValueError(f"arrays have {columns.nrows} rows, not {nrows}")
-        arrays = columns
-    else:
-        arrays = _ColumnArrays(columns, nrows)
+    if arrays.nrows != nrows:
+        raise ValueError(f"arrays have {arrays.nrows} rows, not {nrows}")
     out = []
     for block in _column_blocks(arrays):
         block_cols = block.tolist()
@@ -899,7 +893,7 @@ def kernel_lattice(m: SparseMat) -> list:
     kernel).
     """
     m = _cleared(m, 0)
-    return _kernel_lattice_columns(m.columns(), m.rows)
+    return _kernel_lattice_columns(_ColumnArrays(m.columns(), m.rows), m.rows)
 
 
 def rank(m: SparseMat) -> int:
@@ -911,11 +905,6 @@ def rank(m: SparseMat) -> int:
 # Smith normal form
 
 
-# the Smith form refuses matrices wider than this: its Hermite forms are
-# dense and in Python ints
-_SMITH_MAX_COLS = 5000
-
-
 def smith_normal_form(m: "SparseMat | _ColumnArrays") -> SNFResult:
     """Elementary divisors d1 | d2 | ... (positive, nonzero ones only).
 
@@ -925,36 +914,31 @@ def smith_normal_form(m: "SparseMat | _ColumnArrays") -> SNFResult:
     is equivalent to the diagonal of all the blocks' pivots, which
     _invariant_factors turns into the divisor chain.
     """
-    ncols = m.ncols if isinstance(m, _ColumnArrays) else m.cols
-    if ncols > _SMITH_MAX_COLS:
-        raise ValueError(f"matrix has {ncols} columns, above the Smith form's {_SMITH_MAX_COLS}")
     if isinstance(m, SparseMat):
         if any(isinstance(v, Fraction) for v in m.entries.values()):
             raise ValueError("smith_normal_form requires integer entries")
         m = _ColumnArrays(m.columns(), m.rows)
     diagonal = []
     for cols in _column_blocks(m):
-        block = m.block(cols)
-        if block.rows.size:
-            diagonal.extend(_smith_diagonal(block))
+        diagonal.extend(_smith_diagonal(m.block(cols)))
     return SNFResult(_invariant_factors(diagonal))
 
 
-def _smith_diagonal(columns) -> list:
+def _smith_diagonal(block: _ColumnArrays) -> list:
     """Diagonal of the integer columns under unimodular row and column
     operations, by alternating Hermite forms of the rows and of their
     transpose (Kannan and Bachem 1979) until every row has one nonzero.
 
     After a row HNF the first column is (a, 0, ...); the next HNF makes a
     the gcd of the first row, so a either falls or divides its row and
-    column, which are then cleared and never touched again.
+    column, which are then cleared and never touched again.  The dense
+    rows are the block's rows as block() numbers them, 0..nrows-1; a block
+    with no rows has no diagonal.
     """
-    columns = list(columns)
-    index = {i: n for n, i in enumerate(sorted({i for col in columns for i, _ in col}))}
-    rows = [[0] * len(columns) for _ in index]
-    for j, col in enumerate(columns):
+    rows = [[0] * block.ncols for _ in range(block.nrows)]
+    for j, col in enumerate(block):
         for i, v in col:
-            rows[index[i]][j] = v
+            rows[i][j] = v
     while True:
         rows = hnf_rows(rows)
         if all(len(r) - r.count(0) == 1 for r in rows):

@@ -91,9 +91,6 @@ class Alphabet:
     def index(self, label: str) -> int:
         return self._index[label]
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def word_string(self, word: Word) -> str:
         labs = [self.labels[i] for i in word]
         if all(len(lab) == 1 for lab in self.labels):
@@ -334,22 +331,26 @@ class LieElement(_Element):
         w = tuple(word)
         return cls(alphabet, len(w), {w: 1})
 
-    def generators(self):
-        """The degree-1 generator elements of this element's alphabet."""
-        return [LieElement.generator(self.alphabet, lab) for lab in self.alphabet.labels]
-
     def coefficient(self, word) -> int:
         return self.coeffs.get(tuple(word), 0)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieElement":
-        """Inverse of to_json_dict.  A missing key, a term whose word is not
-        a string that parses over the alphabet or whose coefficient is not
-        an integer or a "p/q" string, or a repeated word raises ValueError
-        naming it."""
+        """Inverse of to_json_dict.  A payload that is not an object, a
+        missing key, an alphabet that is not a list of strings, terms that
+        are not a list, a term whose word is not a string that parses over
+        the alphabet or whose coefficient is not an integer or a "p/q"
+        string, or a repeated word raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"payload must be an object, got {data!r}")
         if missing := [key for key in ("alphabet", "degree", "terms") if key not in data]:
             raise ValueError(f"missing key {missing[0]!r}")
-        alphabet = Alphabet(tuple(data["alphabet"]))
+        labels = data["alphabet"]
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise ValueError(f"alphabet must be a list of strings, got {labels!r}")
+        if not isinstance(data["terms"], list):
+            raise ValueError(f"terms must be a list, got {data['terms']!r}")
+        alphabet = Alphabet(labels)
         coeffs = {}
         for term in data["terms"]:
             try:
@@ -441,21 +442,6 @@ def from_coordinates(alphabet: Alphabet, degree: int, vec) -> LieElement:
     return LieElement(alphabet, degree, coeffs, _trust=True)
 
 
-def _bracket_table(u: LieElement, v: LieElement) -> LieElement:
-    out: dict = {}
-    for wu, cu in u.coeffs.items():
-        for wv, cv in v.coeffs.items():
-            # inline, not _add_into: a call per pair slows lie_bracket ~10%
-            c = cu * cv
-            for w, bc in _bw(wu, wv):
-                val = out.get(w, 0) + c * bc
-                if val:
-                    out[w] = val
-                elif w in out:
-                    del out[w]
-    return LieElement(u.alphabet, u.degree + v.degree, out, _trust=True)
-
-
 def lie_bracket(u: LieElement, v: LieElement, via: str = "table") -> LieElement:
     """Lie bracket [u, v] in Lyndon normal form.
 
@@ -465,7 +451,18 @@ def lie_bracket(u: LieElement, v: LieElement, via: str = "table") -> LieElement:
     if u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
     if via == "table":
-        return _bracket_table(u, v)
+        out: dict = {}
+        for wu, cu in u.coeffs.items():
+            for wv, cv in v.coeffs.items():
+                # inline, not _add_into: a call per pair slows lie_bracket ~10%
+                c = cu * cv
+                for w, bc in _bw(wu, wv):
+                    val = out.get(w, 0) + c * bc
+                    if val:
+                        out[w] = val
+                    elif w in out:
+                        del out[w]
+        return LieElement(u.alphabet, u.degree + v.degree, out, _trust=True)
     if via == "tensor":
         return from_tensor(to_tensor(u).commutator(to_tensor(v)))
     raise ValueError(f"unknown bracket route {via!r}")

@@ -40,7 +40,6 @@ from .words import _lyndon_tuples_cached
 from .words import lyndon_index, lyndon_tuples, standard_factorization, witt_dimension
 
 __all__ = [
-    "LiePolynomial",
     "McCoolSymbols",
     "KernelReport",
     "BracketMapReport",
@@ -52,10 +51,6 @@ __all__ = [
     "elementary_divisors",
     "bracket_map_rank",
 ]
-
-# elements of the free Lie ring on generator symbols are plain LieElements
-LiePolynomial = LieElement
-
 
 class McCoolSymbols:
     """The n(n-1) symbols k_ij (i != j), ordered row-major by (i, j)."""
@@ -69,7 +64,7 @@ class McCoolSymbols:
         self.pairs = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
         self.alphabet = Alphabet(tuple(f"k{i}{j}" for i, j in self.pairs))
 
-    def symbol(self, i: int, j: int) -> LiePolynomial:
+    def symbol(self, i: int, j: int) -> LieElement:
         if (i, j) not in self.pairs:
             raise ValueError(f"no symbol k_ij for (i, j) = ({i}, {j}) in rank {self.n}")
         return LieElement.generator(self.alphabet, f"k{i}{j}")
@@ -148,7 +143,7 @@ class TauMap:
             hit = self._word_cache[word] = der_bracket(self.of_word(u), self.of_word(v))
         return hit
 
-    def evaluate(self, p: LiePolynomial) -> Derivation:
+    def evaluate(self, p: LieElement) -> Derivation:
         if p.alphabet != self.symbol_alphabet:
             raise ValueError("symbol alphabet mismatch")
         acc = tuple({} for _ in range(self.n))
@@ -159,7 +154,7 @@ class TauMap:
         images = tuple(LieElement(alphabet, p.degree + 1, d, _trust=True) for d in acc)
         return Derivation(alphabet, p.degree, images)
 
-    def apply(self, p: LiePolynomial, x: LieElement) -> LieElement:
+    def apply(self, p: LieElement, x: LieElement) -> LieElement:
         """tau(p) applied to x, by linearity in p: the sum of
         c_w * tau(b(w))(x), read from the word memos of the per-word
         Derivations, so no Derivation of p itself is built."""
@@ -558,12 +553,12 @@ def tau_map_for(alphabet: Alphabet) -> TauMap:
     raise ValueError(f"no tau context for alphabet {alphabet!r}")
 
 
-def tau_evaluate(p: LiePolynomial) -> Derivation:
+def tau_evaluate(p: LieElement) -> Derivation:
     """tau(P) for P over {a, b, c} (n = 3) or over McCool symbols."""
     return tau_map_for(p.alphabet).evaluate(p)
 
 
-def tau_apply(p: LiePolynomial, x: LieElement) -> LieElement:
+def tau_apply(p: LieElement, x: LieElement) -> LieElement:
     """tau(P)(x), equal to apply(tau_evaluate(P), x), without building tau(P)."""
     return tau_map_for(p.alphabet).apply(p, x)
 
@@ -589,7 +584,7 @@ _OMEGA_TERMS = (
 
 
 @functools.lru_cache(maxsize=None)
-def omega() -> LiePolynomial:
+def omega() -> LieElement:
     """The degree-6 kernel generator, as a 12-term left-normed sum."""
     alphabet = abc_alphabet()
     gens = {lab: LieElement.generator(alphabet, lab) for lab in "abc"}
@@ -629,7 +624,7 @@ class KernelReport:
         }
 
 
-def sign_normalize(p: LiePolynomial) -> LiePolynomial:
+def sign_normalize(p: LieElement) -> LieElement:
     """Make the coefficient of the smallest Lyndon word positive."""
     if p.is_zero():
         return p
@@ -651,10 +646,11 @@ def kernel_report(k: int, /) -> KernelReport:
         raise ValueError("degree must be >= 1")
     engine = _abc_tau_map()
     arrays = engine.tau_arrays(k)
-    domain = lyndon_tuples(3, k)
     basis_vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
+    # Hermite rows: each leads with a positive pivot at the smallest
+    # Lyndon word it has, so the basis is sign-normalized as it stands
     alphabet = abc_alphabet()
-    basis = tuple(sign_normalize(from_coordinates(alphabet, k, v)) for v in basis_vecs)
+    basis = tuple(from_coordinates(alphabet, k, v) for v in basis_vecs)
     # certify by re-evaluation: tau of each basis element must vanish
     if any(p.is_zero() for p in basis):
         raise exactla.CertificateError("zero vector reported in kernel basis")
@@ -664,8 +660,8 @@ def kernel_report(k: int, /) -> KernelReport:
     return KernelReport(
         n=3,
         degree=k,
-        domain_dim=len(domain),
-        image_rank=len(domain) - dim,
+        domain_dim=arrays.ncols,
+        image_rank=arrays.ncols - dim,
         kernel_dim=dim,
         kernel_basis=basis,
     )
@@ -675,7 +671,7 @@ def kernel_report(k: int, /) -> KernelReport:
 def elementary_divisors(k: int, /) -> tuple:
     """The elementary divisors of the degree-k tau matrix, by the exact
     Smith form of tau_arrays(k) (about 0.5 s at k = 8 on a 2-core
-    machine, about 70 s at k = 9 when last measured)."""
+    machine, 33-34 s at k = 9)."""
     if k < 1:
         raise ValueError("degree must be >= 1")
     return exactla.smith_normal_form(_abc_tau_map().tau_arrays(k)).divisors
@@ -690,7 +686,7 @@ def _tau_kills(engine: TauMap, k: int, polys) -> bool:
     """
     idx = lyndon_index(3, k)
     vectors = [([idx[w] for w in p.coeffs], list(p.coeffs.values())) for p in polys]
-    return not vectors or engine.tau_arrays(k).kills(vectors)
+    return engine.tau_arrays(k).kills(vectors)
 
 
 @dataclass(frozen=True)

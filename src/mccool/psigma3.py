@@ -237,4 +237,4 @@ def intersection_kappa(k: int, /) -> int:
         hc + [(i + w, v) for i, v in hcc]
         for hc, hcc in zip(_g_translate_columns(S3_123, k), _g_translate_columns(S3_132, k))
     ]
-    return len(exactla._kernel_lattice_columns(cols, 2 * w))
+    return len(exactla._kernel_lattice_columns(exactla._ColumnArrays(cols, 2 * w), 2 * w))

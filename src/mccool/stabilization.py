@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .derivations import Derivation
 from .freelie import Alphabet, LieElement, abc_alphabet, substitute, x_alphabet
-from .johnson import _ABC_PAIRS, LiePolynomial, mccool_symbols, omega, tau_evaluate
+from .johnson import _ABC_PAIRS, mccool_symbols, omega, tau_evaluate
 
 __all__ = [
     "IndexTriple",
@@ -93,7 +93,7 @@ def _pi_images(triple: IndexTriple) -> tuple:
     return tuple(images)
 
 
-def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
+def iota_sym(i, p: LieElement, n: int) -> LieElement:
     """Embed a rank-3 Lie polynomial into the rank-n symbols along I.
 
     Accepts polynomials over {a, b, c} (the standard section a = k12,
@@ -104,7 +104,7 @@ def iota_sym(i, p: LiePolynomial, n: int) -> LiePolynomial:
     return substitute(p, _iota_images(triple, p.alphabet), mccool_symbols(n).alphabet)
 
 
-def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
+def pi_sym(j, q: LieElement, n: int) -> LieElement:
     """Project a rank-n Lie polynomial onto the rank-3 symbols along J.
 
     k_ij survives as k_{pos(i) pos(j)} when both indices lie in J and is
@@ -116,7 +116,7 @@ def pi_sym(j, q: LiePolynomial, n: int) -> LiePolynomial:
     return substitute(q, _pi_images(triple), mccool_symbols(3).alphabet)
 
 
-def embed_abc(p: LiePolynomial) -> LiePolynomial:
+def embed_abc(p: LieElement) -> LieElement:
     """Rewrite a polynomial over {a, b, c} over the rank-3 symbols."""
     return iota_sym(IndexTriple((1, 2, 3), 3), p, 3)
 

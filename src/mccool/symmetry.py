@@ -20,7 +20,7 @@ from fractions import Fraction
 from .derivations import Derivation
 from .exactla import SparseMat
 from .freelie import LieElement, _add_into, abc_alphabet, coordinates, substitute
-from .johnson import _ABC_PAIRS, LiePolynomial, kernel_report, tau_evaluate
+from .johnson import _ABC_PAIRS, kernel_report, tau_evaluate
 from .words import lyndon_tuples
 
 __all__ = [
@@ -101,10 +101,6 @@ class Character(tuple):
     def __new__(cls, at_id, at_transposition, at_three_cycle):
         return super().__new__(cls, (at_id, at_transposition, at_three_cycle))
 
-    @property
-    def dimension(self):
-        return self[0]
-
     def multiplicities(self):
         """Multiplicities (trivial, sign, standard) in the S3 character table.
 
@@ -157,7 +153,7 @@ def action_on_generators(sigma: S3Element) -> SparseMat:
     return SparseMat(3, 3, entries)
 
 
-def act_on_polynomial(sigma: S3Element, p: LiePolynomial) -> LiePolynomial:
+def act_on_polynomial(sigma: S3Element, p: LieElement) -> LieElement:
     """sigma acting on an element of the free Lie ring on {a, b, c}."""
     if p.alphabet != abc_alphabet():
         raise ValueError("the S3 action is defined on the {a,b,c} alphabet")
@@ -189,7 +185,7 @@ def act_on_derivation(sigma: S3Element, d: Derivation) -> Derivation:
     return Derivation(d.alphabet, d.degree, images)
 
 
-def _staircase_coords(cols, target: LiePolynomial):
+def _staircase_coords(cols, target: LieElement):
     """Integer coordinates of target in a kernel basis, or None when it
     lies outside the basis's span.
 
@@ -221,8 +217,6 @@ def kernel_character(k: int) -> Character:
     """
     rep = kernel_report(k)
     basis = list(rep.kernel_basis)
-    if not basis:
-        return Character(0, 0, 0)
     cols = [coordinates(p) for p in basis]
     traces = {}
     for sigma in (S3_12, S3_123):
@@ -237,7 +231,7 @@ def kernel_character(k: int) -> Character:
     return Character(len(basis), traces[S3_12], traces[S3_123])
 
 
-def equivariance_check(sigma: S3Element, p: LiePolynomial) -> bool:
+def equivariance_check(sigma: S3Element, p: LieElement) -> bool:
     """Exact check that tau(sigma . P) equals sigma . tau(P).
 
     The left side uses the full action on the semidirect Lie ring (the

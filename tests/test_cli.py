@@ -136,6 +136,11 @@ k,ambient,kernel
 |---|---|---|
 | character of kernel_k | (1, -1, 1) | (6, 0, 0) |
 """,
+    "characters --max-degree 5 --format md": """\
+| k |
+|---|
+| character of kernel_k |
+""",
     "characters --max-degree 7 --format csv": """\
 # characters.csv
 k,chi_id,chi_transposition,chi_3cycle

@@ -511,13 +511,13 @@ class TestSaturationGuard:
         diagonal = data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=d, max_size=d))
         below = [[data.draw(st.integers(-4, 4)) for _ in range(i)] for i in range(d)]
         arrays, kernel, scaled = self._scaled_kernel(dense, diagonal, below)
-        assert _saturate_rows(scaled, arrays) == hnf_rows(kernel)
+        assert _saturate_rows(hnf_rows(scaled), arrays) == hnf_rows(kernel)
 
     def test_repairs_several_rows_and_primes(self):
         dense = [[1, 2, -1, 0, 3, 1], [0, 1, 1, -2, 0, 1]]
         below = [[], [0], [0, -2], [3, 1, 0]]
         arrays, kernel, scaled = self._scaled_kernel(dense, [2, 2, 3, 5], below)
-        assert _saturate_rows(scaled, arrays) == hnf_rows(kernel)
+        assert _saturate_rows(hnf_rows(scaled), arrays) == hnf_rows(kernel)
 
     def test_large_kernel_entries_take_the_modular_route(self, monkeypatch):
         from mccool import exactla
@@ -538,7 +538,7 @@ class TestSaturationGuard:
 
     @staticmethod
     def _corrupt_column_lattice(monkeypatch, corrupt):
-        """Make the second hnf_rows call of _saturate_rows, the Hermite
+        """Make the first hnf_rows call of _saturate_rows, the Hermite
         basis C of V's columns, return corrupt(C)."""
         from mccool import exactla
 
@@ -547,7 +547,7 @@ class TestSaturationGuard:
         def patched(rows, max_bits=None):
             out = hnf_rows(rows, max_bits)
             calls.append(None)
-            return corrupt(out) if len(calls) == 2 else out
+            return corrupt(out) if len(calls) == 1 else out
 
         monkeypatch.setattr(exactla, "hnf_rows", patched)
 
@@ -555,17 +555,19 @@ class TestSaturationGuard:
         # with C's first column doubled, a solution B of C^T B = V would
         # have a column lattice of covolume 1/2: no integer B has one
         arrays, _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
+        basis = hnf_rows(scaled)
         self._corrupt_column_lattice(monkeypatch, lambda c: [(2 * r[0],) + r[1:] for r in c])
         with pytest.raises(CertificateError, match="not exact"):
-            _saturate_rows(scaled, arrays)
+            _saturate_rows(basis, arrays)
 
     def test_column_superlattice_is_caught(self, monkeypatch):
         # the identity spans a strict superlattice of V's columns: C^T B = V
         # solves with B = V, whose columns do not span Z^d
         arrays, _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
+        basis = hnf_rows(scaled)
         self._corrupt_column_lattice(monkeypatch, lambda c: [(1, 0), (0, 1)])
         with pytest.raises(CertificateError, match="do not span"):
-            _saturate_rows(scaled, arrays)
+            _saturate_rows(basis, arrays)
 
     def test_exact_route_refuses_entries_beyond_its_bound(self):
         # the chain 2^80 x_i = x_(i+1) on 27 columns has the kernel vector
@@ -935,11 +937,11 @@ class TestSNF:
         # column arrays are read as they are, with the same divisors
         assert smith_normal_form(_ColumnArrays(m.columns(), m.rows)) == snf
 
-    def test_column_guard(self):
-        with pytest.raises(ValueError):
-            smith_normal_form(SparseMat(1, 6000))
-        with pytest.raises(ValueError, match="6000 columns"):
-            smith_normal_form(_ColumnArrays([[]] * 6000, 1))
+    def test_wide_matrix_of_small_blocks(self):
+        # 2,600 disjoint 1 x 2 blocks [2, 6]: no width cap, each block's
+        # dense Hermite forms are 1 x 2
+        columns = [[(j // 2, 2 if j % 2 == 0 else 6)] for j in range(5200)]
+        assert smith_normal_form(_ColumnArrays(columns, 2600)).divisors == (2,) * 2600
 
     def test_fraction_entries_rejected(self):
         with pytest.raises(ValueError, match="integer entries"):
@@ -994,7 +996,7 @@ class TestSNF:
             row.insert(data.draw(st.integers(0, len(row))), 0)
         m = SparseMat.from_dense(dense)
         snf = smith_normal_form(m)
-        assert snf.divisors == _invariant_factors(_smith_diagonal(m.columns()))
+        assert snf.divisors == _invariant_factors(_smith_diagonal(_ColumnArrays(m.columns(), m.rows)))
         assert snf.rank == frac_rank(dense)
 
 

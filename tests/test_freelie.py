@@ -300,6 +300,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             LieElement.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (None, "payload must be an object"),
+            (7, "payload must be an object"),
+            ({"alphabet": ["a", "b"], "degree": 1, "terms": None}, "terms must be a list"),
+            ({"alphabet": None, "degree": 1, "terms": []}, "alphabet must be a list of strings"),
+            ({"alphabet": "ab", "degree": 1, "terms": []}, "alphabet must be a list of strings"),
+            ({"alphabet": [1, 2], "degree": 1, "terms": []}, "alphabet must be a list of strings"),
+        ],
+        ids=["null", "integer", "null-terms", "null-alphabet", "string-alphabet", "integer-labels"],
+    )
+    def test_payload_of_the_wrong_shape_names_the_key(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            LieElement.from_json_dict(payload)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_arbitrary_terms_parse_or_raise_value_error(self, data):
@@ -322,9 +338,9 @@ class TestSerialization:
             | values
         )
         payload = {
-            "alphabet": list(alphabet.labels),
+            "alphabet": data.draw(st.just(list(alphabet.labels)) | values),
             "degree": data.draw(st.integers(-1, 4) | values),
-            "terms": data.draw(st.lists(term, max_size=4)),
+            "terms": data.draw(st.lists(term, max_size=4) | values),
         }
         for key in data.draw(st.sets(st.sampled_from(sorted(payload)), max_size=1)):
             del payload[key]

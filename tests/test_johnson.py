@@ -292,11 +292,17 @@ class TestKernelReports:
             assert len(exactla._column_blocks(arrays)) > 1
         unsplit = exactla._kernel_block(arrays)
         assert exactla._kernel_lattice_columns(arrays, arrays.nrows) == unsplit
-        assert exactla._kernel_lattice_columns(list(arrays), arrays.nrows) == unsplit
         expected = tuple(
             sign_normalize(from_coordinates(abc_alphabet(), k, v)) for v in unsplit
         )
         assert kernel_report(k).kernel_basis == expected
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_hermite_basis_is_sign_normalized(self, k):
+        # each Hermite row leads with a positive pivot at its smallest
+        # Lyndon word, so kernel_report needs no sign_normalize pass
+        for p in kernel_report(k).kernel_basis:
+            assert p == sign_normalize(p)
 
 
 class TestKernelBlocks:
