@@ -17,13 +17,14 @@ from .freelie import (
     Alphabet,
     LieElement,
     TensorElement,
+    _add_brackets,
     _add_into,
     coordinates,
     from_coordinates,
     from_tensor,
+    lie_bracket,
     to_tensor,
 )
-from .freelie import _bw  # structure constants, shared across alphabets
 from .words import lyndon_index, lyndon_tuples, standard_factorization
 
 __all__ = [
@@ -135,22 +136,8 @@ class Derivation:
             acc = self.images[word[0]].coeffs
         else:
             t1, t2 = standard_factorization(word)
-            # inline, not _add_into: a call per term slows der_bracket ~12%
-            acc: dict = {}
-            for w, c in self._apply_word(t1):
-                for w2, c2 in _bw(w, t2):
-                    val = acc.get(w2, 0) + c * c2
-                    if val:
-                        acc[w2] = val
-                    elif w2 in acc:
-                        del acc[w2]
-            for w, c in self._apply_word(t2):
-                for w2, c2 in _bw(t1, w):
-                    val = acc.get(w2, 0) + c * c2
-                    if val:
-                        acc[w2] = val
-                    elif w2 in acc:
-                        del acc[w2]
+            acc = _add_brackets({}, self._apply_word(t1), ((t2, 1),))
+            _add_brackets(acc, ((t1, 1),), self._apply_word(t2))
         cache[word] = acc
         return acc.items()
 
@@ -200,9 +187,7 @@ def inner_derivation(w: LieElement) -> Derivation:
     """ad(W): X -> [W, X]; a derivation of degree deg W."""
     images = []
     for i in range(w.alphabet.size):
-        acc: dict = {}
-        for word, c in w.coeffs.items():
-            _add_into(acc, _bw(word, (i,)), c)
+        acc = _add_brackets({}, w.coeffs.items(), (((i,), 1),))
         images.append(LieElement(w.alphabet, w.degree + 1, acc, _trust=True))
     return Derivation(w.alphabet, w.degree, images)
 
@@ -222,10 +207,9 @@ def tangential_witness(d: Derivation) -> list:
     witnesses = []
     for i in range(n):
         # column w is [X_i, b(w)] in the Lyndon basis of degree k + 1
-        cols = [
-            coordinates(LieElement(d.alphabet, k + 1, dict(_bw((i,), w)), _trust=True))
-            for w in domain
-        ]
+        x_i = LieElement.generator(d.alphabet, d.alphabet.labels[i])
+        basis = (LieElement.basis_element(d.alphabet, w) for w in domain)
+        cols = [coordinates(lie_bracket(x_i, b)) for b in basis]
         cols.append([(r, -c) for r, c in coordinates(d.images[i])])
         kernel = kernel_lattice(SparseMat.from_columns(cols, nrows))
         v = next((v for v in kernel if v[-1]), None)

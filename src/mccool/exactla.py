@@ -96,7 +96,12 @@ _PRIMES = _primes_below(1 << 23, 96)
 
 
 class SparseMat:
-    """Sparse matrix with exact entries (int, or Fraction for ring Q)."""
+    """Sparse matrix with exact entries: ints, or Fractions for ring Q.
+
+    Entries are checked at construction: a numpy integer is stored as a
+    Python int (no int64 arithmetic), and any other type, bool included,
+    raises TypeError naming its position.  Zeros are dropped.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -109,6 +114,10 @@ class SparseMat:
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
+            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+                v = int(v)
+            elif not isinstance(v, Fraction):
+                raise TypeError(f"entry ({i},{j}) must be int or Fraction, got {type(v)!r}")
             if v:
                 clean[(i, j)] = v
         self.entries = clean
@@ -122,16 +131,12 @@ class SparseMat:
         data = [list(r) for r in data]
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        return cls(rows, cols, {(i, j): v for i, r in enumerate(data) for j, v in enumerate(r) if v})
+        return cls(rows, cols, {(i, j): v for i, r in enumerate(data) for j, v in enumerate(r)})
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "SparseMat":
         """columns: list of iterables of (row_index, value)."""
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col:
-                if v:
-                    entries[(i, j)] = v
+        entries = {(i, j): v for j, col in enumerate(columns) for i, v in col}
         return cls(rows, len(columns), entries)
 
     def columns(self) -> list:

@@ -69,10 +69,13 @@ class Alphabet:
     """Ordered alphabet of distinct generator labels.
 
     The declared order of the labels is the total order used for Lyndon
-    words; letter i is the label at position i.
+    words; letter i is the label at position i.  A word is written as its
+    labels run together when every label is one character, and joined by
+    "." otherwise; then no label may contain ".", so that each written
+    word parses back.
     """
 
-    __slots__ = ("labels", "_index", "_hash")
+    __slots__ = ("labels", "_index", "_hash", "_sep")
 
     def __init__(self, labels):
         labels = tuple(str(x) for x in labels)
@@ -80,6 +83,9 @@ class Alphabet:
             raise ValueError("alphabet labels must be pairwise distinct")
         if not labels:
             raise ValueError("alphabet must be nonempty")
+        self._sep = "" if all(len(lab) == 1 for lab in labels) else "."
+        if self._sep and (dotted := [lab for lab in labels if "." in lab]):
+            raise ValueError(f"labels {dotted!r} contain '.', which joins the letters of a word")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._hash = hash(labels)
@@ -92,17 +98,12 @@ class Alphabet:
         return self._index[label]
 
     def word_string(self, word: Word) -> str:
-        labs = [self.labels[i] for i in word]
-        if all(len(lab) == 1 for lab in self.labels):
-            return "".join(labs)
-        return ".".join(labs)
+        return self._sep.join(self.labels[i] for i in word)
 
     def parse_word(self, text: str) -> Word:
         if not isinstance(text, str):
             raise TypeError(f"a word is written as a string, got {type(text)!r}")
-        if all(len(lab) == 1 for lab in self.labels):
-            return tuple(self._index[ch] for ch in text)
-        return tuple(self._index[part] for part in text.split("."))
+        return tuple(self._index[part] for part in (text.split(self._sep) if self._sep else text))
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.labels == other.labels
@@ -186,12 +187,26 @@ def _bw(u: Word, v: Word) -> tuple:
     if len(u) == 1 or standard_factorization(u)[1] >= v:
         return ((u + v, 1),)
     u1, u2 = standard_factorization(u)
-    acc: dict = {}
-    for w, c in _bw(u1, v):
-        _add_into(acc, _bw(w, u2), c)
-    for w, c in _bw(u2, v):
-        _add_into(acc, _bw(u1, w), c)
-    return tuple(sorted(acc.items()))
+    acc = _add_brackets({}, _bw(u1, v), ((u2, 1),))
+    return tuple(sorted(_add_brackets(acc, ((u1, 1),), _bw(u2, v)).items()))
+
+
+def _add_brackets(acc: dict, left, right) -> dict:
+    """acc += [sum c*b(u) over left, sum c*b(v) over right], pair by pair
+    through _bw, dropping the words whose coefficients cancel; returns acc.
+    left and right hold (Lyndon word, coeff) pairs; right is iterated once
+    per term of left."""
+    for u, cu in left:
+        for v, cv in right:
+            # inline, not _add_into: a call per pair slows lie_bracket ~10%
+            c = cu * cv
+            for w, bc in _bw(u, v):
+                val = acc.get(w, 0) + c * bc
+                if val:
+                    acc[w] = val
+                elif w in acc:
+                    del acc[w]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +466,7 @@ def lie_bracket(u: LieElement, v: LieElement, via: str = "table") -> LieElement:
     if u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
     if via == "table":
-        out: dict = {}
-        for wu, cu in u.coeffs.items():
-            for wv, cv in v.coeffs.items():
-                # inline, not _add_into: a call per pair slows lie_bracket ~10%
-                c = cu * cv
-                for w, bc in _bw(wu, wv):
-                    val = out.get(w, 0) + c * bc
-                    if val:
-                        out[w] = val
-                    elif w in out:
-                        del out[w]
+        out = _add_brackets({}, u.coeffs.items(), v.coeffs.items())
         return LieElement(u.alphabet, u.degree + v.degree, out, _trust=True)
     if via == "tensor":
         return from_tensor(to_tensor(u).commutator(to_tensor(v)))

@@ -35,7 +35,7 @@ from .freelie import (
     lie_bracket,
     x_alphabet,
 )
-from .freelie import _add_into, _bw
+from .freelie import _add_into
 from .words import _lyndon_tuples_cached
 from .words import lyndon_index, lyndon_tuples, standard_factorization, witt_dimension
 
@@ -84,9 +84,8 @@ def tau_generator(n: int, i: int, j: int) -> Derivation:
         raise IndexError("generator indices must be distinct")
     alphabet = x_alphabet(n)
     images = [LieElement.zero(alphabet, 2) for _ in range(n)]
-    images[i - 1] = LieElement(
-        alphabet, 2, dict(_bw((j - 1,), (i - 1,))), _trust=True
-    )
+    x_j, x_i = (LieElement.generator(alphabet, alphabet.labels[t - 1]) for t in (j, i))
+    images[i - 1] = lie_bracket(x_j, x_i)
     return Derivation(alphabet, 1, tuple(images))
 
 
@@ -622,14 +621,6 @@ class KernelReport:
             if self.elementary_divisors is not None
             else None,
         }
-
-
-def sign_normalize(p: LieElement) -> LieElement:
-    """Make the coefficient of the smallest Lyndon word positive."""
-    if p.is_zero():
-        return p
-    lead = p.coeffs[min(p.coeffs)]
-    return -p if lead < 0 else p
 
 
 @functools.lru_cache(maxsize=None)

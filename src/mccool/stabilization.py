@@ -193,8 +193,9 @@ def independence_certificate(n: int) -> IndependenceCertificate:
     combination of the family vanished, applying pi_J would kill every
     coefficient, so the identity grid certifies independence.
     """
-    if not (3 <= n <= 7):
-        raise ValueError("certificate supported for 3 <= n <= 7")
+    if n < 3:
+        raise ValueError(f"the certificate needs a triple of indices, so n >= 3; got n = {n}")
+    mccool_symbols(n)  # refuses n > 9 before binom(n, 3) triples are listed
     om = omega()
     om3 = embed_abc(om)
     triples = _triples(n)

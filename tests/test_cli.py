@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -334,6 +335,21 @@ class TestVerifyOmega:
         failing = {c["id"]: c["pass"] for c in data["checks"]}
         assert failing["tau-of-omega-vanishes"] is False
 
+    def test_lattice_check_needs_omega_itself(self, capsys, monkeypatch):
+        # 2*omega spans the kernel over Q but generates only an index-2
+        # sublattice of it, so the lattice check fails and nothing else
+        from mccool import johnson
+
+        solved = johnson.kernel_report
+        doubled = dataclasses.replace(solved(6), kernel_basis=(2 * johnson.omega(),))
+        monkeypatch.setattr(johnson, "kernel_report", lambda k: doubled if k == 6 else solved(k))
+        code, out = run_cli(capsys, ["verify-omega"])
+        assert code == 1
+        checks = {c["id"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert [i for i, ok in checks.items() if not ok] == [
+            "degree6-kernel-lattice-is-generated-by-omega"
+        ]
+
 
 class TestCharacters:
     def test_degree7(self, capsys):
@@ -358,6 +374,15 @@ class TestStabilize:
         assert data["count"] == 4
         assert data["verified"] is True
         assert data["checks"]["projection_grid_is_identity"] is True
+
+    def test_all_refuses_a_bad_n_before_solving(self, capsys, monkeypatch):
+        from mccool import johnson
+
+        def unsolvable(k):
+            raise AssertionError(f"degree {k} solved before --n was checked")
+
+        monkeypatch.setattr(johnson, "kernel_report", unsolvable)
+        assert run_cli(capsys, ["all", "--n", "2"]) == (2, "")
 
 
 class TestPsigma:

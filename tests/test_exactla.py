@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -68,6 +69,39 @@ small_matrices = st.integers(1, 7).flatmap(
         )
     )
 )
+
+
+class TestEntries:
+    # an inexact entry would be solved silently as some other matrix (1.5
+    # as 1, "2" as 2), so construction refuses it and names its position
+    @pytest.mark.parametrize(
+        "dense, position, kind",
+        [
+            ([[1.5, 1]], "(0,0)", "float"),
+            ([[0, 0], [0, 0.5]], "(1,1)", "float"),
+            ([[1, np.float64(2)]], "(0,1)", "numpy.float64"),
+            ([["2"]], "(0,0)", "str"),
+            ([[1, True]], "(0,1)", "bool"),
+            ([[np.bool_(True)]], "(0,0)", "numpy.bool"),
+            ([[None, 1]], "(0,0)", "NoneType"),
+            ([[0.0]], "(0,0)", "float"),
+        ],
+    )
+    def test_inexact_entry_is_refused(self, dense, position, kind):
+        message = f"entry {position} must be int or Fraction, got <class '{kind}'>"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            SparseMat.from_dense(dense)
+
+    @pytest.mark.parametrize("three", [3, np.int64(3), np.int8(3), np.uint16(3)])
+    def test_integers_are_stored_as_python_ints(self, three):
+        m = SparseMat.from_dense([[three, 2]])
+        assert [type(v) for v in m.entries.values()] == [int, int]
+        assert kernel_lattice(m) == [(2, -3)]
+
+    def test_fractions_are_stored_as_they_are(self):
+        m = SparseMat.from_columns([[(0, Fraction(3, 2))], [(0, 1)]], 1)
+        assert m.entries == {(0, 0): Fraction(3, 2), (0, 1): 1}
+        assert kernel_lattice(m) == [(2, -3)]
 
 
 class TestRank:

@@ -23,7 +23,7 @@ from mccool.freelie import (
     to_tensor,
     x_alphabet,
 )
-from mccool.freelie import _expand
+from mccool.freelie import _add_brackets, _expand
 from mccool.words import is_lyndon, lyndon_tuples, standard_factorization
 
 
@@ -55,6 +55,35 @@ class TestAlphabet:
         assert a.parse_word("ccbbaa") == (2, 2, 1, 1, 0, 0)
         multi = Alphabet(("k12", "k21"))
         assert multi.parse_word(multi.word_string((1, 0))) == (1, 0)
+
+    @pytest.mark.parametrize("labels, dotted", [
+        (("a.b", "a", "b"), ["a.b"]),
+        (("x.", ".y", "z"), ["x.", ".y"]),
+        (("", "."), ["."]),
+    ])
+    def test_dotted_label_is_refused_when_words_are_dot_joined(self, labels, dotted):
+        # over ("a.b", "a", "b") the generator a.b is written "a.b", which
+        # would parse back as the word (1, 2)
+        with pytest.raises(ValueError, match=re.escape(f"labels {dotted!r} contain '.'")):
+            Alphabet(labels)
+
+    def test_one_character_dot_label_is_accepted(self):
+        # one-character labels are run together, so "." is just a letter
+        alphabet = Alphabet((".", "a"))
+        assert alphabet.parse_word(alphabet.word_string((0, 1, 1))) == (0, 1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(".ab", max_size=3) | st.text(max_size=2), min_size=1, max_size=4))
+    def test_generators_round_trip_or_the_alphabet_is_refused(self, labels):
+        try:
+            alphabet = Alphabet(labels)
+        except ValueError:
+            return
+        elements = gens(alphabet)
+        if alphabet.size > 1:
+            elements.append(lie_bracket(elements[0], elements[1]))
+        for p in elements:
+            assert LieElement.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
 class TestLyndonWords:
@@ -103,6 +132,23 @@ class TestBracket:
         u = data.draw(lie_elements(alphabet, du))
         v = data.draw(lie_elements(alphabet, dv))
         assert lie_bracket(u, v, via="table") == lie_bracket(u, v, via="tensor")
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_add_brackets_cancels_into_a_filled_acc(self, data):
+        # acc starts as p - [u, v] by the tensor route, so adding [u, v]
+        # cancels every bracket term and leaves p, with no zero entries;
+        # an empty side (u or v zero) adds nothing
+        alphabet = abc_alphabet()
+        du, dv = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        u = data.draw(lie_elements(alphabet, du))
+        v = data.draw(lie_elements(alphabet, dv))
+        p = data.draw(lie_elements(alphabet, du + dv))
+        acc = dict((p - lie_bracket(u, v, via="tensor")).coeffs)
+        assert _add_brackets(acc, u.coeffs.items(), v.coeffs.items()) is acc
+        assert acc == p.coeffs
+        assert _add_brackets(dict(p.coeffs), (), v.coeffs.items()) == p.coeffs
+        assert _add_brackets(dict(p.coeffs), u.coeffs.items(), ()) == p.coeffs
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

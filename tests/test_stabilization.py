@@ -149,7 +149,7 @@ class TestDerivationLevel:
 
 
 class TestIndependence:
-    @pytest.mark.parametrize("n,count", [(3, 1), (4, 4), (5, 10)])
+    @pytest.mark.parametrize("n,count", [(3, 1), (4, 4), (5, 10), (8, 56), (9, 84)])
     def test_certificate(self, n, count):
         cert = independence_certificate(n)
         assert cert.count == count
@@ -157,10 +157,14 @@ class TestIndependence:
         assert cert.nonzero_ok and cert.tau_kills_ok and cert.grid_ok
 
     def test_range_guard(self):
-        with pytest.raises(ValueError):
+        # below 3 there is no triple, and the grid would pass vacuously;
+        # n = 10 is refused by the symbol labels, which stop at 9, and a
+        # large n is refused before its binom(n, 3) triples are listed
+        with pytest.raises(ValueError, match="n = 2"):
             independence_certificate(2)
-        with pytest.raises(ValueError):
-            independence_certificate(8)
+        for n in (10, 10**6):
+            with pytest.raises(ValueError, match="n <= 9"):
+                independence_certificate(n)
 
     def test_letter_maps_are_built_once_per_triple(self):
         # 10 triples of {1..5}: pi_sym runs 100 times over the grid and
