@@ -84,9 +84,10 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level memo of the package: the lru_cached word
-    tables, the bracket and expansion tables, the substitution memos, the
-    tau maps with their per-word derivations, and the reports.  Results
-    recompute equal; alphabets and symbol tables are rebuilt equal."""
+    tables, the bracket and expansion tables, the substitution and
+    per-sigma memos, the tau maps with their per-word derivations, and the
+    reports.  Results recompute equal; alphabets and symbol tables are
+    rebuilt equal."""
     for module in (words, freelie, derivations, exactla, johnson, symmetry, psigma3, stabilization):
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):

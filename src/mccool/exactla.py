@@ -57,61 +57,53 @@ __all__ = [
 ]
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % a == 0:
-            return m == a
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes_below(bound: int, count: int) -> tuple:
-    out = []
-    m = bound - 1
-    while len(out) < count:
-        if _is_prime(m):
-            out.append(m)
-        m -= 2 if m % 2 else 1
-    return tuple(out)
+    """The count largest primes below bound, descending, from a sieve of
+    the last 4,096 integers below it by every d <= sqrt(bound)."""
+    low = bound - 4096
+    prime = np.ones(4096, dtype=bool)
+    for d in range(2, math.isqrt(bound) + 1):
+        prime[-low % d :: d] = False
+    return tuple(int(m) for m in low + np.flatnonzero(prime)[::-1][:count])
 
 
-# 23-bit primes: the deferred int64 elimination stays exact up to
-# ncols * p^2 + p < 2^63, that is about 2^17 columns
+# the 96 largest 23-bit primes, from the sieve: the deferred int64
+# elimination stays exact up to ncols * p^2 + p < 2^63, about 2^17 columns
 _PRIMES = _primes_below(1 << 23, 96)
+
+
+def _int_pair(pair, what: str) -> tuple:
+    """pair as two Python ints, numpy integers converted; anything else, a
+    bool included, raises TypeError naming it as what."""
+    if isinstance(pair, tuple) and len(pair) == 2:
+        if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair):
+            return int(pair[0]), int(pair[1])
+    raise TypeError(f"{what} {pair!r} must be a pair of ints")
 
 
 class SparseMat:
     """Sparse matrix with exact entries: ints, or Fractions for ring Q.
 
-    Entries are checked at construction: a numpy integer is stored as a
-    Python int (no int64 arithmetic), and any other type, bool included,
-    raises TypeError naming its position.  Zeros are dropped.
+    The dimensions, the keys and the entries are checked at construction:
+    a numpy integer is stored as a Python int (no int64 arithmetic), and
+    any other type, bool included, raises TypeError naming the dimensions,
+    the key or the entry's position.  Zeros are dropped.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
+        rows, cols = _int_pair((rows, cols), "dimensions")
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
         clean = {}
-        for (i, j), v in (entries or {}).items():
+        for key, v in (entries or {}).items():
+            # the common key, two Python ints, costs no call
+            if not (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int):
+                key = _int_pair(key, "entry key")
+            i, j = key
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
             if isinstance(v, (int, np.integer)) and not isinstance(v, bool):

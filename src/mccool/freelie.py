@@ -57,6 +57,7 @@ __all__ = [
     "x_alphabet",
     "abc_alphabet",
     "substitute",
+    "morphism_image",
     "witt_dimension",
 ]
 
@@ -486,6 +487,32 @@ def left_normed(gens: list) -> LieElement:
 _MISSING = object()
 
 
+def morphism_image(word: Word, memo: dict, bracket):
+    """The image of b(word) under a Lie morphism, from its per-map memo.
+
+    memo maps words to images and is seeded with the letters; None stands
+    for a zero image.  A word missing from memo gets the bracket of the
+    images of its standard factors, bracket(image(u), image(v)), and is
+    stored.  bracket is only called on two images that are not None, and
+    a first factor sent to zero leaves the second one unevaluated.
+    """
+    image = memo.get(word, _MISSING)
+    if image is _MISSING:
+        u, v = standard_factorization(word)
+        image = morphism_image(u, memo, bracket)
+        if image is not None:
+            iv = morphism_image(v, memo, bracket)
+            image = None if iv is None else bracket(image, iv)
+        memo[word] = image
+    return image
+
+
+def _nonzero_bracket(u: LieElement, v: LieElement):
+    """lie_bracket(u, v), or None when it is zero."""
+    image = lie_bracket(u, v)
+    return image if image.coeffs else None
+
+
 @functools.lru_cache(maxsize=None)
 def _substitution_memo(letter_images: tuple, alphabet: Alphabet) -> dict:
     """The word -> image memo of one letter map, seeded with the letters;
@@ -499,34 +526,13 @@ def _substitution_memo(letter_images: tuple, alphabet: Alphabet) -> dict:
     return memo
 
 
-def _substitute_word(word: Word, memo: dict):
-    """The image of b(word) for a word of length >= 2 missing from memo."""
-    u, v = standard_factorization(word)
-    # inline lookups, not a call per factor: hits are most of the work
-    iu = memo.get(u, _MISSING)
-    if iu is _MISSING:
-        iu = _substitute_word(u, memo)
-    image = None
-    if iu is not None:
-        iv = memo.get(v, _MISSING)
-        if iv is _MISSING:
-            iv = _substitute_word(v, memo)
-        if iv is not None:
-            image = lie_bracket(iu, iv)
-            if not image.coeffs:
-                image = None
-    memo[word] = image
-    return image
-
-
 def substitute(p: LieElement, letter_images: tuple, alphabet: Alphabet) -> LieElement:
     """The Lie-ring morphism that sends letter i to letter_images[i], on p.
 
     letter_images[i] is (sign, target letter of alphabet), or None for a
-    letter sent to zero.  The image of each Lyndon word is the bracket of
-    the images of its standard factors.  The images live in one memo per
-    letter map, so the map and the alphabet are hashed once per call, not
-    once per word.
+    letter sent to zero.  The images of words come from morphism_image,
+    in one memo per letter map, so the map and the alphabet are hashed
+    once per call, not once per word.
     """
     if len(letter_images) != p.alphabet.size:
         raise ValueError(
@@ -535,9 +541,10 @@ def substitute(p: LieElement, letter_images: tuple, alphabet: Alphabet) -> LieEl
     memo = _substitution_memo(letter_images, alphabet)
     out: dict = {}
     for word, c in p.coeffs.items():
+        # inline hit, not a call per word: hits are most of the work
         image = memo.get(word, _MISSING)
         if image is _MISSING:
-            image = _substitute_word(word, memo)
+            image = morphism_image(word, memo, _nonzero_bracket)
         if image is not None:
             _add_into(out, image.coeffs.items(), c)
     return LieElement(alphabet, p.degree, out, _trust=True)

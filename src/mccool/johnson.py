@@ -33,6 +33,7 @@ from .freelie import (
     from_coordinates,
     left_normed,
     lie_bracket,
+    morphism_image,
     x_alphabet,
 )
 from .freelie import _add_into
@@ -98,9 +99,9 @@ class TauMap:
     """tau on the free Lie ring over a symbol alphabet, at two granularities.
 
     Per word, for sparse evaluation: _word_cache[w] is the Derivation
-    tau(b(w)) of a Lyndon word w over the symbols, tau_generator for a
-    letter and, for the standard factorization w = (u, v), the der_bracket
-    of tau(b(u)) and tau(b(v)), whose own word memos hold the single-word
+    tau(b(w)) of a Lyndon word w over the symbols: tau_generator for a
+    letter, and freelie.morphism_image's der_bracket of the Derivations of
+    its standard factors, whose own word memos hold the single-word
     applications.  evaluate() and apply() read these, so they touch only
     the words of their input: over McCool alphabets of dozens of symbols
     no table of a whole degree could be built.  Readers: tau_evaluate (the
@@ -138,8 +139,7 @@ class TauMap:
     def of_word(self, word) -> Derivation:
         hit = self._word_cache.get(word)
         if hit is None:
-            u, v = standard_factorization(word)
-            hit = self._word_cache[word] = der_bracket(self.of_word(u), self.of_word(v))
+            hit = morphism_image(word, self._word_cache, der_bracket)
         return hit
 
     def evaluate(self, p: LieElement) -> Derivation:

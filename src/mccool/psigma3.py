@@ -27,12 +27,13 @@ from .freelie import (
     coordinates,
     from_coordinates,
     lie_bracket,
+    morphism_image,
     substitute,
     x_alphabet,
 )
 from .johnson import _ABC_PAIRS, _abc_tau_map, tau_apply, tau_evaluate
 from .symmetry import _SYMBOL_CLASSES, S3_123, S3_132, S3Element, _permutation_images
-from .words import lyndon_tuples, standard_factorization, witt_dimension
+from .words import lyndon_tuples, witt_dimension
 
 __all__ = [
     "SDElement",
@@ -141,32 +142,27 @@ def sd_tau(u: SDElement) -> Derivation:
     return acc
 
 
-def _g_letter_image(sigma: S3Element, letter: int) -> SDElement:
-    """sigma . k_ij = k_{sigma(i) sigma(j)} for the symbol k_ij of a section
-    letter, written in h x| g through _SYMBOL_CLASSES."""
-    i, j = _ABC_PAIRS[letter]
-    c_idx, g_idx, sign = _SYMBOL_CLASSES[(sigma(i), sigma(j))]
-    h = LieElement.zero(c_alphabet(), 1)
-    if c_idx is not None:
-        h = LieElement(c_alphabet(), 1, {(c_idx,): 1}, _trust=True)
-    g = LieElement(abc_alphabet(), 1, {(g_idx,): sign}, _trust=True)
-    return SDElement(h, g)
-
-
 @functools.lru_cache(maxsize=None)
-def _act_g_word(sigma: S3Element, word) -> SDElement:
-    if len(word) == 1:
-        return _g_letter_image(sigma, word[0])
-    u, v = standard_factorization(word)
-    return sd_bracket(_act_g_word(sigma, u), _act_g_word(sigma, v))
+def _g_word_memo(sigma: S3Element) -> dict:
+    """The morphism_image memo of sigma on g, word w -> sigma.(0, b(w)),
+    seeded with the letters: sigma . k_ij = k_{sigma(i) sigma(j)} for the
+    symbol k_ij of a section letter, written in h x| g through
+    _SYMBOL_CLASSES; sd_bracket builds the longer words."""
+    memo = {}
+    for letter, (i, j) in enumerate(_ABC_PAIRS):
+        c_idx, g_idx, sign = _SYMBOL_CLASSES[(sigma(i), sigma(j))]
+        h = LieElement(c_alphabet(), 1, {} if c_idx is None else {(c_idx,): 1}, _trust=True)
+        memo[(letter,)] = SDElement(h, LieElement(abc_alphabet(), 1, {(g_idx,): sign}, _trust=True))
+    return memo
 
 
 def sd_s3_action(sigma: S3Element, u: SDElement) -> SDElement:
     """The graded Lie-automorphism action of S3 on h x| g."""
     # h is stable: sigma permutes the inner letters
     acc = SDElement.from_h(substitute(u.hpart, _permutation_images(sigma), c_alphabet()))
+    memo = _g_word_memo(sigma)
     for word, c in u.gpart.coeffs.items():
-        acc = acc + _act_g_word(sigma, word).scale(c)
+        acc = acc + morphism_image(word, memo, sd_bracket).scale(c)
     return acc
 
 
@@ -217,7 +213,8 @@ def sd_tau_kernel(k: int):
 
 def _g_translate_columns(sigma: S3Element, k: int):
     """Column j is the h-part of sigma.(0, w_j), w_j the j-th Lyndon word."""
-    return [coordinates(_act_g_word(sigma, w).hpart) for w in lyndon_tuples(3, k)]
+    memo = _g_word_memo(sigma)
+    return [coordinates(morphism_image(w, memo, sd_bracket).hpart) for w in lyndon_tuples(3, k)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -30,7 +31,6 @@ from mccool.exactla import (
     _gather,
     _indptr,
     _invariant_factors,
-    _is_prime,
     _kernel_exact,
     _PRIMES,
     _rank_bareiss,
@@ -39,6 +39,11 @@ from mccool.exactla import (
     _saturate_rows,
     _smith_diagonal,
 )
+
+
+def is_prime_by_trial_division(m: int) -> bool:
+    """Independent of the sieve behind _PRIMES."""
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
 def frac_rank(dense):
@@ -102,6 +107,50 @@ class TestEntries:
         m = SparseMat.from_columns([[(0, Fraction(3, 2))], [(0, 1)]], 1)
         assert m.entries == {(0, 0): Fraction(3, 2), (0, 1): 1}
         assert kernel_lattice(m) == [(2, -3)]
+
+    @pytest.mark.parametrize(
+        "entries, key",
+        [
+            ({(0.5, 0): 1, (1, 1): 1}, (0.5, 0)),
+            ({(True, 0): 1}, (True, 0)),
+            ({(0, np.bool_(False)): 1}, (0, np.bool_(False))),
+            ({(0, 1, 2): 1}, (0, 1, 2)),
+            ({(1,): 1}, (1,)),
+            ({1: 1}, 1),
+            ({"01": 1}, "01"),
+            ({(0, "1"): 1}, (0, "1")),
+        ],
+    )
+    def test_key_that_is_not_a_pair_of_ints_is_refused(self, entries, key):
+        with pytest.raises(TypeError, match=re.escape(f"entry key {key!r} must be a pair of ints")):
+            SparseMat(2, 2, entries)
+
+    @pytest.mark.parametrize("rows, cols", [(2.0, 2), (2, 2.0), (True, 2), (2, None), ("2", 2)])
+    def test_dimensions_that_are_not_ints_are_refused(self, rows, cols):
+        message = f"dimensions {(rows, cols)!r} must be a pair of ints"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            SparseMat(rows, cols)
+
+    def test_numpy_indices_are_stored_as_python_ints(self):
+        m = SparseMat(np.int64(2), np.uint8(2), {(np.int32(1), np.int64(0)): 3, (0, 1): 2})
+        assert (m.rows, m.cols) == (2, 2) and type(m.rows) is type(m.cols) is int
+        assert m.entries == {(1, 0): 3, (0, 1): 2}
+        assert all(type(x) is int for key in m.entries for x in key)
+
+
+class TestPrimePool:
+    def test_pool_is_the_96_largest_primes_below_2_23(self):
+        # pinned by digest: the first and last entries and the sha256 of the
+        # tuple's repr; every kernel certificate reads the primes in order
+        digest = hashlib.sha256(repr(_PRIMES).encode()).hexdigest()
+        assert len(_PRIMES) == 96
+        assert (_PRIMES[0], _PRIMES[-1]) == (8_388_593, 8_387_033)
+        assert digest == "a2ba8fe7dcd09357fc4d84cad2b5a407fd28ec5ab393eee4362d58549fce5571"
+        assert all(a > b for a, b in zip(_PRIMES, _PRIMES[1:])) and _PRIMES[0] < 1 << 23
+        assert all(is_prime_by_trial_division(p) for p in _PRIMES)
+        # and no prime between them, or above them below 2^23, is left out
+        skipped = range(_PRIMES[-1], 1 << 23)
+        assert sum(map(is_prime_by_trial_division, skipped)) == 96
 
 
 class TestRank:
@@ -511,7 +560,7 @@ class TestSaturationGuard:
         # q^2 + q >= 2^63: an elimination mod q would leave int64, and the
         # Hermite route takes no residues
         q = 3_037_000_507
-        assert _is_prime(q) and q * q + q >= 1 << 63
+        assert is_prime_by_trial_division(q) and q * q + q >= 1 << 63
         arrays = _ColumnArrays([[(0, 1)], [(0, -1)]], 1)
         assert _saturate_rows([(q, q)], arrays) == [(1, 1)]
 

@@ -19,11 +19,12 @@ from mccool.freelie import (
     from_tensor,
     left_normed,
     lie_bracket,
+    morphism_image,
     substitute,
     to_tensor,
     x_alphabet,
 )
-from mccool.freelie import _add_brackets, _expand
+from mccool.freelie import _add_brackets, _expand, _nonzero_bracket, _substitution_memo
 from mccool.words import is_lyndon, lyndon_tuples, standard_factorization
 
 
@@ -545,6 +546,39 @@ def substitute_via_tensor(p, images, alphabet):
 
 
 letter_images = st.tuples(st.sampled_from([1, -1]), st.integers(0, 2))
+
+
+class TestMorphismImage:
+    @staticmethod
+    def counting(calls):
+        def bracket(u, v):
+            calls.append((u, v))
+            return _nonzero_bracket(u, v)
+
+        return bracket
+
+    def test_bracket_never_sees_a_zero_image(self):
+        # letter 0 is killed: every word holding it is zero, and none of
+        # its brackets is formed
+        source, target = x_alphabet(3), abc_alphabet()
+        images = (None, (1, 1), (-1, 2))
+        memo, calls = dict(_substitution_memo(images, target)), []
+        for degree in range(1, 6):
+            for w in lyndon_tuples(3, degree):
+                image = morphism_image(w, memo, self.counting(calls))
+                want = substitute(LieElement(source, degree, {w: 1}), images, target)
+                assert (image is None) == want.is_zero()
+                assert image is None or image == want
+        assert calls and all(u is not None and v is not None for u, v in calls)
+
+    def test_killed_first_factor_skips_the_second(self):
+        # b(0011) = [b(0), b(011)]: with letter 0 killed, the factor 011 is
+        # never evaluated, and no bracket is formed
+        memo, calls = dict(_substitution_memo((None, (1, 1)), abc_alphabet())), []
+        assert standard_factorization((0, 0, 1, 1)) == ((0,), (0, 1, 1))
+        assert morphism_image((0, 0, 1, 1), memo, self.counting(calls)) is None
+        assert not calls
+        assert set(memo) == {(0,), (1,), (0, 0, 1, 1)}
 
 
 class TestSubstitute:

@@ -349,7 +349,7 @@ class TestClearCaches:
         before = results()
         memos = (
             freelie._bw, freelie._expand, freelie._substitution_memo,
-            words.standard_factorization, psigma3._act_g_word, johnson._bracket_table,
+            words.standard_factorization, psigma3._g_word_memo, johnson._bracket_table,
             kernel_report, intersection_kappa, omega,
         )
         assert all(m.cache_info().currsize for m in memos)
