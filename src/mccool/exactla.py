@@ -5,16 +5,20 @@ as cols - dim ker, come from one certified modular route:
 
   * the matrix is held once as compressed column arrays and cut into
     the connected blocks of its column-row incidence graph; each block
-    gets one dense Gaussian elimination mod 23-bit primes (int64 with
-    deferred reduction, entries below ncols * p^2 + p < 2^63, checked at
-    run time), then CRT + rational reconstruction of kernel vectors.  Its
-    output is never trusted as such: every kernel vector is re-verified
-    by an exact product with the columns (int64 within a bound checked at
-    run time, Python ints beyond it), independence comes from an exact
-    Hermite reduction, and the kernel dimension is certified by the
-    sandwich
+    gets dense Gaussian eliminations mod 23-bit primes, columns right to
+    left (int64 with deferred reduction, entries below ncols * p^2 + p
+    < 2^63, checked at run time), then CRT + rational reconstruction of
+    kernel vectors.  The first prime eliminates the whole block, later
+    primes only its pivot rows.  The output is never trusted as such:
+    every kernel vector is re-verified by an exact product with all the
+    columns' entries (int64 within a bound checked at run time, Python
+    ints beyond it), independence comes from an exact Hermite reduction,
+    and the kernel dimension is certified by the sandwich
 
-        rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors.
+        rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors,
+
+    with rank_p(S) the rank of the whole block mod the prime that chose
+    the pivot rows.
 
     Saturation divides the basis by a Hermite basis of its column
     lattice, with no primes, and certifies that the quotient's columns
@@ -471,7 +475,7 @@ class _ColumnArrays:
         return self.kills(sparse)
 
 
-def _forward_elim_deferred(a: np.ndarray, p: int) -> list:
+def _forward_elim_deferred(a: np.ndarray, p: int) -> tuple:
     """Forward elimination mod p on an int64 matrix, reducing late.
 
     A column is reduced mod p when it is searched for a pivot, and a row
@@ -480,8 +484,13 @@ def _forward_elim_deferred(a: np.ndarray, p: int) -> list:
     pivots and every entry right of them in [0, p).  An update adds less
     than p^2 to an entry, at most once per pivot, so every entry stays
     below ncols * p^2 + p in absolute value (checked by the caller).
+
+    Returns the pivot columns and the input rows the swaps moved into the
+    pivot positions: rank rows that are independent mod p and span the
+    row space mod p.
     """
     nrows, ncols = a.shape
+    order = np.arange(nrows)
     pivots: list = []
     r = 0
     for j in range(ncols):
@@ -492,7 +501,9 @@ def _forward_elim_deferred(a: np.ndarray, p: int) -> list:
         if nz.size == 0:
             continue
         if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+            i = r + nz[0]
+            a[[r, i]] = a[[i, r]]
+            order[[r, i]] = order[[i, r]]
         piv = int(col[nz[0]])
         a[r, j] = piv
         prow = a[r, j + 1 :]
@@ -505,7 +516,7 @@ def _forward_elim_deferred(a: np.ndarray, p: int) -> list:
             a[below, j + 1 :] -= np.outer(mults, prow)
         pivots.append(j)
         r += 1
-    return pivots
+    return pivots, order[:r]
 
 
 def _back_substitute(u: np.ndarray, pivots: list, p: int) -> np.ndarray:
@@ -532,13 +543,14 @@ def _back_substitute(u: np.ndarray, pivots: list, p: int) -> np.ndarray:
 
 
 def _nullspace_mod(a_int: np.ndarray, p: int):
-    """Pivot columns and canonical nullspace basis mod p.
+    """Pivot columns, pivot rows and canonical nullspace basis mod p.
 
-    The basis has one row per free column f: the vector with x_f = 1,
-    other free coordinates 0, pivot coordinates solved mod p.  The
-    deferred-reduction int64 elimination and the back-substitution are
-    exact while entries and row sums stay below ncols * p^2 + p < 2^63;
-    that bound is checked here, once per call.
+    The pivot rows are the input rows that _forward_elim_deferred moved
+    into the pivot positions.  The basis has one row per free column f:
+    the vector with x_f = 1, other free coordinates 0, pivot coordinates
+    solved mod p.  The deferred-reduction int64 elimination and the
+    back-substitution are exact while entries and row sums stay below
+    ncols * p^2 + p < 2^63; that bound is checked here, once per call.
     """
     ncols = a_int.shape[1]
     if ncols * p * p + p >= 1 << 63:
@@ -547,8 +559,8 @@ def _nullspace_mod(a_int: np.ndarray, p: int):
             f"for {ncols} columns mod {p}"
         )
     a = a_int % p
-    pivots = _forward_elim_deferred(a, p)
-    return pivots, _back_substitute(a, pivots, p)
+    pivots, rows = _forward_elim_deferred(a, p)
+    return pivots, rows, _back_substitute(a, pivots, p)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +751,9 @@ def _kernel_exact(columns, nrows: int) -> list:
 
 def _pivot_signature_key(pivots) -> tuple:
     # the true rational pivot sequence has maximal rank and, among equal
-    # ranks, the componentwise-smallest (earliest) columns
+    # ranks, the componentwise-smallest (earliest) columns; _kernel_block
+    # eliminates the columns right to left, so the pivots are read in
+    # that frame
     return (-len(pivots), tuple(pivots))
 
 
@@ -817,31 +831,48 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
     The primes of _PRIMES are taken in order.  Each gives a pivot
     signature and a nullspace basis mod p; the primes kept are those of
     the best signature so far (a better one starts the list afresh).
-    When target primes are kept, their bases are lifted by CRT and
-    rational reconstruction, and the candidates certify when they are
-    exact kernel vectors and independent; otherwise the target grows
-    (1, 2, 3, 4, 6, 9, ...).  A RuntimeError naming the block is raised
-    when the pool runs out first.  The block of zero columns has no rows:
-    its nullspace mod the first prime is the identity, which certifies.
+    The columns are eliminated right to left, so each basis mod p is the
+    leading reduced echelon form of the kernel, whose rational entries
+    are small.  The first prime eliminates the whole block; its r pivot
+    rows are independent mod p, so of rank r over Q, and every later
+    prime eliminates only those rows.  When target primes are kept, their
+    bases are lifted by CRT and rational reconstruction, and the
+    candidates certify when they are exact kernel vectors of the whole
+    block and independent; otherwise the target grows (1, 2, 3, 4, 6, 9,
+    ...), and candidates that reconstruct but fail send the next prime to
+    the whole block again, which re-derives the rows.  A RuntimeError
+    naming the block is raised when the pool runs out first.  The block
+    of zero columns has no rows: its nullspace mod the first prime is the
+    identity, which certifies.
     """
-    best, kept = None, []  # kept: (p, nullspace mod p) of the best signature
+    best, kept = None, []  # kept: (p, (pivots, nullspace mod p)) of the best signature
+    rows = None  # the pivot rows later primes eliminate; None: the whole block
     target = 1
     for p in _PRIMES:
-        res = _nullspace_mod(arrays.residues(p), p)
-        key = _pivot_signature_key(res[0])
+        a = arrays.residues(p)
+        if rows is not None:
+            a = a[rows]
+        pivots, pivot_rows, null = _nullspace_mod(a[:, ::-1], p)
+        key = _pivot_signature_key(pivots)
         if best is None or key < best:
             best, kept = key, []
         if key == best:
-            kept.append((p, res))
+            kept.append((p, (pivots, null[::-1, ::-1])))
+            if rows is None:
+                rows = pivot_rows
         if len(kept) < target:
             continue
         cands = _reconstruct_candidates([r for _, r in kept], [q for q, _ in kept])
-        if cands is not None and arrays.kills_rows(cands):
-            basis = hnf_rows(cands)
-            if len(basis) == len(cands):
-                # sandwich: rank_p <= rank_Q, so d = ncols - rank_p verified
-                # independent integer kernel vectors force rank_Q = rank_p
-                return _saturate_rows(basis, arrays)
+        if cands is not None:
+            if arrays.kills_rows(cands):
+                basis = hnf_rows(cands)
+                if len(basis) == len(cands):
+                    # sandwich: rank_p <= rank_Q, rank_p the rank of the
+                    # whole block mod the prime that chose the rows, so
+                    # d = ncols - rank_p verified independent integer
+                    # kernel vectors force rank_Q = rank_p
+                    return _saturate_rows(basis, arrays)
+            rows = None
         target += max(1, target // 2)  # more modulus needed
     raise RuntimeError(
         f"modular kernel failed to certify a {arrays.nrows}x{arrays.ncols} block: "

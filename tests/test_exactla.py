@@ -462,15 +462,30 @@ class TestModularRouteAlone:
         with pytest.raises(RuntimeError, match="elimination bound fails"):
             kernel_lattice(SparseMat.from_dense([[1, 1]]))
 
+    def test_unlucky_first_prime_is_not_kept_for_its_rows(self, monkeypatch):
+        # mod the first prime row 0 vanishes, so row 1 alone is its pivot
+        # row; the kernel (1, 0) of that row reconstructs but leaves the
+        # kernel of row 0, and only a later prime that eliminates both
+        # rows again can certify the empty kernel
+        from mccool import exactla
+
+        def exact(*args):
+            raise AssertionError("exact route must not run")
+
+        monkeypatch.setattr(exactla, "_kernel_exact", exact)
+        m = SparseMat.from_dense([[_PRIMES[0], 0], [0, 1]])
+        assert kernel_lattice(m) == []
+        assert rank(m) == 2
+
     def test_large_entry_block_certifies_in_the_modular_route(self, monkeypatch):
-        # the candidates (-big, 2, 0) and (-big, 0, 2) span an index-2
-        # sublattice with entries beyond int64: a saturation that once gave
-        # up and fell back to the exact route now ends in the modular route
-        # with the exact route's basis
+        # the candidates (2, 0, -big) and (0, 2, -3) span an index-2
+        # sublattice, one row with entries beyond int64: a saturation that
+        # once gave up and fell back to the exact route now ends in the
+        # modular route with the exact route's basis
         from mccool import exactla
 
         big = (1 << 70) + 1
-        m = SparseMat.from_dense([[2, big, big]])
+        m = SparseMat.from_dense([[big, 3, 2]])
         expected = _kernel_exact(m.columns(), m.rows)
         saturate = exactla._saturate_rows
         inputs = []
@@ -484,7 +499,7 @@ class TestModularRouteAlone:
 
         monkeypatch.setattr(exactla, "_saturate_rows", spy)
         monkeypatch.setattr(exactla, "_kernel_exact", exact)
-        assert kernel_lattice(m) == expected == [(big, 0, -2), (0, 1, -1)]
+        assert kernel_lattice(m) == expected == [(1, 1, -(big + 3) // 2), (0, 2, -3)]
         assert [max(map(abs, r)) >= 1 << 63 for r in inputs[0]] == [True, False]
         assert inputs[0] != expected  # saturation was needed
 
@@ -921,12 +936,18 @@ class TestDeferredElimination:
         from mccool.exactla import _PRIMES, _nullspace_mod
 
         p = _PRIMES[0]
-        pivots, basis = _nullspace_mod(a.copy(), p)
+        pivots, rows, basis = _nullspace_mod(a.copy(), p)
         ref_pivots, ref_basis = rref_nullspace(a, p)
         assert pivots == ref_pivots
         assert basis.shape == ref_basis.shape
         assert (basis == ref_basis).all()
         assert not (a @ basis.T % p).any()
+        # the pivot rows alone: distinct input rows with the same echelon
+        # form mod p, so the same pivots and nullspace
+        assert len(set(rows.tolist())) == len(rows) == len(pivots)
+        row_pivots, row_basis = rref_nullspace(a[rows], p)
+        assert row_pivots == pivots
+        assert (row_basis == basis).all()
 
     def test_large_sparse_matches_rref_basis(self):
         # the largest matrix of these tests, above the size of any block
@@ -939,7 +960,7 @@ class TestDeferredElimination:
         a = np.zeros((nrows, ncols), dtype=np.int64)
         for _ in range(9000):
             a[rng.randrange(nrows), rng.randrange(ncols)] = rng.randint(1, p - 1)
-        pivots, basis = _nullspace_mod(a.copy(), p)
+        pivots, _, basis = _nullspace_mod(a.copy(), p)
         ref_pivots, ref_basis = rref_nullspace(a, p)
         assert pivots == ref_pivots
         assert (basis == ref_basis).all()
@@ -952,8 +973,8 @@ class TestDeferredElimination:
 
         p = _PRIMES[0]
         a = np.random.default_rng(11).integers(1, p, size=shape)
-        pivots, basis = _nullspace_mod(a.copy(), p)
-        assert len(pivots) == min(shape)
+        pivots, rows, basis = _nullspace_mod(a.copy(), p)
+        assert len(pivots) == len(rows) == min(shape)
         ref_pivots, ref_basis = rref_nullspace(a, p)
         assert pivots == ref_pivots
         assert (basis == ref_basis).all()
@@ -961,8 +982,8 @@ class TestDeferredElimination:
     def test_zero_matrix(self):
         from mccool.exactla import _PRIMES, _nullspace_mod
 
-        pivots, basis = _nullspace_mod(np.zeros((3, 4), dtype=np.int64), _PRIMES[0])
-        assert pivots == []
+        pivots, rows, basis = _nullspace_mod(np.zeros((3, 4), dtype=np.int64), _PRIMES[0])
+        assert pivots == [] and rows.size == 0
         assert (basis == np.eye(4, dtype=np.int64)).all()
 
     def test_int64_bound_is_checked(self):

@@ -314,25 +314,55 @@ class TestKernelBlocks:
             block = arrays.block(cols)
             assert exactla._kernel_exact(list(block), block.nrows) == exactla._kernel_block(block)
 
-    @pytest.mark.parametrize("k, calls", [(8, 87), (9, 152)])
-    def test_primes_per_degree(self, k, calls, monkeypatch):
+    @pytest.mark.parametrize("k, calls, cells", [(8, 86, 94_688), (9, 149, 782_287)])
+    def test_primes_per_degree(self, k, calls, cells, monkeypatch):
         # one elimination per block and prime: 86 blocks at k = 8 and 141
         # at k = 9, plus the further primes of the blocks whose first prime
-        # does not certify
+        # does not certify; those see only the first prime's pivot rows
         from mccool import exactla
         from mccool.johnson import _abc_tau_map
 
         arrays = _abc_tau_map().tau_arrays(k)
         solve = exactla._nullspace_mod
-        primes = []
+        shapes = []
 
         def counted(a, p):
-            primes.append(p)
+            shapes.append(a.shape)
             return solve(a, p)
 
         monkeypatch.setattr(exactla, "_nullspace_mod", counted)
         exactla._kernel_lattice_columns(arrays, arrays.nrows)
-        assert len(primes) == calls
+        assert len(shapes) == calls
+        assert sum(r * c for r, c in shapes) == cells
+
+    def test_later_primes_see_only_the_pivot_rows(self, monkeypatch):
+        # the 555 x 186 block of k = 9 has rank 169: the first prime
+        # eliminates every row, each later one the 169 pivot rows
+        from mccool import exactla
+        from mccool.johnson import _abc_tau_map
+
+        arrays = _abc_tau_map().tau_arrays(9)
+        blocks = [arrays.block(cols) for cols in exactla._column_blocks(arrays)]
+        (block,) = [b for b in blocks if (b.nrows, b.ncols) == (555, 186)]
+        solve = exactla._nullspace_mod
+        shapes = []
+
+        def counted(a, p):
+            shapes.append(a.shape)
+            return solve(a, p)
+
+        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+        assert len(exactla._kernel_block(block)) == 186 - 169
+        assert shapes[0] == (555, 186)
+        assert len(shapes) > 1
+        assert set(shapes[1:]) == {(169, 186)}
+
+    def test_kernel_basis_digest(self):
+        # the k = 9 basis pinned as JSON; CI pins k = 10 the same way
+        basis = json.dumps(kernel_report(9).to_json_dict()["basis"], sort_keys=True)
+        assert hashlib.sha256(basis.encode()).hexdigest() == (
+            "cf070eaf3c9fd09562c9f9ad377e48287c77a20f7435f8c59d2e2c76f7c962ec"
+        )
 
 
 class TestClearCaches:
