@@ -5,15 +5,17 @@ as cols - dim ker, come from one certified modular route:
 
   * the matrix is held once as compressed column arrays and cut into
     the connected blocks of its column-row incidence graph; each block
-    gets dense Gaussian eliminations mod 23-bit primes, columns right to
-    left (int64 with deferred reduction, entries below ncols * p^2 + p
-    < 2^63, checked at run time), then CRT + rational reconstruction of
-    kernel vectors.  The first prime eliminates the whole block, later
-    primes only its pivot rows.  The output is never trusted as such:
-    every kernel vector is re-verified by an exact product with all the
-    columns' entries (int64 within a bound checked at run time, Python
-    ints beyond it), independence comes from an exact Hermite reduction,
-    and the kernel dimension is certified by the sandwich
+    is made dense once, exactly, and gets Gaussian eliminations mod
+    23-bit primes, columns right to left (int64 with deferred reduction,
+    entries below ncols * p^2 + p < 2^63, checked at run time), each
+    followed by CRT + rational reconstruction of kernel vectors.  The
+    first prime eliminates the whole block, later primes only its pivot
+    rows, and the first prime whose candidates certify ends the block.
+    The output is never trusted as such: every kernel vector is
+    re-verified by an exact product with all the columns' entries (int64
+    within a per-row bound checked at run time, Python ints beyond it),
+    independence comes from an exact Hermite reduction, and the kernel
+    dimension is certified by the sandwich
 
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors,
 
@@ -300,7 +302,7 @@ def _rank_bareiss(m: SparseMat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer columns as arrays: residues mod p and exact products
+# integer columns as arrays: the dense matrix and exact products
 
 
 def _exact_array(values) -> np.ndarray:
@@ -370,13 +372,13 @@ class _ColumnArrays:
     Column j has the entries rows[indptr[j]:indptr[j+1]] (int32) with the
     values vals[indptr[j]:indptr[j+1]]: int16 when every entry fits, else
     int64 or a dtype=object array of Python ints.  Built once per matrix,
-    the arrays are cut into the blocks of the certified kernel, give the
-    dense residues mod each prime and the exact products that certify
+    the arrays are cut into the blocks of the certified kernel, give each
+    block's exact dense matrix and the exact products that certify
     kernel vectors.  len() is ncols, and iteration yields each column as a
     list of (row, value) pairs.
     """
 
-    __slots__ = ("rows", "vals", "nrows", "ncols", "indptr", "amax")
+    __slots__ = ("rows", "vals", "nrows", "ncols", "indptr")
 
     def __init__(self, columns, nrows: int):
         entries = [e for col in columns for e in col]
@@ -402,7 +404,6 @@ class _ColumnArrays:
         self.indptr, self.rows, self.vals = indptr, rows, vals
         self.nrows = nrows
         self.ncols = len(indptr) - 1
-        self.amax = _abs_max(vals)
 
     def __len__(self) -> int:
         return self.ncols
@@ -428,33 +429,32 @@ class _ColumnArrays:
         """The column index of every entry."""
         return np.repeat(np.arange(self.ncols), np.diff(self.indptr))
 
-    def values_mod(self, p: int) -> np.ndarray:
-        """The value of every entry mod p, as int64."""
-        v = self.vals if self.vals.dtype == object else self.vals.astype(np.int64)
-        return (v % p).astype(np.int64)
-
-    def residues(self, p: int) -> np.ndarray:
-        """The dense nrows x ncols int64 matrix mod p."""
-        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        np.add.at(a, (self.rows, self.entry_columns()), self.values_mod(p))
-        return a % p
+    def dense(self) -> np.ndarray:
+        """The exact nrows x ncols matrix, repeated entries summed: int64
+        for int16 values, whose sums cannot overflow, else dtype=object."""
+        dtype = np.int64 if self.vals.dtype == np.int16 else object
+        a = np.zeros((self.nrows, self.ncols), dtype=dtype)
+        np.add.at(a, (self.rows, self.entry_columns()), self.vals.astype(dtype))
+        return a
 
     def kills(self, vectors) -> bool:
         """Exact check that sum_j x_j * column_j == 0 for every vector x.
 
         Each vector is a pair (col_index, coeffs) of its nonzero entries.
-        A row of its product sums at most n products, n the number of
-        entries in the vector's columns, so the product is accumulated in
-        int64 when n * max|a| * max|x| < 2^63 holds for this data, and in
-        Python ints (dtype=object) when it does not; either way it is exact.
+        A row of its product sums at most n products, n the most entries
+        of the vector's columns in any one row, so the product is
+        accumulated in int64 when n * max|a| * max|x| < 2^63 holds for
+        those entries (a bound computed in Python ints), and in Python ints
+        (dtype=object) when it does not; either way it is exact.
         """
         for col_index, coeffs in vectors:
             x = _exact_array(coeffs)
             rows, vals, lengths = _gather(self.csr, np.asarray(col_index, dtype=np.int64))
             fits = (
-                self.vals.dtype != object
+                vals.dtype != object
                 and x.dtype != object
-                and rows.size * self.amax * _abs_max(x) < 1 << 63
+                and int(np.bincount(rows, minlength=1).max()) * _abs_max(vals) * _abs_max(x)
+                < 1 << 63
             )
             dtype = np.int64 if fits else object
             prod = vals.astype(dtype)
@@ -545,12 +545,14 @@ def _back_substitute(u: np.ndarray, pivots: list, p: int) -> np.ndarray:
 def _nullspace_mod(a_int: np.ndarray, p: int):
     """Pivot columns, pivot rows and canonical nullspace basis mod p.
 
-    The pivot rows are the input rows that _forward_elim_deferred moved
-    into the pivot positions.  The basis has one row per free column f:
-    the vector with x_f = 1, other free coordinates 0, pivot coordinates
-    solved mod p.  The deferred-reduction int64 elimination and the
-    back-substitution are exact while entries and row sums stay below
-    ncols * p^2 + p < 2^63; that bound is checked here, once per call.
+    a_int is an integer matrix, int64 or dtype=object; this is the one
+    place that reduces it mod p, into a fresh int64 copy.  The pivot rows
+    are the input rows that _forward_elim_deferred moved into the pivot
+    positions.  The basis has one row per free column f: the vector with
+    x_f = 1, other free coordinates 0, pivot coordinates solved mod p.
+    The deferred-reduction int64 elimination and the back-substitution
+    are exact while entries and row sums stay below ncols * p^2 + p
+    < 2^63; that bound is checked here, once per call.
     """
     ncols = a_int.shape[1]
     if ncols * p * p + p >= 1 << 63:
@@ -558,7 +560,7 @@ def _nullspace_mod(a_int: np.ndarray, p: int):
             f"int64 elimination bound ncols * p^2 + p < 2^63 fails "
             f"for {ncols} columns mod {p}"
         )
-    a = a_int % p
+    a = (a_int % p).astype(np.int64, copy=False)
     pivots, rows = _forward_elim_deferred(a, p)
     return pivots, rows, _back_substitute(a, pivots, p)
 
@@ -828,41 +830,37 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
 def _kernel_block(arrays: _ColumnArrays) -> list:
     """Certified Hermite basis of the kernel lattice of one block.
 
-    The primes of _PRIMES are taken in order.  Each gives a pivot
-    signature and a nullspace basis mod p; the primes kept are those of
-    the best signature so far (a better one starts the list afresh).
-    The columns are eliminated right to left, so each basis mod p is the
-    leading reduced echelon form of the kernel, whose rational entries
-    are small.  The first prime eliminates the whole block; its r pivot
-    rows are independent mod p, so of rank r over Q, and every later
-    prime eliminates only those rows.  When target primes are kept, their
-    bases are lifted by CRT and rational reconstruction, and the
-    candidates certify when they are exact kernel vectors of the whole
-    block and independent; otherwise the target grows (1, 2, 3, 4, 6, 9,
-    ...), and candidates that reconstruct but fail send the next prime to
-    the whole block again, which re-derives the rows.  A RuntimeError
-    naming the block is raised when the pool runs out first.  The block
-    of zero columns has no rows: its nullspace mod the first prime is the
-    identity, which certifies.
+    The block is made dense once, its columns flipped, and the primes of
+    _PRIMES are taken in order.  Each gives a pivot signature and a
+    nullspace basis mod p; the primes kept are those of the best
+    signature so far (a better one starts the list afresh).  The columns
+    are eliminated right to left, so each basis mod p is the leading
+    reduced echelon form of the kernel, whose rational entries are small.
+    The first prime eliminates the whole block; its r pivot rows are
+    independent mod p, so of rank r over Q, and every later prime
+    eliminates only those rows.  After each prime that joins the kept
+    signature, the kept bases are lifted by CRT and rational
+    reconstruction, and the candidates certify when they are exact kernel
+    vectors of the whole block and independent.  Candidates that
+    reconstruct but fail send the next prime to the whole block again,
+    which re-derives the rows.  A RuntimeError naming the block is raised
+    when the pool runs out first.  The block of zero columns has no rows:
+    its nullspace mod the first prime is the identity, which certifies.
     """
-    best, kept = None, []  # kept: (p, (pivots, nullspace mod p)) of the best signature
+    dense = arrays.dense()[:, ::-1]
+    best, kept = None, []  # kept: (p, nullspace mod p) of the best signature
     rows = None  # the pivot rows later primes eliminate; None: the whole block
-    target = 1
     for p in _PRIMES:
-        a = arrays.residues(p)
-        if rows is not None:
-            a = a[rows]
-        pivots, pivot_rows, null = _nullspace_mod(a[:, ::-1], p)
+        pivots, pivot_rows, null = _nullspace_mod(dense if rows is None else dense[rows], p)
         key = _pivot_signature_key(pivots)
         if best is None or key < best:
             best, kept = key, []
-        if key == best:
-            kept.append((p, (pivots, null[::-1, ::-1])))
-            if rows is None:
-                rows = pivot_rows
-        if len(kept) < target:
+        if key != best:
             continue
-        cands = _reconstruct_candidates([r for _, r in kept], [q for q, _ in kept])
+        kept.append((p, null[::-1, ::-1]))
+        if rows is None:
+            rows = pivot_rows
+        cands = _reconstruct_candidates([b for _, b in kept], [q for q, _ in kept])
         if cands is not None:
             if arrays.kills_rows(cands):
                 basis = hnf_rows(cands)
@@ -873,21 +871,20 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
                     # kernel vectors force rank_Q = rank_p
                     return _saturate_rows(basis, arrays)
             rows = None
-        target += max(1, target // 2)  # more modulus needed
     raise RuntimeError(
         f"modular kernel failed to certify a {arrays.nrows}x{arrays.ncols} block: "
         f"no prime set certified within the pool of {len(_PRIMES)} primes"
     )
 
 
-def _reconstruct_candidates(per_prime, primes):
+def _reconstruct_candidates(bases, primes):
     """Integer candidates lifted from the nullspace bases mod the primes
     (of one pivot signature, so of one shape) by CRT and rational
     reconstruction, each distinct residue tuple once."""
-    residues = np.stack([pp[1] for pp in per_prime], axis=1).tolist()
+    stacked = np.stack(bases, axis=1).tolist()
     lifted = {(0,) * len(primes): (0, 1)}
     out = []
-    for row in residues:
+    for row in stacked:
         vec_fracs = []
         for key in zip(*row):
             rec = lifted.get(key)
@@ -963,10 +960,7 @@ def _smith_diagonal(block: _ColumnArrays) -> list:
     rows are the block's rows as block() numbers them, 0..nrows-1; a block
     with no rows has no diagonal.
     """
-    rows = [[0] * block.ncols for _ in range(block.nrows)]
-    for j, col in enumerate(block):
-        for i, v in col:
-            rows[i][j] = v
+    rows = block.dense().tolist()
     while True:
         rows = hnf_rows(rows)
         if all(len(r) - r.count(0) == 1 for r in rows):

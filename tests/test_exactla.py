@@ -254,15 +254,17 @@ class TestKernel:
 
     @staticmethod
     def _count_primes(monkeypatch):
-        # only _kernel_block takes the residues of the matrix mod a prime
+        # _kernel_block eliminates the block once per prime it takes
+        from mccool import exactla
+
         used = []
-        residues = _ColumnArrays.residues
+        solve = exactla._nullspace_mod
 
-        def counted(self, p):
+        def counted(a, p):
             used.append(p)
-            return residues(self, p)
+            return solve(a, p)
 
-        monkeypatch.setattr(_ColumnArrays, "residues", counted)
+        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
         return used
 
     def test_one_prime_certifies_a_small_kernel(self, monkeypatch):
@@ -273,8 +275,8 @@ class TestKernel:
 
     def test_second_prime_when_one_does_not_reconstruct(self, monkeypatch):
         # the kernel vector (3000, -1) has 3000 > sqrt(p/2) for every pool
-        # prime p, so one residue cannot be reconstructed and the target
-        # grows to a second prime
+        # prime p, so one residue cannot be reconstructed and a second
+        # prime is taken
         assert all(3000 * 3000 > p // 2 for p in _PRIMES)
         used = self._count_primes(monkeypatch)
         m = SparseMat.from_dense([[1, 3000]])
@@ -282,6 +284,20 @@ class TestKernel:
         assert expected == [(3000, -1)]
         assert kernel_lattice(m) == expected
         assert used == list(_PRIMES[:2])
+
+    def test_stops_at_the_first_prime_that_certifies(self, monkeypatch):
+        # the kernel vector (big, 1) is lifted from (1, 1/big) mod the
+        # primes, which reconstructs once big <= sqrt(m/2) for their
+        # product m: after 3, 5 and 6 primes for big = 2^30, 2^51, 2^61,
+        # each tried as soon as it is taken
+        used = self._count_primes(monkeypatch)
+        for big, calls in [(1 << 30, 3), (1 << 51, 5), (1 << 61, 6)]:
+            used.clear()
+            assert kernel_lattice(SparseMat.from_dense([[1, -big]])) == [(big, 1)]
+            assert len(used) == calls
+            assert used == list(_PRIMES[:calls])
+            assert math.isqrt(math.prod(_PRIMES[: calls - 1]) // 2) < big
+            assert math.isqrt(math.prod(_PRIMES[:calls]) // 2) >= big
 
     def test_deterministic(self):
         rng = random.Random(1)
@@ -292,16 +308,16 @@ class TestKernel:
         assert rank(m1) == rank(m2)
 
 
-def reconstruct_reference(per_prime, primes):
+def reconstruct_reference(bases, primes):
     """_reconstruct_candidates with CRT and rational reconstruction run
     on every coordinate, zero or repeated."""
     out = []
-    for k in range(per_prime[0][1].shape[0]):
+    for k in range(bases[0].shape[0]):
         fracs = []
-        for j in range(per_prime[0][1].shape[1]):
-            x, m = int(per_prime[0][1][k, j]), primes[0]
+        for j in range(bases[0].shape[1]):
+            x, m = int(bases[0][k, j]), primes[0]
             for t in range(1, len(primes)):
-                x, m = _crt_pair(x, m, int(per_prime[t][1][k, j]), primes[t])
+                x, m = _crt_pair(x, m, int(bases[t][k, j]), primes[t])
             rec = _rat_reconstruct(x, m)
             if rec is None:
                 return None
@@ -329,25 +345,25 @@ class TestReconstruction:
         # residues of planted rational vectors (zeros and repeated
         # coordinates included) mod nprimes primes
         primes = list(_PRIMES[:nprimes])
-        per_prime = [
-            (None, np.array([[f.numerator * pow(f.denominator, -1, p) % p for f in row]
-                             for row in rows], dtype=np.int64))
+        bases = [
+            np.array([[f.numerator * pow(f.denominator, -1, p) % p for f in row] for row in rows],
+                     dtype=np.int64)
             for p in primes
         ]
-        got = _reconstruct_candidates(per_prime, primes)
-        assert got == reconstruct_reference(per_prime, primes)
+        got = _reconstruct_candidates(bases, primes)
+        assert got == reconstruct_reference(bases, primes)
 
     def test_tuples_equal_mod_one_prime_are_told_apart(self):
         primes = list(_PRIMES[:3])
         vec = [1, 1 + primes[0], 0, 1]
-        per_prime = [(None, np.array([[x % p for x in vec]], dtype=np.int64)) for p in primes]
-        assert _reconstruct_candidates(per_prime, primes) == [vec]
+        bases = [np.array([[x % p for x in vec]], dtype=np.int64) for p in primes]
+        assert _reconstruct_candidates(bases, primes) == [vec]
 
     def test_unreconstructible_residue_gives_none(self):
         p = _PRIMES[0]
-        per_prime = [(None, np.array([[0, 1, p - 3000]], dtype=np.int64))]
-        assert _reconstruct_candidates(per_prime, [p]) is None
-        assert reconstruct_reference(per_prime, [p]) is None
+        bases = [np.array([[0, 1, p - 3000]], dtype=np.int64)]
+        assert _reconstruct_candidates(bases, [p]) is None
+        assert reconstruct_reference(bases, [p]) is None
 
 
 blocks_strategy = st.lists(
@@ -738,6 +754,21 @@ class TestColumnArrays:
         arrays = _ColumnArrays([[(0, 1 << 32)], [(0, -1)]], 1)
         assert arrays.kills_rows([[1 << 32, 1 << 64]])
 
+    def test_row_bound_counts_the_entries_one_row_sums(self):
+        # four entries 2^31 * 2^31 in one row: each product fits int64,
+        # but their sum 2^64 wraps to 0, so the bound must count all four
+        with np.errstate(over="ignore"):
+            assert np.full(4, 1 << 62, dtype=np.int64).sum() == 0
+        assert not _ColumnArrays([[(0, 1 << 31)]] * 4, 1).kills_rows([[1 << 31] * 4])
+
+    def test_tall_columns_are_bounded_per_row(self):
+        # two equal 1,000-row columns of 2^14: every row sums two products
+        # of 2^54, though the columns hold 2,000 entries
+        column = [(i, 1 << 14) for i in range(1000)]
+        arrays = _ColumnArrays([column, column], 1000)
+        assert arrays.kills_rows([[1 << 40, -(1 << 40)]])
+        assert not arrays.kills_rows([[1 << 40, 1 - (1 << 40)]])
+
     @pytest.mark.parametrize("shift", [0, 20, 32, 64])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -772,17 +803,20 @@ class TestColumnArrays:
         assert planted.kills_rows([vec + [1], moved]) == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(sparse_columns, st.sampled_from([8, 70]))
-    def test_residues_match_python_ints(self, shaped, bits):
-        from mccool.exactla import _PRIMES, _ColumnArrays
-
+    @given(sparse_columns, st.sampled_from([8, 20, 70]))
+    def test_dense_matches_python_ints(self, shaped, bits):
+        # entries up to 3 * 2^8 are int16 and give an int64 matrix; up to
+        # 3 * 2^20 (int64) and 3 * 2^70 (Python ints), an object matrix
         nrows, shape = shaped
         columns = [[(i, v << bits) for i, v in col] for col in shape]  # repeats add up
-        p = _PRIMES[0]
-        dense = _ColumnArrays(columns, nrows).residues(p)
+        arrays = _ColumnArrays(columns, nrows)
+        dense = arrays.dense()
+        wide = bits > 8 and any(v for col in shape for _, v in col)
+        assert dense.dtype == (object if wide else np.int64)
+        assert dense.shape == (nrows, len(columns))
         for i in range(nrows):
             for j, col in enumerate(columns):
-                assert dense[i, j] == sum(v for r, v in col if r == i) % p
+                assert dense[i, j] == sum(v for r, v in col if r == i)
 
     @pytest.mark.parametrize(
         "scale, dtype", [(1, np.int16), (1 << 40, np.int64), (1 << 70, object)]
@@ -797,7 +831,7 @@ class TestColumnArrays:
         for name in ("indptr", "rows", "vals"):
             got, want = getattr(csr, name), getattr(arrays, name)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
-        assert (csr.nrows, csr.ncols, csr.amax) == (arrays.nrows, arrays.ncols, arrays.amax)
+        assert (csr.nrows, csr.ncols) == (arrays.nrows, arrays.ncols)
         assert len(arrays) == 3
         assert list(arrays) == columns
         assert all(type(v) is int for col in arrays for _, v in col)
@@ -807,7 +841,7 @@ class TestColumnArrays:
         # uint64; the values go through _exact_array, which keeps them
         columns = [[(0, -1), (1, 1 << 63)]]
         arrays = _ColumnArrays(columns, 2)
-        assert arrays.vals.dtype == object and arrays.amax == 1 << 63
+        assert arrays.vals.dtype == object
         assert list(arrays) == columns
         assert _ColumnArrays([[(0, 1 << 63)]], 1).vals.tolist() == [1 << 63]
         assert _ColumnArrays([[(0, (1 << 63) - 1)]], 1).vals.dtype == np.int64
@@ -829,7 +863,7 @@ class TestColumnArrays:
             got, want = getattr(block, name), getattr(fresh, name)
             assert got.dtype == want.dtype, name
             assert got.tolist() == want.tolist(), name
-        assert (block.nrows, block.ncols, block.amax) == (fresh.nrows, fresh.ncols, fresh.amax)
+        assert (block.nrows, block.ncols) == (fresh.nrows, fresh.ncols)
         assert list(block) == [[(local[i], v) for i, v in columns[j]] for j in sel]
 
     def test_block_beyond_int64_keeps_python_ints(self):
@@ -978,6 +1012,22 @@ class TestDeferredElimination:
         ref_pivots, ref_basis = rref_nullspace(a, p)
         assert pivots == ref_pivots
         assert (basis == ref_basis).all()
+
+    def test_object_input_beyond_int64(self):
+        # the same residues as Python ints beyond 2^63, of either sign
+        from mccool.exactla import _PRIMES, _nullspace_mod
+
+        p = _PRIMES[0]
+        a = np.random.default_rng(5).integers(0, p, size=(6, 8))
+        a[:, 5] = (a[:, 0] + 3 * a[:, 1]) % p
+        shifts = np.random.default_rng(6).integers(-4, 4, size=a.shape)
+        big = a.astype(object) + (shifts.astype(object) * 2 + 1) * p * (1 << 64)
+        assert big.dtype == object and all(abs(v) >= 1 << 63 for v in big.flat)
+        pivots, rows, basis = _nullspace_mod(big, p)
+        want = _nullspace_mod(a.copy(), p)
+        assert pivots == want[0]
+        assert rows.tolist() == want[1].tolist()
+        assert basis.dtype == np.int64 and (basis == want[2]).all()
 
     def test_zero_matrix(self):
         from mccool.exactla import _PRIMES, _nullspace_mod

@@ -238,7 +238,7 @@ class TestKernelReports:
         blocks = [arrays.block(cols) for cols in exactla._column_blocks(arrays)]
         for p in (2, 3, 5, 7):
             rank_p = sum(
-                len(exactla._nullspace_mod(b.residues(p), p)[0]) for b in blocks if b.rows.size
+                len(exactla._nullspace_mod(b.dense(), p)[0]) for b in blocks if b.rows.size
             )
             assert rank_p == sum(1 for d in divisors if d % p)
 
