@@ -802,11 +802,15 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
     its root (path compression).  Labels only fall, and a round that
     changes none leaves one label per component.
     """
-    ncols = arrays.ncols
+    ncols, nrows = arrays.ncols, arrays.nrows
     cols = arrays.entry_columns()
     rows = arrays.rows
+    if nrows > rows.size:
+        # more rows than entries: number the touched rows alone
+        touched, rows = np.unique(rows, return_inverse=True)
+        nrows = touched.size
     label = np.arange(ncols)
-    row_min = np.empty(arrays.nrows, dtype=np.int64)
+    row_min = np.empty(nrows, dtype=np.int64)
     while True:
         row_min.fill(ncols)
         np.minimum.at(row_min, rows, label[cols])
@@ -880,7 +884,12 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
 def _reconstruct_candidates(bases, primes):
     """Integer candidates lifted from the nullspace bases mod the primes
     (of one pivot signature, so of one shape) by CRT and rational
-    reconstruction, each distinct residue tuple once."""
+    reconstruction, each distinct residue tuple once.  A row scaled by
+    the lcm den of its reduced denominators is primitive, so no content
+    is divided out: it is 1 at its free column, as every row of
+    _nullspace_mod is, so its content divides den, and for each prime q
+    of den the entry whose denominator holds q's full power stays prime
+    to q."""
     stacked = np.stack(bases, axis=1).tolist()
     lifted = {(0,) * len(primes): (0, 1)}
     out = []
@@ -899,13 +908,7 @@ def _reconstruct_candidates(bases, primes):
         den = 1
         for _, dd in vec_fracs:
             den = den // math.gcd(den, dd) * dd
-        vec = [num * (den // dd) for num, dd in vec_fracs]
-        content = 0
-        for x in vec:
-            content = math.gcd(content, x)
-        if content > 1:
-            vec = [x // content for x in vec]
-        out.append(vec)
+        out.append([num * (den // dd) for num, dd in vec_fracs])
     return out
 
 

@@ -541,10 +541,7 @@ def substitute(p: LieElement, letter_images: tuple, alphabet: Alphabet) -> LieEl
     memo = _substitution_memo(letter_images, alphabet)
     out: dict = {}
     for word, c in p.coeffs.items():
-        # inline hit, not a call per word: hits are most of the work
-        image = memo.get(word, _MISSING)
-        if image is _MISSING:
-            image = morphism_image(word, memo, _nonzero_bracket)
+        image = morphism_image(word, memo, _nonzero_bracket)
         if image is not None:
             _add_into(out, image.coeffs.items(), c)
     return LieElement(alphabet, p.degree, out, _trust=True)

@@ -37,7 +37,6 @@ from .freelie import (
     x_alphabet,
 )
 from .freelie import _add_into
-from .words import _lyndon_tuples_cached
 from .words import lyndon_index, lyndon_tuples, standard_factorization, witt_dimension
 
 __all__ = [
@@ -137,21 +136,14 @@ class TauMap:
         self._arrays: dict = {}
 
     def of_word(self, word) -> Derivation:
-        hit = self._word_cache.get(word)
-        if hit is None:
-            hit = morphism_image(word, self._word_cache, der_bracket)
-        return hit
+        return morphism_image(word, self._word_cache, der_bracket)
 
     def evaluate(self, p: LieElement) -> Derivation:
-        if p.alphabet != self.symbol_alphabet:
-            raise ValueError("symbol alphabet mismatch")
-        acc = tuple({} for _ in range(self.n))
-        for word, c in p.coeffs.items():
-            for slot, img in zip(acc, self.of_word(word).images):
-                _add_into(slot, img.coeffs.items(), c)
+        """tau(p) on generators: its image of X_i is apply(p, X_i), the
+        sum of c_w times slot i of tau(b(w))."""
         alphabet = x_alphabet(self.n)
-        images = tuple(LieElement(alphabet, p.degree + 1, d, _trust=True) for d in acc)
-        return Derivation(alphabet, p.degree, images)
+        gens = (LieElement.generator(alphabet, lab) for lab in alphabet.labels)
+        return Derivation(alphabet, p.degree, tuple(self.apply(p, x) for x in gens))
 
     def apply(self, p: LieElement, x: LieElement) -> LieElement:
         """tau(p) applied to x, by linearity in p: the sum of
@@ -258,7 +250,7 @@ class _BracketTable:
         # the Lyndon words of degree < d, degree after degree, word x of
         # degree p at offset[p] + x; rank is their order among them all
         offset = np.cumsum(self.widths) - self.widths
-        lower = [w for m in range(1, d) for w in _lyndon_tuples_cached(n, m)]
+        lower = [w for m in range(1, d) for w in lyndon_tuples(n, m)]
         rank = np.empty(len(lower), dtype=np.int64)
         rank[sorted(range(len(lower)), key=lower.__getitem__)] = np.arange(len(lower))
         sign = np.sign(rank[offset[d - px] + y] - rank[offset[px] + x])
@@ -628,7 +620,7 @@ def kernel_report(k: int, /) -> KernelReport:
     """Kernel of tau_k on g for n = 3, with a certified integer basis.
 
     k is positional only, so each degree is one memo entry.  Any k >= 1
-    is solved; the cost grows fast with k (about 30 s at k = 10 on a
+    is solved; the cost grows fast with k (about 10 s at k = 10 on a
     2-core machine), and the CLI bounds it by its reference table.  The
     report's elementary_divisors is None: the Smith form is its own memo,
     elementary_divisors(k), which kernel --divisors attaches.

@@ -80,10 +80,6 @@ class SDElement:
         return self.hpart.degree
 
     @classmethod
-    def zero(cls, degree: int) -> "SDElement":
-        return cls(LieElement.zero(c_alphabet(), degree), LieElement.zero(abc_alphabet(), degree))
-
-    @classmethod
     def from_h(cls, h: LieElement) -> "SDElement":
         return cls(h, LieElement.zero(abc_alphabet(), h.degree))
 
@@ -129,17 +125,7 @@ def sd_rank(k: int) -> int:
 
 def sd_tau(u: SDElement) -> Derivation:
     """The combined Johnson map: ad on the inner part plus tau on the section."""
-    parts = []
-    if not u.hpart.is_zero():
-        parts.append(inner_derivation(_c_to_x(u.hpart)))
-    if not u.gpart.is_zero():
-        parts.append(tau_evaluate(u.gpart))
-    if not parts:
-        return Derivation.zero(x_alphabet(3), u.degree)
-    acc = parts[0]
-    for d in parts[1:]:
-        acc = acc + d
-    return acc
+    return inner_derivation(_c_to_x(u.hpart)) + tau_evaluate(u.gpart)
 
 
 @functools.lru_cache(maxsize=None)

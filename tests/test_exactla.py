@@ -335,15 +335,20 @@ class TestReconstruction:
         st.integers(1, 3),
         st.integers(1, 6).flatmap(
             lambda n: st.lists(
-                st.lists(st.fractions(-50, 50, max_denominator=9), min_size=n, max_size=n),
+                st.tuples(
+                    st.lists(st.fractions(-50, 50, max_denominator=9), min_size=n, max_size=n),
+                    st.integers(0, n - 1),
+                ),
                 min_size=1,
                 max_size=3,
             )
         ),
     )
-    def test_candidates_match_per_coordinate_route(self, nprimes, rows):
+    def test_candidates_match_per_coordinate_route(self, nprimes, planted):
         # residues of planted rational vectors (zeros and repeated
-        # coordinates included) mod nprimes primes
+        # coordinates included) mod nprimes primes, each exactly 1 at one
+        # free column, as every row of _nullspace_mod is
+        rows = [row[:f] + [Fraction(1)] + row[f + 1 :] for row, f in planted]
         primes = list(_PRIMES[:nprimes])
         bases = [
             np.array([[f.numerator * pow(f.denominator, -1, p) % p for f in row] for row in rows],
@@ -352,6 +357,8 @@ class TestReconstruction:
         ]
         got = _reconstruct_candidates(bases, primes)
         assert got == reconstruct_reference(bases, primes)
+        # such rows lift to primitive vectors, with no content to divide out
+        assert all(math.gcd(*vec) == 1 for vec in got)
 
     def test_tuples_equal_mod_one_prime_are_told_apart(self):
         primes = list(_PRIMES[:3])
@@ -446,6 +453,14 @@ class TestBlockSplit:
         blocks = _column_blocks(_ColumnArrays(columns, nrows))
         assert all((b == np.sort(b)).all() for b in blocks)
         assert sorted(b.tolist() for b in blocks) == sorted(reference_blocks(columns, nrows))
+
+    def test_blocks_are_sized_by_entries_not_rows(self):
+        # two entries in a row near 2^61 of 2^62 rows: no array of the
+        # row count may be allocated
+        m = SparseMat(1 << 62, 2, {(1 << 61, 0): 3, (1 << 61, 1): -3})
+        assert kernel_lattice(m) == [(1, 1)]
+        assert rank(m) == 1
+        assert smith_normal_form(m).divisors == (3,)
 
     def test_long_chain_is_one_block(self):
         # column j shares row j with column j - 1: one component whose

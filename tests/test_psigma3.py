@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_lie_element
+from mccool.derivations import Derivation
 from mccool.derivations import apply as der_apply
 from mccool.exactla import SparseMat, _rank_bareiss, intersect_columnspaces, rank
 from mccool.freelie import LieElement, abc_alphabet, coordinates, lie_bracket, x_alphabet
@@ -91,6 +92,11 @@ class TestSDTau:
     def test_inner_generator(self):
         _, _, c3 = c_gens()
         assert sd_tau(SDElement.from_h(c3)) == tau_generator(3, 1, 3) + tau_generator(3, 2, 3)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_zero_element_gives_the_zero_derivation(self, k):
+        zero = SDElement(LieElement.zero(c_alphabet(), k), LieElement.zero(abc_alphabet(), k))
+        assert sd_tau(zero) == Derivation.zero(x_alphabet(3), k)
 
     def test_is_a_lie_morphism(self, rng):
         from mccool.derivations import der_bracket
