@@ -437,33 +437,42 @@ class _ColumnArrays:
         np.add.at(a, (self.rows, self.entry_columns()), self.vals.astype(dtype))
         return a
 
-    def kills(self, vectors) -> bool:
-        """Exact check that sum_j x_j * column_j == 0 for every vector x.
+    def product(self, col_index, coeffs) -> np.ndarray:
+        """sum_j x_j * column_j as a dense array of nrows, exactly, for the
+        vector x with the nonzero entries coeffs at col_index.
 
-        Each vector is a pair (col_index, coeffs) of its nonzero entries.
-        A row of its product sums at most n products, n the most entries
-        of the vector's columns in any one row, so the product is
-        accumulated in int64 when n * max|a| * max|x| < 2^63 holds for
-        those entries (a bound computed in Python ints), and in Python ints
-        (dtype=object) when it does not; either way it is exact.
+        A row of the product sums at most n products, n the most entries
+        of the vector's columns in any one row, so it is accumulated in
+        int64 when n * max|a| * max|x| < 2^63 holds for those entries (a
+        bound computed in Python ints), and in Python ints (dtype=object)
+        when it does not.
         """
-        for col_index, coeffs in vectors:
-            x = _exact_array(coeffs)
-            rows, vals, lengths = _gather(self.csr, np.asarray(col_index, dtype=np.int64))
-            fits = (
-                vals.dtype != object
-                and x.dtype != object
-                and int(np.bincount(rows, minlength=1).max()) * _abs_max(vals) * _abs_max(x)
-                < 1 << 63
-            )
-            dtype = np.int64 if fits else object
-            prod = vals.astype(dtype)
-            prod *= np.repeat(x.astype(dtype), lengths)
-            acc = np.zeros(self.nrows, dtype=dtype)
-            np.add.at(acc, rows, prod)
-            if acc.any():
-                return False
-        return True
+        x = _exact_array(coeffs)
+        rows, vals, lengths = _gather(self.csr, np.asarray(col_index, dtype=np.int64))
+        fits = (
+            vals.dtype != object
+            and x.dtype != object
+            and int(np.bincount(rows, minlength=1).max()) * _abs_max(vals) * _abs_max(x)
+            < 1 << 63
+        )
+        dtype = np.int64 if fits else object
+        prod = vals.astype(dtype)
+        prod *= np.repeat(x.astype(dtype), lengths)
+        acc = np.zeros(self.nrows, dtype=dtype)
+        np.add.at(acc, rows, prod)
+        return acc
+
+    def apply(self, col) -> list:
+        """The product with the vector of (column, coeff) pairs col, as
+        the sorted (row, value) pairs of its nonzero entries."""
+        acc = self.product([j for j, _ in col], [c for _, c in col])
+        nonzero = np.flatnonzero(acc)
+        return list(zip(nonzero.tolist(), acc[nonzero].tolist()))
+
+    def kills(self, vectors) -> bool:
+        """Exact check that sum_j x_j * column_j == 0 for every vector x,
+        each a pair (col_index, coeffs) of its nonzero entries."""
+        return not any(self.product(*vector).any() for vector in vectors)
 
     def kills_rows(self, vecs) -> bool:
         """kills() for dense integer vectors of length ncols."""
@@ -678,7 +687,7 @@ class CertificateError(RuntimeError):
     """An exact check that certifies a result failed."""
 
 
-def _saturate_rows(v: list, arrays: _ColumnArrays) -> list:
+def _saturate_rows(v: list, arrays: _ColumnArrays, checked=None) -> list:
     """Certified Hermite basis of the saturation of an integer row basis.
 
     V, the rows, must be a Hermite basis (hnf_rows) of d independent
@@ -690,6 +699,8 @@ def _saturate_rows(v: list, arrays: _ColumnArrays) -> list:
     inverse and its rows span every integer point of Q V (Cohen 1993,
     section 2.4).  That spanning is certified, not assumed: the Hermite
     form of B's columns must be the identity.
+    The rows returned get an exact kernel product unless they equal
+    checked, rows the caller has already multiplied.
     """
     d = len(v)
     if any(next(x for x in row if x) != 1 for row in v):
@@ -709,7 +720,8 @@ def _saturate_rows(v: list, arrays: _ColumnArrays) -> list:
         v = hnf_rows(b)
         if len(v) != d:
             raise CertificateError("saturation lost rank")
-    if not arrays.kills_rows(v):
+    same = checked is not None and list(map(tuple, checked)) == list(map(tuple, v))
+    if not same and not arrays.kills_rows(v):
         raise CertificateError("saturated basis row left the kernel")
     return v
 
@@ -873,7 +885,7 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
                     # whole block mod the prime that chose the rows, so
                     # d = ncols - rank_p verified independent integer
                     # kernel vectors force rank_Q = rank_p
-                    return _saturate_rows(basis, arrays)
+                    return _saturate_rows(basis, arrays, checked=cands)
             rows = None
     raise RuntimeError(
         f"modular kernel failed to certify a {arrays.nrows}x{arrays.ncols} block: "

@@ -116,7 +116,9 @@ class TauMap:
     is indexed by position alone: the lower matrices by column, its
     levels by row key and the brackets of Lyndon words by pair
     (_bracket_table, shared by the engines of rank n and built whole from
-    the tables of lower degrees, so the build fills no freelie._bw memo).
+    the tables of lower degrees, so the build fills no freelie._bw memo;
+    the letter-map arrays of the S3 action and bracket_map_rank read the
+    same tables).
     It sums one (group, letter-content class) chunk at a time, so its
     temporaries follow the largest class.  Readers:
     kernel_report (the solve and the _tau_kills certificate),
@@ -313,6 +315,40 @@ class _BracketTable:
 def _bracket_table(n: int, d: int) -> _BracketTable:
     """The degree-d bracket table over n letters, shared by the builds of rank n."""
     return _BracketTable(n, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _letter_map_arrays(images: tuple, d: int) -> exactla._ColumnArrays:
+    """The Lie-ring morphism sending letter i to images[i] = (sign, target
+    letter), as column arrays over the Lyndon basis of degree d: column j
+    is the image of the j-th Lyndon word.  freelie.substitute is the same
+    map on elements.  For d >= 2 the image of b(w), w = (u, v) standard,
+    is the sum of c_x c_y [b(x), b(y)] over the terms c_x b(x) of the
+    image of u and c_y b(y) of that of v, each bracket read from
+    _bracket_table(n, d) by its pair, one group (the degree of u) per
+    int64 sum under _sum_products' bound and a check on c_x c_y.
+    """
+    n = len(images)
+    if d == 1:
+        signs, targets = zip(*images)
+        return exactla._ColumnArrays.from_csr(np.arange(n + 1), targets, signs, n)
+    table, width = _bracket_table(n, d), witt_dimension(n, d)
+    ulen, uidx, vidx = _factor_arrays(n, d)
+    chunks = []
+    for m in _unique(ulen).tolist():
+        w = np.flatnonzero(ulen == m)
+        xs, xv, xlen = exactla._gather(_letter_map_arrays(images, m).csr, uidx[w])
+        ys, yv, ylen = exactla._gather(_letter_map_arrays(images, d - m).csr, vidx[w])
+        if exactla._abs_max(xv) * exactla._abs_max(yv) >= 1 << 63:
+            raise OverflowError(f"letter map image coefficients beyond int64 in degree {d}")
+        # every term of the image of u, each with every term of that of v
+        per = np.repeat(ylen, xlen)
+        x = np.repeat(np.arange(xs.size), per)
+        y = exactla._spans(np.repeat(np.cumsum(ylen) - ylen, xlen), per)
+        target, coef = np.repeat(np.repeat(w, xlen), per), xv[x].astype(np.int64) * yv[y]
+        keys, sums = _sum_products([_scaled_rows(table.csr, table.code(m, xs[x], ys[y]), target, coef)], width)
+        chunks.append((*np.divmod(keys, width), exactla._narrowest(sums)))
+    return _assemble(chunks, width, width)
 
 
 def _scaled_rows(csr, keys, target, coef) -> tuple:
@@ -637,7 +673,7 @@ def kernel_report(k: int, /) -> KernelReport:
     # certify by re-evaluation: tau of each basis element must vanish
     if any(p.is_zero() for p in basis):
         raise exactla.CertificateError("zero vector reported in kernel basis")
-    if not _tau_kills(engine, k, basis):
+    if not _tau_kills(engine, k, (coordinates(p) for p in basis)):
         raise exactla.CertificateError("kernel basis vector not killed by tau")
     dim = len(basis)
     return KernelReport(
@@ -660,15 +696,11 @@ def elementary_divisors(k: int, /) -> tuple:
     return exactla.smith_normal_form(_abc_tau_map().tau_arrays(k)).divisors
 
 
-def _tau_kills(engine: TauMap, k: int, polys) -> bool:
-    """Exact check that tau kills every degree-k polynomial in polys.
-
-    Each polynomial's Lyndon coefficients become a vector through
-    lyndon_index, which is multiplied exactly with the degree's tau
-    arrays (exactla._ColumnArrays.kills).
-    """
-    idx = lyndon_index(3, k)
-    vectors = [([idx[w] for w in p.coeffs], list(p.coeffs.values())) for p in polys]
+def _tau_kills(engine: TauMap, k: int, columns) -> bool:
+    """Exact check that tau kills every degree-k vector in columns, an
+    iterable of Lyndon coordinates (freelie.coordinates), by exact
+    products with the degree's tau arrays (exactla._ColumnArrays.kills)."""
+    vectors = (([j for j, _ in col], [c for _, c in col]) for col in columns)
     return engine.tau_arrays(k).kills(vectors)
 
 
@@ -691,20 +723,23 @@ class BracketMapReport:
 
 
 def bracket_map_rank(k: int) -> BracketMapReport:
-    """Rank of the span of [x, v], x a generator, v in the degree-k kernel."""
-    alphabet = abc_alphabet()
+    """Rank of the span of [x, v], x a generator, v in the degree-k kernel,
+    each [x, v] summed exactly from the rows (x, w) of _bracket_table(3, k + 1)."""
     engine = _abc_tau_map()
     kappa_k = kernel_report(k)
     kappa_k1 = kernel_report(k + 1)
+    table = _bracket_table(3, k + 1)
+    width = witt_dimension(3, k + 1)
+    brackets = exactla._ColumnArrays.from_csr(*table.csr, width)
+    cols = [coordinates(v) for v in kappa_k.kernel_basis]
     family = []
-    for lab in alphabet.labels:
-        x = LieElement.generator(alphabet, lab)
-        for v in kappa_k.kernel_basis:
-            family.append(lie_bracket(x, v))
+    for x in range(3):
+        for col in cols:
+            codes = table.code(1, x, np.array([w for w, _ in col])).tolist()
+            family.append(brackets.apply([(code, c) for code, (_, c) in zip(codes, col)]))
     if not _tau_kills(engine, k + 1, family):
         raise exactla.CertificateError("bracket of a kernel element left the kernel")
-    mat = SparseMat.from_columns([coordinates(el) for el in family], witt_dimension(3, k + 1))
-    rank = exactla.rank(mat)
+    rank = exactla.rank(SparseMat.from_columns(family, width))
     return BracketMapReport(
         degree=k,
         rank=rank,

@@ -7,8 +7,10 @@ of k_ij is reduced modulo the inner classes via
     k31 = C1 - b,   k32 = C2 - a,   k23 = C3 - c,
 
 so modulo the inner part the induced action on (a, b, c) is by signed
-permutations.  action_on_degree extends it as a graded Lie-ring
-automorphism; kernel_character reads off the trace of the action on the
+permutations, a graded Lie-ring automorphism at two granularities: per
+word, act_on_polynomial (freelie.substitute) on single elements, and per
+degree, johnson._letter_map_arrays on the whole Lyndon basis, read by
+action_on_degree and by kernel_character, the trace of the action on the
 degree-k kernel of tau, which is stable under the action.
 """
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from .derivations import Derivation
 from .exactla import SparseMat
 from .freelie import LieElement, _add_into, abc_alphabet, coordinates, substitute
-from .johnson import _ABC_PAIRS, kernel_report, tau_evaluate
+from .johnson import _ABC_PAIRS, _letter_map_arrays, kernel_report, tau_evaluate
 from .words import lyndon_tuples
 
 __all__ = [
@@ -162,14 +164,8 @@ def act_on_polynomial(sigma: S3Element, p: LieElement) -> LieElement:
 
 def action_on_degree(sigma: S3Element, k: int) -> SparseMat:
     """Matrix of sigma on the Lyndon basis of degree k over {a, b, c}."""
-    alphabet = abc_alphabet()
-    words = lyndon_tuples(3, k)
-    entries = {}
-    for j, w in enumerate(words):
-        img = act_on_polynomial(sigma, LieElement(alphabet, k, {w: 1}, _trust=True))
-        for r, c in coordinates(img):
-            entries[(r, j)] = c
-    return SparseMat(len(words), len(words), entries)
+    arrays = _letter_map_arrays(_abc_images(sigma), k)
+    return SparseMat.from_columns(list(arrays), arrays.nrows)
 
 
 def act_on_derivation(sigma: S3Element, d: Derivation) -> Derivation:
@@ -185,9 +181,9 @@ def act_on_derivation(sigma: S3Element, d: Derivation) -> Derivation:
     return Derivation(d.alphabet, d.degree, images)
 
 
-def _staircase_coords(cols, target: LieElement):
-    """Integer coordinates of target in a kernel basis, or None when it
-    lies outside the basis's span.
+def _staircase_coords(cols, target):
+    """Integer coordinates of target, given by its (row, coeff) pairs, in
+    kernel basis vectors, or None when it lies outside their span.
 
     cols are the Lyndon coordinates of the basis vectors, in Hermite
     staircase form: vector i leads at a row where all later vectors
@@ -196,7 +192,7 @@ def _staircase_coords(cols, target: LieElement):
     every integer vector of its rational span, so a pivot that does not
     divide means target is outside the span.
     """
-    residue = dict(coordinates(target))
+    residue = dict(target)
     coords = []
     for col in cols:
         lead_row, piv = col[0]
@@ -212,23 +208,36 @@ def _staircase_coords(cols, target: LieElement):
 def kernel_character(k: int) -> Character:
     """Character of the degree-k kernel of tau as an S3 representation.
 
-    Raises KernelNotStable if the action were to carry a kernel basis
-    vector outside the kernel span (it never does; the check is exact).
+    Each basis vector's image is one exact product with sigma's letter-map
+    arrays.  sigma carries the letter-content class C (the sorted letters
+    of a vector's leading word) onto sigma C, so the image is solved
+    against the vectors of sigma C alone, which can only refuse more, and
+    only the classes sigma fixes add to the trace.  Raises KernelNotStable
+    if an image is outside their span (it never is; the check is exact).
     """
     rep = kernel_report(k)
-    basis = list(rep.kernel_basis)
-    cols = [coordinates(p) for p in basis]
+    words = lyndon_tuples(3, k)
+    cols = [coordinates(p) for p in rep.kernel_basis]
+    classes: dict = {}
+    for col in cols:
+        classes.setdefault(tuple(sorted(words[col[0][0]])), []).append(col)
     traces = {}
     for sigma in (S3_12, S3_123):
+        images = _abc_images(sigma)
+        arrays = _letter_map_arrays(images, k)
         traces[sigma] = 0
-        for t, p in enumerate(basis):
-            coords = _staircase_coords(cols, act_on_polynomial(sigma, p))
-            if coords is None:
-                raise KernelNotStable(
-                    f"sigma={sigma} moved a degree-{k} kernel vector off the kernel"
-                )
-            traces[sigma] += coords[t]
-    return Character(len(basis), traces[S3_12], traces[S3_123])
+        for content, members in classes.items():
+            moved = tuple(sorted(images[letter][1] for letter in content))
+            basis = classes.get(moved, [])
+            for t, col in enumerate(members):
+                coords = _staircase_coords(basis, arrays.apply(col))
+                if coords is None:
+                    raise KernelNotStable(
+                        f"sigma={sigma} moved a degree-{k} kernel vector off the kernel"
+                    )
+                if moved == content:
+                    traces[sigma] += coords[t]
+    return Character(len(cols), traces[S3_12], traces[S3_123])
 
 
 def equivariance_check(sigma: S3Element, p: LieElement) -> bool:

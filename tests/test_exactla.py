@@ -521,9 +521,9 @@ class TestModularRouteAlone:
         saturate = exactla._saturate_rows
         inputs = []
 
-        def spy(rows, arrays):
+        def spy(rows, arrays, **kwargs):
             inputs.append(hnf_rows(rows))
-            return saturate(rows, arrays)
+            return saturate(rows, arrays, **kwargs)
 
         def exact(*args):
             raise AssertionError("exact route must not run")
@@ -664,6 +664,28 @@ class TestSaturationGuard:
         for rows in ([(2, 2)], [(1, 1)]):
             with pytest.raises(CertificateError, match="left the kernel"):
                 _saturate_rows(rows, arrays)
+
+    def test_only_the_rows_already_checked_skip_the_product(self, monkeypatch):
+        arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
+        products = []
+        kills_rows = _ColumnArrays.kills_rows
+
+        def counted(self, vecs):
+            products.append([tuple(v) for v in vecs])
+            return kills_rows(self, vecs)
+
+        monkeypatch.setattr(_ColumnArrays, "kills_rows", counted)
+        assert _saturate_rows([(1, 5)], arrays, checked=[[1, 5]]) == [(1, 5)]
+        assert products == []
+        # a repaired basis is not the rows checked, so it gets its product
+        assert _saturate_rows([(2, 10)], arrays, checked=[[2, 10]]) == [(1, 5)]
+        assert products == [[(1, 5)]]
+        with pytest.raises(CertificateError, match="left the kernel"):
+            _saturate_rows([(1, 1)], arrays, checked=[(1, 5)])
+        # a block whose candidates need no repair is multiplied once
+        products.clear()
+        assert kernel_lattice(SparseMat.from_dense([[5, -1]])) == [(1, 5)]
+        assert products == [[(1, 5)]]
 
     @staticmethod
     def _corrupt_column_lattice(monkeypatch, corrupt):

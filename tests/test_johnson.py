@@ -675,6 +675,21 @@ class TestBracketMap:
         assert [bracket_map_rank(k).rank for k in range(5, 9)] == [0, 3, 18, 72]
         assert ranks == [(0, 0), (3, 3), (18, 18), (72, 72)]
 
+    def test_family_equals_the_per_word_brackets(self, monkeypatch):
+        # the columns [x, v] read from the bracket table, against lie_bracket
+        from mccool import exactla
+        from mccool.freelie import coordinates
+
+        rank = exactla.rank
+        mats = []
+        monkeypatch.setattr(exactla, "rank", lambda m: mats.append(m) or rank(m))
+        alphabet = abc_alphabet()
+        for k in (6, 7):
+            bracket_map_rank(k)
+            basis = kernel_report(k).kernel_basis
+            gens = [LieElement.generator(alphabet, lab) for lab in alphabet.labels]
+            assert mats[-1].columns() == [coordinates(lie_bracket(x, v)) for x in gens for v in basis]
+
     def test_bracket_outside_the_kernel_is_refused(self, monkeypatch):
         # the kernels of degrees 6 and 7 are certified first; then, with the
         # membership check stubbed to fail, the bracket map must refuse

@@ -19,8 +19,9 @@ from mccool.symmetry import (
     equivariance_check,
     kernel_character,
 )
-from mccool.symmetry import _staircase_coords
-from mccool.words import lyndon_index
+from mccool.symmetry import KernelNotStable, _abc_images, _letter_map_arrays, _staircase_coords
+from mccool.exactla import _ColumnArrays
+from mccool.words import lyndon_index, lyndon_tuples
 
 
 class TestGroup:
@@ -165,6 +166,49 @@ class TestKernelCharacter:
         with pytest.raises(ValueError):
             Character(1, 1, -1).multiplicities()
 
+    def test_corrupted_action_column_is_refused(self, monkeypatch):
+        # one entry negated in the action column of the leading word of a
+        # degree-7 kernel vector: its image leaves the kernel span
+        from mccool import symmetry
+
+        lead = coordinates(kernel_report(7).kernel_basis[0])[0][0]
+        build = symmetry._letter_map_arrays
+
+        def corrupted(images, d):
+            arrays = build(images, d)
+            vals = arrays.vals.copy()
+            vals[arrays.indptr[lead]] *= -1
+            return _ColumnArrays.from_csr(arrays.indptr, arrays.rows, vals, arrays.nrows)
+
+        monkeypatch.setattr(symmetry, "_letter_map_arrays", corrupted)
+        with pytest.raises(KernelNotStable):
+            kernel_character(7)
+
+
+class TestLetterMapArrays:
+    """The whole-degree action, read from the bracket tables, against the
+    per-word route of act_on_polynomial (freelie.substitute)."""
+
+    @pytest.mark.parametrize("k, sigmas", [(7, S3_ALL), (8, S3_ALL), (9, (S3_12, S3_123))])
+    def test_arrays_equal_the_per_word_route(self, k, sigmas):
+        alphabet = abc_alphabet()
+        for sigma in sigmas:
+            columns = action_on_degree(sigma, k).columns()
+            for j, w in enumerate(lyndon_tuples(3, k)):
+                image = act_on_polynomial(sigma, LieElement(alphabet, k, {w: 1}))
+                assert columns[j] == coordinates(image)
+
+    def test_images_past_int64_are_exact(self):
+        # kernel vectors scaled by 2^62: their images need Python ints
+        scale = 1 << 62
+        for sigma in (S3_12, S3_123):
+            arrays = _letter_map_arrays(_abc_images(sigma), 7)
+            for p in kernel_report(7).kernel_basis:
+                big = p.scale(scale)
+                image = arrays.apply(coordinates(big))
+                assert max(abs(c) for _, c in image) >= 1 << 63
+                assert image == coordinates(act_on_polynomial(sigma, big))
+
 
 def fraction_coords(cols, target):
     """Oracle: the staircase solve carried out in Fractions throughout."""
@@ -188,7 +232,7 @@ class TestStaircaseCoords:
         for sigma in S3_ALL:
             for p in basis:
                 image = act_on_polynomial(sigma, p)
-                coords = _staircase_coords(cols, image)
+                coords = _staircase_coords(cols, coordinates(image))
                 # the kernel lattice is stable, so every pivot divides
                 assert all(type(x) is int for x in coords)
                 assert coords == fraction_coords(cols, image)
@@ -203,15 +247,15 @@ class TestStaircaseCoords:
         cols = [coordinates(ab.scale(2) + ac), coordinates(ac.scale(3))]
         target = ab.scale(3) + ac.scale(3)
         assert fraction_coords(cols, target) == [Fraction(3, 2), Fraction(1, 2)]
-        assert _staircase_coords(cols, target) is None
-        assert _staircase_coords(cols, ab.scale(4) + ac.scale(5)) == [2, 1]
-        assert _staircase_coords(cols, lie_bracket(b, c)) is None
+        assert _staircase_coords(cols, coordinates(target)) is None
+        assert _staircase_coords(cols, coordinates(ab.scale(4) + ac.scale(5))) == [2, 1]
+        assert _staircase_coords(cols, coordinates(lie_bracket(b, c))) is None
 
     def test_target_outside_kernel_span(self):
         basis = kernel_report(7).kernel_basis
         cols = [coordinates(p) for p in basis]
         outside = basis[0] + LieElement(abc_alphabet(), 7, {(0, 0, 0, 0, 0, 0, 1): 1})
-        assert _staircase_coords(cols, outside) is None
+        assert _staircase_coords(cols, coordinates(outside)) is None
         assert fraction_coords(cols, outside) is None
 
 
