@@ -10,9 +10,10 @@ reuses; apply_via_tensor() is the tensor-ring cross-check (a test oracle).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exactla import SparseMat, kernel_lattice
+from .exactla import _ColumnArrays, kernel_lattice
 from .freelie import (
     Alphabet,
     LieElement,
@@ -195,11 +196,11 @@ def inner_derivation(w: LieElement) -> Derivation:
 def tangential_witness(d: Derivation) -> list:
     """Witnesses (W_1 .. W_n) with d(X_i) = [X_i, W_i].
 
-    A kernel vector v of [A | -b], A the columns [X_i, b(w)], with
-    v_last != 0 gives the witness v[:-1] / v_last.  Unique for degree
-    >= 2; for degree 1 the column of X_i is zero, and the Hermite
-    reduction above the unit pivot of e_{X_i} gives W_i zero coefficient
-    on X_i.  Raises NotTangential when no witness exists.
+    A kernel vector v of [A | -den b], A the columns [X_i, b(w)] and den
+    the lcm denominator of b = d(X_i), with v_last != 0 gives the witness
+    v[:-1] / (den v_last), unique for degree >= 2.  In degree 1 X_i's column
+    is zero; the Hermite reduction above the unit pivot of e_{X_i} gives W_i
+    zero coefficient on X_i.  Raises NotTangential when no witness exists.
     """
     n, k = d.alphabet.size, d.degree
     domain = lyndon_tuples(n, k)
@@ -210,12 +211,13 @@ def tangential_witness(d: Derivation) -> list:
         x_i = LieElement.generator(d.alphabet, d.alphabet.labels[i])
         basis = (LieElement.basis_element(d.alphabet, w) for w in domain)
         cols = [coordinates(lie_bracket(x_i, b)) for b in basis]
-        cols.append([(r, -c) for r, c in coordinates(d.images[i])])
-        kernel = kernel_lattice(SparseMat.from_columns(cols, nrows))
+        den = math.lcm(*(c.denominator for c in d.images[i].coeffs.values()))
+        cols.append([(r, -int(c * den)) for r, c in coordinates(d.images[i])])
+        kernel = kernel_lattice(_ColumnArrays(cols, nrows))
         v = next((v for v in kernel if v[-1]), None)
         if v is None:
             raise NotTangential(f"generator {d.alphabet.labels[i]} has no witness")
-        sol = [Fraction(x, v[-1]) for x in v[:-1]]
+        sol = [Fraction(x, v[-1] * den) for x in v[:-1]]
         sol = [int(x) if x.denominator == 1 else x for x in sol]
         witnesses.append(from_coordinates(d.alphabet, k, sol))
     return witnesses

@@ -26,15 +26,9 @@ as cols - dim ker, come from one certified modular route:
     lattice, with no primes, and certifies that the quotient's columns
     span Z^d.  A block fails only when the prime pool runs out.
 
-Two oracles use no primes, and no product path calls them; the tests
-check the certified route against them by name: _rank_bareiss, a
-fraction-free Bareiss elimination over Z (sparse, Markowitz-style
-pivoting, lazy telescoped rescaling of rows that miss the pivot column),
-and _kernel_exact, the Hermite form of [M^T | I].
-
 One Hermite engine, hnf_rows, serves the kernel (the canonical basis
-and the independence check), saturation, the exact oracle and the Smith
-form, which alternates it on the rows and on the columns of each block.
+and the independence check), saturation and the Smith form, which
+alternates it on the rows and on the columns of each block.
 
 The kernel of an integer matrix is automatically a saturated lattice;
 the basis returned here is the (row-style) Hermite normal form of that
@@ -205,7 +199,7 @@ def read_matrix_text(text: str) -> SparseMat:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free sparse Bareiss rank: the oracle with no primes
+# rational entries
 
 
 def _cleared(m: SparseMat, axis: int) -> SparseMat:
@@ -220,85 +214,6 @@ def _cleared(m: SparseMat, axis: int) -> SparseMat:
     return SparseMat(
         m.rows, m.cols, {key: int(v * denoms.get(key[axis], 1)) for key, v in m.entries.items()}
     )
-
-
-def _rank_bareiss(m: SparseMat) -> int:
-    rows: dict = {}
-    for (i, j), v in _cleared(m, 0).entries.items():
-        rows.setdefault(i, {})[j] = v
-    colocc: dict = {}
-    for r, row in rows.items():
-        for c in row:
-            colocc.setdefault(c, set()).add(r)
-    piv_seq = [1]  # piv_seq[t] = pivot of step t
-    stamp = {r: 0 for r in rows}
-    rank_ = 0
-
-    def bring(r, target):
-        # lazy telescoped rescale: entries of row r are minors at step stamp[r]
-        s = stamp[r]
-        if s == target:
-            return
-        num, den = piv_seq[target], piv_seq[s]
-        row = rows[r]
-        for c in list(row):
-            val = row[c] * num
-            if val % den:
-                raise CertificateError("Bareiss rescale is not exact")
-            row[c] = val // den
-        stamp[r] = target
-
-    while rows:
-        best = None
-        for c, occ in colocc.items():
-            cl = len(occ)
-            for r in occ:
-                score = (len(rows[r]) - 1) * (cl - 1)
-                key = (score, r, c)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, r0, c0 = best
-        t = rank_ + 1
-        bring(r0, t - 1)
-        piv = rows[r0][c0]
-        piv_seq.append(piv)
-        prow = rows[r0]
-        for r in list(colocc[c0]):
-            if r == r0:
-                continue
-            bring(r, t - 1)
-            row = rows[r]
-            f = row[c0]
-            prev = piv_seq[t - 1]
-            for c, pv in prow.items():
-                val = piv * row.get(c, 0) - f * pv
-                if val:
-                    if val % prev:
-                        raise CertificateError("Bareiss step is not exact")
-                    row[c] = val // prev
-                    colocc.setdefault(c, set()).add(r)
-                elif c in row:
-                    del row[c]
-                    colocc[c].discard(r)
-            for c in [c for c in row if c not in prow]:
-                val = row[c] * piv
-                if val % prev:
-                    raise CertificateError("Bareiss rescale is not exact")
-                row[c] = val // prev
-            stamp[r] = t
-            if not row:
-                del rows[r]
-                del stamp[r]
-        for c in prow:
-            colocc[c].discard(r0)
-            if not colocc[c]:
-                del colocc[c]
-        del rows[r0]
-        del stamp[r0]
-        rank_ += 1
-    return rank_
 
 
 # ---------------------------------------------------------------------------
@@ -730,39 +645,6 @@ def _saturate_rows(v: list, arrays: _ColumnArrays, checked=None) -> list:
 # the certified kernel
 
 
-# _kernel_exact refuses entries above this many bits: a kernel that needs
-# larger numbers fails at once instead of growing toward _HNF_BITS
-_EXACT_KERNEL_BITS = 2048
-
-
-def _kernel_exact(columns, nrows: int) -> list:
-    """Integer kernel from the Hermite normal form of [M^T | I].
-
-    Independent of the modular engine (no primes, no reconstruction):
-    an oracle that only the tests call.  Row j is
-    column j of M followed by the unit vector e_j, so the lattice is all
-    (x M^T, x).  The Hermite rows whose first nrows entries vanish are a
-    basis of its part with x M^T = 0, and their identity parts are in
-    Hermite form themselves: they are the unique Hermite basis of the
-    kernel lattice, which is saturated.
-    """
-    ncols = len(columns)
-    rows = []
-    for j, col in enumerate(columns):
-        row = [0] * (nrows + ncols)
-        for i, v in col:
-            row[i] = v
-        row[nrows + j] = 1
-        rows.append(row)
-    try:
-        reduced = hnf_rows(rows, _EXACT_KERNEL_BITS)
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"exact kernel entries exceed the {_EXACT_KERNEL_BITS}-bit bound"
-        ) from exc
-    return [r[nrows:] for r in reduced if not any(r[:nrows])]
-
-
 def _pivot_signature_key(pivots) -> tuple:
     # the true rational pivot sequence has maximal rank and, among equal
     # ranks, the componentwise-smallest (earliest) columns; _kernel_block
@@ -788,8 +670,6 @@ def _kernel_lattice_columns(arrays: _ColumnArrays, nrows: int) -> list:
     lattice.  The Hermite normal form is unique, hence this is exactly the
     basis one solve of the unsplit matrix returns.
     """
-    if arrays.nrows != nrows:
-        raise ValueError(f"arrays have {arrays.nrows} rows, not {nrows}")
     out = []
     for block in _column_blocks(arrays):
         block_cols = block.tolist()
@@ -924,21 +804,27 @@ def _reconstruct_candidates(bases, primes):
     return out
 
 
-def kernel_lattice(m: SparseMat) -> list:
+def _column_arrays(m: "SparseMat | _ColumnArrays") -> _ColumnArrays:
+    """Column arrays as they are; a SparseMat as column arrays, each row's Fractions cleared."""
+    return _ColumnArrays(_cleared(m, 0).columns(), m.rows) if isinstance(m, SparseMat) else m
+
+
+def kernel_lattice(m: "SparseMat | _ColumnArrays") -> list:
     """Basis of the saturated integer kernel lattice {v : M v = 0}.
 
     Returns tuples of ints: the Hermite normal form of the kernel
     lattice (deterministic; first nonzero entry of each vector is
-    positive).  Fraction entries are cleared row by row first (same
-    kernel).
+    positive).  m is a SparseMat, its Fraction entries cleared row by row
+    first (same kernel), or an integer _ColumnArrays, read as it is.
     """
-    m = _cleared(m, 0)
-    return _kernel_lattice_columns(_ColumnArrays(m.columns(), m.rows), m.rows)
+    arrays = _column_arrays(m)
+    return _kernel_lattice_columns(arrays, arrays.nrows)
 
 
-def rank(m: SparseMat) -> int:
-    """Exact rank over Q, certified as cols - dim ker by the kernel route."""
-    return m.cols - len(kernel_lattice(m))
+def rank(m: "SparseMat | _ColumnArrays") -> int:
+    """Exact rank over Q of a SparseMat or a _ColumnArrays, certified as cols - dim ker."""
+    arrays = _column_arrays(m)
+    return arrays.ncols - len(kernel_lattice(arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -954,10 +840,9 @@ def smith_normal_form(m: "SparseMat | _ColumnArrays") -> SNFResult:
     is equivalent to the diagonal of all the blocks' pivots, which
     _invariant_factors turns into the divisor chain.
     """
-    if isinstance(m, SparseMat):
-        if any(isinstance(v, Fraction) for v in m.entries.values()):
-            raise ValueError("smith_normal_form requires integer entries")
-        m = _ColumnArrays(m.columns(), m.rows)
+    if isinstance(m, SparseMat) and any(isinstance(v, Fraction) for v in m.entries.values()):
+        raise ValueError("smith_normal_form requires integer entries")
+    m = _column_arrays(m)
     diagonal = []
     for cols in _column_blocks(m):
         diagonal.extend(_smith_diagonal(m.block(cols)))
@@ -1017,17 +902,14 @@ def intersect_columnspaces(bases: list) -> SparseMat:
     if any(b.rows != nrows for b in bases):
         raise ValueError("row counts differ")
     # a column scaled by the lcm of its denominators spans the same line
-    current, *others = (_cleared(b, 1) for b in bases)
+    current, *others = (_cleared(b, 1).columns() for b in bases)
     for other in others:
-        # x = A y = B z exactly when (y, z) is in the kernel of [A | -B]
-        shifted = {(i, j + current.cols): -v for (i, j), v in other.entries.items()}
-        stacked = SparseMat(nrows, current.cols + other.cols, {**current.entries, **shifted})
-        vecs = []
-        for vec in kernel_lattice(stacked):
-            dense = [0] * nrows
-            for (i, j), v in current.entries.items():
-                dense[i] += vec[j] * v
-            vecs.append(dense)
-        reduced = hnf_rows(vecs)
-        current = SparseMat.from_columns([list(enumerate(row)) for row in reduced], nrows)
-    return current
+        # x = A y = B z exactly when (y, z) is in the kernel of [A | -B];
+        # the images A y are taken on the rows the columns touch
+        a = range(len(current))
+        stacked = _ColumnArrays(current + [[(i, -v) for i, v in col] for col in other], nrows)
+        touched = np.unique(stacked.rows).tolist()
+        local = stacked.block(range(stacked.ncols))
+        images = [local.product(a, vec[: len(a)]).tolist() for vec in kernel_lattice(local)]
+        current = [[(touched[i], x) for i, x in enumerate(row) if x] for row in hnf_rows(images)]
+    return SparseMat.from_columns(current, nrows)

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import exactla
 from .derivations import Derivation, der_bracket
-from .exactla import SparseMat
 from .freelie import (
     Alphabet,
     LieElement,
@@ -665,7 +664,7 @@ def kernel_report(k: int, /) -> KernelReport:
         raise ValueError("degree must be >= 1")
     engine = _abc_tau_map()
     arrays = engine.tau_arrays(k)
-    basis_vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
+    basis_vecs = exactla.kernel_lattice(arrays)
     # Hermite rows: each leads with a positive pivot at the smallest
     # Lyndon word it has, so the basis is sign-normalized as it stands
     alphabet = abc_alphabet()
@@ -739,10 +738,9 @@ def bracket_map_rank(k: int) -> BracketMapReport:
             family.append(brackets.apply([(code, c) for code, (_, c) in zip(codes, col)]))
     if not _tau_kills(engine, k + 1, family):
         raise exactla.CertificateError("bracket of a kernel element left the kernel")
-    rank = exactla.rank(SparseMat.from_columns(family, width))
     return BracketMapReport(
         degree=k,
-        rank=rank,
+        rank=exactla.rank(exactla._ColumnArrays(family, width)),
         source_dim=3 * kappa_k.kernel_dim,
         target_dim=kappa_k1.kernel_dim,
     )

@@ -184,7 +184,7 @@ def sd_tau_kernel(k: int):
     if k < 1:
         raise ValueError("degree must be >= 1")
     arrays = _sd_tau_arrays(k)
-    vecs = exactla._kernel_lattice_columns(arrays, arrays.nrows)
+    vecs = exactla.kernel_lattice(arrays)
     if not arrays.kills_rows(vecs):
         raise exactla.CertificateError("sd_tau kernel vector not killed by the sd_tau matrix")
     w = witt_dimension(3, k)
@@ -220,4 +220,4 @@ def intersection_kappa(k: int, /) -> int:
         hc + [(i + w, v) for i, v in hcc]
         for hc, hcc in zip(_g_translate_columns(S3_123, k), _g_translate_columns(S3_132, k))
     ]
-    return len(exactla._kernel_lattice_columns(exactla._ColumnArrays(cols, 2 * w), 2 * w))
+    return len(exactla.kernel_lattice(exactla._ColumnArrays(cols, 2 * w)))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,17 @@ class TestTangentialWitness:
             assert lie_bracket(x[i], w[i]) == d.images[i]
         assert w[2].is_zero()  # degree-1 normalization kills the X3 slot
         assert w[0] == w[1] == -x[2]  # zero coefficient on X1 and on X2
+
+    def test_rational_images(self):
+        # the kernel is solved over integer columns, so d(X_i) with
+        # Fraction coefficients is scaled into them and the witness back
+        alphabet, x = x_gens(3)
+        half = Fraction(1, 2)
+        d = inner_derivation(x[2].scale(half))
+        assert tangential_witness(d) == [-x[2].scale(half), -x[2].scale(half), LieElement.zero(alphabet, 1)]
+        e = der_bracket(tau_generator(3, 1, 2), tau_generator(3, 2, 1))
+        scaled = Derivation(alphabet, e.degree, [p.scale(Fraction(2, 3)) for p in e.images])
+        assert tangential_witness(scaled) == [w.scale(Fraction(2, 3)) for w in tangential_witness(e)]
 
     def test_not_tangential(self):
         alphabet, x = x_gens(3)

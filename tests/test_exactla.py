@@ -31,14 +31,13 @@ from mccool.exactla import (
     _gather,
     _indptr,
     _invariant_factors,
-    _kernel_exact,
     _PRIMES,
-    _rank_bareiss,
     _rat_reconstruct,
     _reconstruct_candidates,
     _saturate_rows,
     _smith_diagonal,
 )
+from oracles import _kernel_exact, _rank_bareiss
 
 
 def is_prime_by_trial_division(m: int) -> bool:
@@ -194,6 +193,16 @@ class TestKernel:
     def test_exact_and_modular_agree(self, dense):
         m = SparseMat.from_dense(dense)
         assert _kernel_exact(m.columns(), m.rows) == kernel_lattice(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices)
+    def test_column_arrays_are_read_as_they_are(self, dense):
+        # the product hands kernel_lattice and rank integer column arrays;
+        # they give what the SparseMat of the same columns gives
+        m = SparseMat.from_dense(dense)
+        arrays = _ColumnArrays(m.columns(), m.rows)
+        assert kernel_lattice(arrays) == kernel_lattice(m)
+        assert rank(arrays) == rank(m) == frac_rank(dense)
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
@@ -485,25 +494,15 @@ class TestModularRouteAlone:
         def broken(*args):
             raise RuntimeError("int64 elimination bound fails")
 
-        def exact(*args):
-            raise AssertionError("exact route must not run")
-
         monkeypatch.setattr(exactla, "_nullspace_mod", broken)
-        monkeypatch.setattr(exactla, "_kernel_exact", exact)
         with pytest.raises(RuntimeError, match="elimination bound fails"):
             kernel_lattice(SparseMat.from_dense([[1, 1]]))
 
-    def test_unlucky_first_prime_is_not_kept_for_its_rows(self, monkeypatch):
+    def test_unlucky_first_prime_is_not_kept_for_its_rows(self):
         # mod the first prime row 0 vanishes, so row 1 alone is its pivot
         # row; the kernel (1, 0) of that row reconstructs but leaves the
         # kernel of row 0, and only a later prime that eliminates both
         # rows again can certify the empty kernel
-        from mccool import exactla
-
-        def exact(*args):
-            raise AssertionError("exact route must not run")
-
-        monkeypatch.setattr(exactla, "_kernel_exact", exact)
         m = SparseMat.from_dense([[_PRIMES[0], 0], [0, 1]])
         assert kernel_lattice(m) == []
         assert rank(m) == 2
@@ -525,17 +524,14 @@ class TestModularRouteAlone:
             inputs.append(hnf_rows(rows))
             return saturate(rows, arrays, **kwargs)
 
-        def exact(*args):
-            raise AssertionError("exact route must not run")
-
         monkeypatch.setattr(exactla, "_saturate_rows", spy)
-        monkeypatch.setattr(exactla, "_kernel_exact", exact)
         assert kernel_lattice(m) == expected == [(1, 1, -(big + 3) // 2), (0, 2, -3)]
         assert [max(map(abs, r)) >= 1 << 63 for r in inputs[0]] == [True, False]
         assert inputs[0] != expected  # saturation was needed
 
     def test_each_route_names_its_failure(self, monkeypatch):
         # one 23-bit prime cannot reconstruct the kernel vector (1, 2^61)
+        import oracles
         from mccool import exactla
 
         monkeypatch.setattr(exactla, "_PRIMES", _PRIMES[:1])
@@ -545,9 +541,51 @@ class TestModularRouteAlone:
         assert "modular kernel" in msg
         assert "1x2 block" in msg
         assert "no prime set certified within the pool of 1 primes" in msg
-        monkeypatch.setattr(exactla, "_EXACT_KERNEL_BITS", 32)
+        monkeypatch.setattr(oracles, "_EXACT_KERNEL_BITS", 32)
         with pytest.raises(RuntimeError, match="exact kernel entries exceed the 32-bit bound"):
             _kernel_exact([[(0, 1 << 61)], [(0, -1)]], 1)
+
+    def test_oracles_are_not_in_the_product(self):
+        # the two routes with no primes live in tests/oracles.py, so no
+        # product path can reach them
+        from mccool import exactla
+
+        for name in ("_kernel_exact", "_EXACT_KERNEL_BITS", "_rank_bareiss"):
+            assert not hasattr(exactla, name)
+
+    def test_no_product_solve_converts_a_sparse_mat(self, monkeypatch):
+        # every product path hands the solver column arrays, so none
+        # clears the fractions of a SparseMat on its way in
+        import mccool
+        from mccool import exactla
+        from mccool.derivations import tangential_witness
+        from mccool.johnson import bracket_map_rank, elementary_divisors, kernel_report, tau_generator
+        from mccool.psigma3 import intersection_kappa, sd_tau_kernel
+
+        def solves():
+            return (
+                [kernel_report(k).kernel_basis for k in range(1, 9)],
+                [bracket_map_rank(k) for k in range(5, 8)],
+                elementary_divisors(6),
+                [sd_tau_kernel(k) for k in range(1, 7)],
+                [intersection_kappa(k) for k in range(1, 7)],
+                tangential_witness(tau_generator(3, 1, 2)),
+            )
+
+        def refuse(*args):
+            raise AssertionError("a product solve converted a SparseMat")
+
+        usual = solves()
+        mccool.clear_caches()
+        monkeypatch.setattr(exactla, "_cleared", refuse)
+        try:
+            assert solves() == usual
+        finally:
+            mccool.clear_caches()
+        bases, reports, _, sd_kernels, kappas, _ = usual
+        assert [len(b) for b in bases] == [0, 0, 0, 0, 0, 1, 6, 24]
+        assert [r.rank for r in reports] == [0, 3, 18]
+        assert [len(v) for v in sd_kernels] == kappas == [0, 0, 0, 0, 0, 1]
 
 
 def reference_blocks(columns, nrows):
@@ -648,13 +686,7 @@ class TestSaturationGuard:
         arrays, kernel, scaled = self._scaled_kernel(dense, [2, 2, 3, 5], below)
         assert _saturate_rows(hnf_rows(scaled), arrays) == hnf_rows(kernel)
 
-    def test_large_kernel_entries_take_the_modular_route(self, monkeypatch):
-        from mccool import exactla
-
-        def exact(*args):
-            raise AssertionError("exact route must not run")
-
-        monkeypatch.setattr(exactla, "_kernel_exact", exact)
+    def test_large_kernel_entries_take_the_modular_route(self):
         m = SparseMat.from_dense([[1 << 61, -1]])
         assert kernel_lattice(m) == [(1, 1 << 61)]
 
@@ -1256,6 +1288,12 @@ class TestIntersection:
         thirds = SparseMat(2, 1, {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 2)})
         inter = intersect_columnspaces([SparseMat.identity(2), thirds])
         assert inter == SparseMat(2, 1, {(0, 0): 2, (1, 0): 3})
+
+    def test_rows_sized_by_their_entries(self):
+        # 2^62 declared rows and one entry: the images and the Hermite
+        # step see only the rows the columns touch
+        m = SparseMat(1 << 62, 1, {(1 << 61, 0): 1})
+        assert intersect_columnspaces([m, m]) == m
 
 
 class TestMatrixText:
