@@ -11,20 +11,19 @@ as cols - dim ker, come from one certified modular route:
     followed by CRT + rational reconstruction of kernel vectors.  The
     first prime eliminates the whole block, later primes only its pivot
     rows, and the first prime whose candidates certify ends the block.
-    The output is never trusted as such: every kernel vector is
-    re-verified by an exact product with all the columns' entries (int64
-    within a per-row bound checked at run time, Python ints beyond it),
-    independence comes from an exact Hermite reduction, and the kernel
-    dimension is certified by the sandwich
+    The output is never trusted as such: independence comes from an
+    exact Hermite reduction; saturation divides that basis by a Hermite
+    basis of its column lattice, with no primes, certifies that the
+    quotient's columns span Z^d and keeps the rational span; and the
+    saturated basis, the one returned, gets one exact product with all
+    the columns' entries (int64 within a per-row bound checked at run
+    time, Python ints beyond it).  The kernel dimension is certified by
+    the sandwich
 
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors,
 
     with rank_p(S) the rank of the whole block mod the prime that chose
-    the pivot rows.
-
-    Saturation divides the basis by a Hermite basis of its column
-    lattice, with no primes, and certifies that the quotient's columns
-    span Z^d.  A block fails only when the prime pool runs out.
+    the pivot rows.  A block fails only when the prime pool runs out.
 
 One Hermite engine, hnf_rows, serves the kernel (the canonical basis
 and the independence check), saturation and the Smith form, which
@@ -221,7 +220,21 @@ def _cleared(m: SparseMat, axis: int) -> SparseMat:
 
 
 def _exact_array(values) -> np.ndarray:
-    """Integers as an int64 array when every one fits, else dtype=object."""
+    """Integers as an int64 array when every one fits, else dtype=object.
+
+    Only ints and numpy integers are read: any other value, a bool or a
+    Fraction included, raises TypeError naming it, where an int64 cast
+    alone would truncate it.  An integer array is read by its dtype, a
+    sequence by the set of its values' types, which map() builds in C.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "i":
+            return values.astype(np.int64, copy=False)
+        values = values.tolist()
+    for t in set(map(type, values)):
+        if t is bool or not issubclass(t, (int, np.integer)):
+            bad = next(x for x in values if type(x) is t)
+            raise TypeError(f"exact integer arrays take ints, not {bad!r}")
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -602,20 +615,19 @@ class CertificateError(RuntimeError):
     """An exact check that certifies a result failed."""
 
 
-def _saturate_rows(v: list, arrays: _ColumnArrays, checked=None) -> list:
+def _saturate_rows(v: list) -> list:
     """Certified Hermite basis of the saturation of an integer row basis.
 
     V, the rows, must be a Hermite basis (hnf_rows) of d independent
-    rows, each in the exact kernel of the columns.  When every pivot
-    is 1 the pivot-column minor is 1 and V is saturated.  Otherwise C,
-    the Hermite form of V's columns, is an upper triangular d x d basis
-    of the lattice they span in Z^d, and forward substitution solves
-    C^T B = V exactly.  B's columns span Z^d, so B has an integer right
-    inverse and its rows span every integer point of Q V (Cohen 1993,
-    section 2.4).  That spanning is certified, not assumed: the Hermite
-    form of B's columns must be the identity.
-    The rows returned get an exact kernel product unless they equal
-    checked, rows the caller has already multiplied.
+    rows.  When every pivot is 1 the pivot-column minor is 1 and V is
+    saturated.  Otherwise C, the Hermite form of V's columns, is an upper
+    triangular d x d basis of the lattice they span in Z^d, and forward
+    substitution solves C^T B = V exactly.  B's columns span Z^d, so B
+    has an integer right inverse and its rows span every integer point of
+    Q V (Cohen 1993, section 2.4).  That spanning is certified, not
+    assumed: the Hermite form of B's columns must be the identity.
+    B = C^-T V, computed exactly, has rank d, so B and V span the same
+    rational space: B's rows are kernel vectors exactly when V's are.
     """
     d = len(v)
     if any(next(x for x in row if x) != 1 for row in v):
@@ -635,9 +647,6 @@ def _saturate_rows(v: list, arrays: _ColumnArrays, checked=None) -> list:
         v = hnf_rows(b)
         if len(v) != d:
             raise CertificateError("saturation lost rank")
-    same = checked is not None and list(map(tuple, checked)) == list(map(tuple, v))
-    if not same and not arrays.kills_rows(v):
-        raise CertificateError("saturated basis row left the kernel")
     return v
 
 
@@ -736,9 +745,9 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
     independent mod p, so of rank r over Q, and every later prime
     eliminates only those rows.  After each prime that joins the kept
     signature, the kept bases are lifted by CRT and rational
-    reconstruction, and the candidates certify when they are exact kernel
-    vectors of the whole block and independent.  Candidates that
-    reconstruct but fail send the next prime to the whole block again,
+    reconstruction; independent candidates certify when their saturation
+    (same rational span) passes one exact product with the whole block.
+    Candidates that fail send the next prime to the whole block again,
     which re-derives the rows.  A RuntimeError naming the block is raised
     when the pool runs out first.  The block of zero columns has no rows:
     its nullspace mod the first prime is the identity, which certifies.
@@ -758,14 +767,15 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
             rows = pivot_rows
         cands = _reconstruct_candidates([b for _, b in kept], [q for q, _ in kept])
         if cands is not None:
-            if arrays.kills_rows(cands):
-                basis = hnf_rows(cands)
-                if len(basis) == len(cands):
+            basis = hnf_rows(cands)
+            if len(basis) == len(cands):
+                basis = _saturate_rows(basis)
+                if arrays.kills_rows(basis):
                     # sandwich: rank_p <= rank_Q, rank_p the rank of the
                     # whole block mod the prime that chose the rows, so
                     # d = ncols - rank_p verified independent integer
                     # kernel vectors force rank_Q = rank_p
-                    return _saturate_rows(basis, arrays, checked=cands)
+                    return basis
             rows = None
     raise RuntimeError(
         f"modular kernel failed to certify a {arrays.nrows}x{arrays.ncols} block: "

@@ -120,7 +120,7 @@ class TauMap:
     same tables).
     It sums one (group, letter-content class) chunk at a time, so its
     temporaries follow the largest class.  Readers:
-    kernel_report (the solve and the _tau_kills certificate),
+    kernel_report (the solve and the whole-degree product check),
     elementary_divisors (the Smith form), bracket_map_rank, and
     psigma3.sd_tau_kernel, which stacks it beside the inner columns.
     Tests check the two granularities against each other from degree 2.
@@ -655,24 +655,24 @@ def kernel_report(k: int, /) -> KernelReport:
     """Kernel of tau_k on g for n = 3, with a certified integer basis.
 
     k is positional only, so each degree is one memo entry.  Any k >= 1
-    is solved; the cost grows fast with k (about 10 s at k = 10 on a
-    2-core machine), and the CLI bounds it by its reference table.  The
-    report's elementary_divisors is None: the Smith form is its own memo,
-    elementary_divisors(k), which kernel --divisors attaches.
+    is solved; the cost grows fast with k (about 8 s at k = 10 on a
+    2-core machine, the tau arrays included), and the CLI bounds it by
+    its reference table.  The report's elementary_divisors is None: the
+    Smith form is its own memo, elementary_divisors(k), which kernel
+    --divisors attaches.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
-    engine = _abc_tau_map()
-    arrays = engine.tau_arrays(k)
+    arrays = _abc_tau_map().tau_arrays(k)
     basis_vecs = exactla.kernel_lattice(arrays)
     # Hermite rows: each leads with a positive pivot at the smallest
     # Lyndon word it has, so the basis is sign-normalized as it stands
     alphabet = abc_alphabet()
     basis = tuple(from_coordinates(alphabet, k, v) for v in basis_vecs)
-    # certify by re-evaluation: tau of each basis element must vanish
+    # certify the rows solved block by block against the whole degree
     if any(p.is_zero() for p in basis):
         raise exactla.CertificateError("zero vector reported in kernel basis")
-    if not _tau_kills(engine, k, (coordinates(p) for p in basis)):
+    if not arrays.kills_rows(basis_vecs):
         raise exactla.CertificateError("kernel basis vector not killed by tau")
     dim = len(basis)
     return KernelReport(
@@ -693,14 +693,6 @@ def elementary_divisors(k: int, /) -> tuple:
     if k < 1:
         raise ValueError("degree must be >= 1")
     return exactla.smith_normal_form(_abc_tau_map().tau_arrays(k)).divisors
-
-
-def _tau_kills(engine: TauMap, k: int, columns) -> bool:
-    """Exact check that tau kills every degree-k vector in columns, an
-    iterable of Lyndon coordinates (freelie.coordinates), by exact
-    products with the degree's tau arrays (exactla._ColumnArrays.kills)."""
-    vectors = (([j for j, _ in col], [c for _, c in col]) for col in columns)
-    return engine.tau_arrays(k).kills(vectors)
 
 
 @dataclass(frozen=True)
@@ -736,7 +728,8 @@ def bracket_map_rank(k: int) -> BracketMapReport:
         for col in cols:
             codes = table.code(1, x, np.array([w for w, _ in col])).tolist()
             family.append(brackets.apply([(code, c) for code, (_, c) in zip(codes, col)]))
-    if not _tau_kills(engine, k + 1, family):
+    vectors = (([j for j, _ in col], [c for _, c in col]) for col in family)
+    if not engine.tau_arrays(k + 1).kills(vectors):
         raise exactla.CertificateError("bracket of a kernel element left the kernel")
     return BracketMapReport(
         degree=k,

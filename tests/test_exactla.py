@@ -511,7 +511,9 @@ class TestModularRouteAlone:
         # the candidates (2, 0, -big) and (0, 2, -3) span an index-2
         # sublattice, one row with entries beyond int64: a saturation that
         # once gave up and fell back to the exact route now ends in the
-        # modular route with the exact route's basis
+        # modular route with the exact route's basis.  Saturation runs
+        # before the block's product, so the four candidate sets that the
+        # product refuses are saturated too; the last input is the one kept
         from mccool import exactla
 
         big = (1 << 70) + 1
@@ -520,14 +522,15 @@ class TestModularRouteAlone:
         saturate = exactla._saturate_rows
         inputs = []
 
-        def spy(rows, arrays, **kwargs):
+        def spy(rows):
             inputs.append(hnf_rows(rows))
-            return saturate(rows, arrays, **kwargs)
+            return saturate(rows)
 
         monkeypatch.setattr(exactla, "_saturate_rows", spy)
         assert kernel_lattice(m) == expected == [(1, 1, -(big + 3) // 2), (0, 2, -3)]
-        assert [max(map(abs, r)) >= 1 << 63 for r in inputs[0]] == [True, False]
-        assert inputs[0] != expected  # saturation was needed
+        assert len(inputs) == 5
+        assert [max(map(abs, r)) >= 1 << 63 for r in inputs[-1]] == [True, False]
+        assert inputs[-1] != expected  # saturation was needed
 
     def test_each_route_names_its_failure(self, monkeypatch):
         # one 23-bit prime cannot reconstruct the kernel vector (1, 2^61)
@@ -630,23 +633,20 @@ sparse_columns = st.integers(1, 6).flatmap(
 class TestSaturationGuard:
     def test_planted_lattice_is_saturated(self):
         # twice the kernel vector (1, 5) of the row (5, -1)
-        arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
-        assert _saturate_rows([(2, 10)], arrays) == [(1, 5)]
+        assert _saturate_rows([(2, 10)]) == [(1, 5)]
 
     @pytest.mark.parametrize("big", [1 << 61, 1 << 70])
     def test_large_planted_lattice_is_too_hard(self, big):
         # twice (1, big): the entries are beyond int64, the Hermite route
         # has no such range
-        arrays = _ColumnArrays([[(0, big)], [(0, -1)]], 1)
-        assert _saturate_rows([(2, 2 * big)], arrays) == [(1, big)]
+        assert _saturate_rows([(2, 2 * big)]) == [(1, big)]
 
     def test_prime_beyond_the_int64_elimination_is_too_hard(self):
         # q^2 + q >= 2^63: an elimination mod q would leave int64, and the
         # Hermite route takes no residues
         q = 3_037_000_507
         assert is_prime_by_trial_division(q) and q * q + q >= 1 << 63
-        arrays = _ColumnArrays([[(0, 1)], [(0, -1)]], 1)
-        assert _saturate_rows([(q, q)], arrays) == [(1, 1)]
+        assert _saturate_rows([(q, q)]) == [(1, 1)]
 
     @staticmethod
     def _scaled_kernel(dense, diagonal, below):
@@ -660,7 +660,7 @@ class TestSaturationGuard:
             [sum(t[i][s] * kernel[s][c] for s in range(d)) for c in range(m.cols)]
             for i in range(d)
         ]
-        return _ColumnArrays(m.columns(), m.rows), kernel, scaled
+        return kernel, scaled
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -677,47 +677,106 @@ class TestSaturationGuard:
         d = ncols - frac_rank(dense)
         diagonal = data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=d, max_size=d))
         below = [[data.draw(st.integers(-4, 4)) for _ in range(i)] for i in range(d)]
-        arrays, kernel, scaled = self._scaled_kernel(dense, diagonal, below)
-        assert _saturate_rows(hnf_rows(scaled), arrays) == hnf_rows(kernel)
+        kernel, scaled = self._scaled_kernel(dense, diagonal, below)
+        assert _saturate_rows(hnf_rows(scaled)) == hnf_rows(kernel)
 
     def test_repairs_several_rows_and_primes(self):
         dense = [[1, 2, -1, 0, 3, 1], [0, 1, 1, -2, 0, 1]]
         below = [[], [0], [0, -2], [3, 1, 0]]
-        arrays, kernel, scaled = self._scaled_kernel(dense, [2, 2, 3, 5], below)
-        assert _saturate_rows(hnf_rows(scaled), arrays) == hnf_rows(kernel)
+        kernel, scaled = self._scaled_kernel(dense, [2, 2, 3, 5], below)
+        assert _saturate_rows(hnf_rows(scaled)) == hnf_rows(kernel)
 
     def test_large_kernel_entries_take_the_modular_route(self):
         m = SparseMat.from_dense([[1 << 61, -1]])
         assert kernel_lattice(m) == [(1, 1 << 61)]
 
-    def test_row_outside_the_kernel_is_refused(self):
-        # (2, 2) and (1, 1) are not kernel vectors of the row (5, -1)
-        arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
-        for rows in ([(2, 2)], [(1, 1)]):
-            with pytest.raises(CertificateError, match="left the kernel"):
-                _saturate_rows(rows, arrays)
+    def test_row_outside_the_kernel_is_refused(self, monkeypatch):
+        # the first reconstruction gives (2, 2), not a kernel vector of the
+        # row (5, -1): saturated to (1, 1), it is refused by the block's one
+        # product, and the next prime eliminates the whole block again
+        from mccool import exactla
 
-    def test_only_the_rows_already_checked_skip_the_product(self, monkeypatch):
         arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
-        products = []
+        reconstruct, solve, kills_rows = (
+            exactla._reconstruct_candidates,
+            exactla._nullspace_mod,
+            _ColumnArrays.kills_rows,
+        )
+        shapes, products, lifts = [], [], []
+
+        def counted(a, p):
+            shapes.append(a.shape)
+            return solve(a, p)
+
+        def planted(bases, primes):
+            lifts.append(len(primes))
+            return [[2, 2]] if len(lifts) == 1 else reconstruct(bases, primes)
+
+        def recorded(self, vecs):
+            killed = kills_rows(self, vecs)
+            products.append(([tuple(v) for v in vecs], killed))
+            return killed
+
+        monkeypatch.setattr(exactla, "_nullspace_mod", counted)
+        assert exactla._kernel_block(arrays) == [(1, 5)]
+        assert shapes == [(1, 2)]
+        shapes.clear()
+        monkeypatch.setattr(exactla, "_reconstruct_candidates", planted)
+        monkeypatch.setattr(_ColumnArrays, "kills_rows", recorded)
+        assert exactla._kernel_block(arrays) == [(1, 5)]
+        assert shapes == [(1, 2), (1, 2)]
+        assert lifts == [1, 2]
+        assert products == [([(1, 1)], False), ([(1, 5)], True)]
+
+    def test_every_block_makes_one_product(self, monkeypatch):
+        # kernel_report(1..9): each block's one kills_rows call runs on the
+        # basis it returns, saturation multiplies nothing, and the report
+        # adds one whole-degree check per degree
+        import mccool
+        from mccool import exactla
+        from mccool.johnson import kernel_report
+
+        block, saturate = exactla._kernel_block, exactla._saturate_rows
         kills_rows = _ColumnArrays.kills_rows
+        frames, per_block, in_saturation, outside, repaired = [], [], [], [], []
+
+        def framed(name, fn):
+            def call(*args, **kwargs):
+                frames.append(name)
+                if name == "block":
+                    per_block.append(0)
+                try:
+                    out = fn(*args, **kwargs)
+                finally:
+                    frames.pop()
+                if name == "saturate" and list(map(tuple, args[0])) != out:
+                    repaired.append(out)
+                return out
+
+            return call
 
         def counted(self, vecs):
-            products.append([tuple(v) for v in vecs])
+            if "saturate" in frames:
+                in_saturation.append(vecs)
+            elif frames:
+                per_block[-1] += 1
+            else:
+                outside.append(len(vecs))
             return kills_rows(self, vecs)
 
+        mccool.clear_caches()
+        monkeypatch.setattr(exactla, "_kernel_block", framed("block", block))
+        monkeypatch.setattr(exactla, "_saturate_rows", framed("saturate", saturate))
         monkeypatch.setattr(_ColumnArrays, "kills_rows", counted)
-        assert _saturate_rows([(1, 5)], arrays, checked=[[1, 5]]) == [(1, 5)]
-        assert products == []
-        # a repaired basis is not the rows checked, so it gets its product
-        assert _saturate_rows([(2, 10)], arrays, checked=[[2, 10]]) == [(1, 5)]
-        assert products == [[(1, 5)]]
-        with pytest.raises(CertificateError, match="left the kernel"):
-            _saturate_rows([(1, 1)], arrays, checked=[(1, 5)])
-        # a block whose candidates need no repair is multiplied once
-        products.clear()
-        assert kernel_lattice(SparseMat.from_dense([[5, -1]])) == [(1, 5)]
-        assert products == [[(1, 5)]]
+        try:
+            dims = [kernel_report(k).kernel_dim for k in range(1, 10)]
+        finally:
+            mccool.clear_caches()
+        assert len(per_block) == 364
+        assert per_block == [1] * 364
+        assert in_saturation == []
+        assert outside == dims == [0, 0, 0, 0, 0, 1, 6, 24, 92]
+        assert repaired  # some blocks were saturated, and still multiplied once
 
     @staticmethod
     def _corrupt_column_lattice(monkeypatch, corrupt):
@@ -737,20 +796,20 @@ class TestSaturationGuard:
     def test_scaled_column_lattice_is_caught(self, monkeypatch):
         # with C's first column doubled, a solution B of C^T B = V would
         # have a column lattice of covolume 1/2: no integer B has one
-        arrays, _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
+        _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
         basis = hnf_rows(scaled)
         self._corrupt_column_lattice(monkeypatch, lambda c: [(2 * r[0],) + r[1:] for r in c])
         with pytest.raises(CertificateError, match="not exact"):
-            _saturate_rows(basis, arrays)
+            _saturate_rows(basis)
 
     def test_column_superlattice_is_caught(self, monkeypatch):
         # the identity spans a strict superlattice of V's columns: C^T B = V
         # solves with B = V, whose columns do not span Z^d
-        arrays, _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
+        _, scaled = self._scaled_kernel([[1, 2, -1]], [2, 3], [[], [1]])
         basis = hnf_rows(scaled)
         self._corrupt_column_lattice(monkeypatch, lambda c: [(1, 0), (0, 1)])
         with pytest.raises(CertificateError, match="do not span"):
-            _saturate_rows(basis, arrays)
+            _saturate_rows(basis)
 
     def test_exact_route_refuses_entries_beyond_its_bound(self):
         # the chain 2^80 x_i = x_(i+1) on 27 columns has the kernel vector
@@ -914,6 +973,24 @@ class TestColumnArrays:
         assert list(arrays) == columns
         assert _ColumnArrays([[(0, 1 << 63)]], 1).vals.tolist() == [1 << 63]
         assert _ColumnArrays([[(0, (1 << 63) - 1)]], 1).vals.dtype == np.int64
+
+    def test_non_integers_are_refused(self):
+        # np.array(..., dtype=np.int64) alone reads Fraction(1, 2) as 0
+        with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+            _ColumnArrays([[(0, Fraction(1, 2))], [(0, 3)]], 1)
+        with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+            _ColumnArrays([[(0, 1)]], 1).kills_rows([[Fraction(1, 2)]])
+        # a bool, a float or a numpy float is refused as SparseMat refuses it,
+        # alone or among ints, in a list or an array
+        refused = ([True], [1, True], [1, 1.0], [np.float64(2)], np.array([1.5]), np.array([True]))
+        for values in refused:
+            with pytest.raises(TypeError, match="exact integer arrays take ints"):
+                _exact_array(values)
+        # ints and numpy integers keep the int64 / object choice
+        assert _exact_array([np.int16(3), 2, np.uint64(1 << 63)]).dtype == object
+        assert _exact_array(np.array([1, 2], dtype=np.int16)).dtype == np.int64
+        assert _exact_array(np.array([1 << 63], dtype=np.uint64)).tolist() == [1 << 63]
+        assert _exact_array([]).dtype == np.int64
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_columns, st.sampled_from([0, 20, 62, 70]), st.data())

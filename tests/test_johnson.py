@@ -696,10 +696,10 @@ class TestBracketMap:
     def test_bracket_outside_the_kernel_is_refused(self, monkeypatch):
         # the kernels of degrees 6 and 7 are certified first; then, with the
         # membership check stubbed to fail, the bracket map must refuse
-        from mccool import exactla, johnson
+        from mccool import exactla
 
         kernel_report(6), kernel_report(7)
-        monkeypatch.setattr(johnson, "_tau_kills", lambda engine, k, polys: False)
+        monkeypatch.setattr(exactla._ColumnArrays, "kills", lambda self, vectors: False)
         with pytest.raises(exactla.CertificateError, match="bracket of a kernel element left the kernel"):
             bracket_map_rank(6)
 
