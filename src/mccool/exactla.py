@@ -14,11 +14,12 @@ as cols - dim ker, come from one certified modular route:
     The output is never trusted as such: independence comes from an
     exact Hermite reduction; saturation divides that basis by a Hermite
     basis of its column lattice, with no primes, certifies that the
-    quotient's columns span Z^d and keeps the rational span; and the
-    saturated basis, the one returned, gets one exact product with all
-    the columns' entries (int64 within a per-row bound checked at run
-    time, Python ints beyond it).  The kernel dimension is certified by
-    the sandwich
+    quotient's columns span Z^d and keeps the rational span; and each
+    saturated row, as returned, gets one exact product with the whole
+    matrix the caller passed, not with the block cut from it (int64
+    within a per-row bound checked at run time, Python ints beyond it),
+    so no caller needs one of its own.  The kernel dimension is
+    certified by the sandwich
 
         rank_p(S) <= rank_Q(M) <= cols - #verified independent vectors,
 
@@ -365,18 +366,23 @@ class _ColumnArrays:
         np.add.at(a, (self.rows, self.entry_columns()), self.vals.astype(dtype))
         return a
 
-    def product(self, col_index, coeffs) -> np.ndarray:
-        """sum_j x_j * column_j as a dense array of nrows, exactly, for the
-        vector x with the nonzero entries coeffs at col_index.
+    def product(self, col_index, coeffs) -> tuple:
+        """(touched, sums): sum_j x_j * column_j, exactly, for the vector x
+        with the nonzero entries coeffs at col_index.  sums is dense and
+        touched None, unless the matrix has more rows than entries (as in
+        _column_blocks): then sums holds the rows at the ascending indices
+        touched, those the vector's columns touch.
 
-        A row of the product sums at most n products, n the most entries
-        of the vector's columns in any one row, so it is accumulated in
-        int64 when n * max|a| * max|x| < 2^63 holds for those entries (a
-        bound computed in Python ints), and in Python ints (dtype=object)
-        when it does not.
+        A row sums at most n products, n the most entries of the vector's
+        columns in any one row, so it is accumulated in int64 when
+        n * max|a| * max|x| < 2^63 holds (a bound computed in Python
+        ints), and in Python ints (dtype=object) when it does not.
         """
         x = _exact_array(coeffs)
         rows, vals, lengths = _gather(self.csr, np.asarray(col_index, dtype=np.int64))
+        touched = None
+        if self.nrows > self.rows.size:
+            touched, rows = np.unique(rows, return_inverse=True)
         fits = (
             vals.dtype != object
             and x.dtype != object
@@ -386,30 +392,22 @@ class _ColumnArrays:
         dtype = np.int64 if fits else object
         prod = vals.astype(dtype)
         prod *= np.repeat(x.astype(dtype), lengths)
-        acc = np.zeros(self.nrows, dtype=dtype)
+        acc = np.zeros(self.nrows if touched is None else touched.size, dtype=dtype)
         np.add.at(acc, rows, prod)
-        return acc
+        return touched, acc
 
     def apply(self, col) -> list:
         """The product with the vector of (column, coeff) pairs col, as
         the sorted (row, value) pairs of its nonzero entries."""
-        acc = self.product([j for j, _ in col], [c for _, c in col])
+        touched, acc = self.product([j for j, _ in col], [c for _, c in col])
         nonzero = np.flatnonzero(acc)
-        return list(zip(nonzero.tolist(), acc[nonzero].tolist()))
+        rows = nonzero if touched is None else touched[nonzero]
+        return list(zip(rows.tolist(), acc[nonzero].tolist()))
 
     def kills(self, vectors) -> bool:
         """Exact check that sum_j x_j * column_j == 0 for every vector x,
         each a pair (col_index, coeffs) of its nonzero entries."""
-        return not any(self.product(*vector).any() for vector in vectors)
-
-    def kills_rows(self, vecs) -> bool:
-        """kills() for dense integer vectors of length ncols."""
-        sparse = []
-        for vec in vecs:
-            v = _exact_array(vec)
-            j = np.flatnonzero(v)
-            sparse.append((j, v[j]))
-        return self.kills(sparse)
+        return not any(self.product(*vector)[1].any() for vector in vectors)
 
 
 def _forward_elim_deferred(a: np.ndarray, p: int) -> tuple:
@@ -547,13 +545,13 @@ def _row_bits(r) -> int:
 _HNF_BITS = 100_000
 
 
-def hnf_rows(rows: list, max_bits: int | None = None) -> list:
+def hnf_rows(rows: list) -> list:
     """Row-style Hermite normal form of the lattice spanned by the rows.
 
     Returns the reduced rows (full row rank, pivots positive, entries
     above each pivot reduced into [0, pivot)), sorted by pivot column.
     Zero rows are dropped.  A RuntimeError is raised once an entry of the
-    elimination exceeds max_bits bits (default _HNF_BITS).
+    elimination exceeds _HNF_BITS bits.
 
     Growth control: each column is cleared by reducing every row against
     the current minimum in one batch (Euclid converges across the whole
@@ -562,9 +560,8 @@ def hnf_rows(rows: list, max_bits: int | None = None) -> list:
 
     Range guard: bits[id(r)] bounds the entry sizes of row r.  After
     r -= q * s no entry of r has more than max(bits(r), bits(q) + bits(s))
-    + 1 bits, so a row is scanned only when that bound passes the limit.
+    + 1 bits, so a row is scanned only when that bound passes _HNF_BITS.
     """
-    limit = _HNF_BITS if max_bits is None else max_bits
     work = [list(r) for r in rows if any(r)]
     if not work:
         return []
@@ -583,9 +580,9 @@ def hnf_rows(rows: list, max_bits: int | None = None) -> list:
                 q = r[col] // bval
                 _row_submul(r, q, base, col)
                 bound = max(bits[id(r)], q.bit_length() + bits[id(base)]) + 1
-                if bound > limit:
+                if bound > _HNF_BITS:
                     bound = _row_bits(r)
-                    if bound > limit:
+                    if bound > _HNF_BITS:
                         raise RuntimeError("hnf_rows entries exceed the supported range")
                 bits[id(r)] = bound
             occ = [r for r in occ if r[col]]
@@ -665,28 +662,28 @@ def _pivot_signature_key(pivots) -> tuple:
 def _kernel_lattice_columns(arrays: _ColumnArrays, nrows: int) -> list:
     """Certified Hermite basis of the integer kernel lattice of the columns.
 
-    The arrays must have nrows rows; every block below is cut from them.
-    The columns are split into the connected components of their
+    nrows is arrays.nrows: only the exactla.kernel span of perfbench reads
+    it.  The columns are split into the connected components of their
     column-row incidence graph: two columns are in one block when they
     share a row, and all zero columns form one block.  Up to a
     permutation of rows and columns the matrix is then block diagonal,
     so its kernel lattice is the direct sum of the blocks' kernel
-    lattices.  Each block is solved on its own by _kernel_block,
-    rows renumbered locally and columns kept in ascending order.  Embedded
-    back in global coordinates, a block's Hermite rows keep their pivots
+    lattices.  Each block is solved on its own by _kernel_block, which
+    certifies every row against the whole arrays.  Embedded back in
+    global coordinates, a block's Hermite rows keep their pivots
     and are zero in every other block's columns, so the rows of all blocks
     sorted by pivot column satisfy the Hermite conditions for the whole
     lattice.  The Hermite normal form is unique, hence this is exactly the
     basis one solve of the unsplit matrix returns.
     """
     out = []
-    for block in _column_blocks(arrays):
-        block_cols = block.tolist()
-        for vec in _kernel_block(arrays.block(block)):
+    for cols in _column_blocks(arrays):
+        cols = cols.tolist()
+        for vec in _kernel_block(arrays, cols):
             full = [0] * arrays.ncols
-            for j, x in zip(block_cols, vec):
+            for j, x in zip(cols, vec):
                 full[j] = x
-            pivot = next(j for j, x in zip(block_cols, vec) if x)
+            pivot = next(j for j, x in zip(cols, vec) if x)
             out.append((pivot, tuple(full)))
     out.sort()
     return [vec for _, vec in out]
@@ -732,27 +729,30 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
     return np.split(order, starts) if ncols else []
 
 
-def _kernel_block(arrays: _ColumnArrays) -> list:
-    """Certified Hermite basis of the kernel lattice of one block.
+def _kernel_block(arrays: _ColumnArrays, cols) -> list:
+    """Certified Hermite basis of the kernel lattice of the block of
+    columns cols of arrays, with entry j at column cols[j].
 
-    The block is made dense once, its columns flipped, and the primes of
-    _PRIMES are taken in order.  Each gives a pivot signature and a
-    nullspace basis mod p; the primes kept are those of the best
-    signature so far (a better one starts the list afresh).  The columns
-    are eliminated right to left, so each basis mod p is the leading
-    reduced echelon form of the kernel, whose rational entries are small.
-    The first prime eliminates the whole block; its r pivot rows are
-    independent mod p, so of rank r over Q, and every later prime
-    eliminates only those rows.  After each prime that joins the kept
-    signature, the kept bases are lifted by CRT and rational
+    The block is cut by arrays.block(cols), made dense once, its columns
+    flipped, and the primes of _PRIMES are taken in order.  Each gives a
+    pivot signature and a nullspace basis mod p; the primes kept are
+    those of the best signature so far (a better one starts the list
+    afresh).  The columns are eliminated right to left, so each basis mod
+    p is the leading reduced echelon form of the kernel, whose rational
+    entries are small.  The first prime eliminates the whole block; its r
+    pivot rows are independent mod p, so of rank r over Q, and every
+    later prime eliminates only those rows.  After each prime that joins
+    the kept signature, the kept bases are lifted by CRT and rational
     reconstruction; independent candidates certify when their saturation
-    (same rational span) passes one exact product with the whole block.
+    (same rational span) passes one exact product with arrays, not with
+    the block: a faulty cut cannot pass that whole-matrix check.
     Candidates that fail send the next prime to the whole block again,
     which re-derives the rows.  A RuntimeError naming the block is raised
     when the pool runs out first.  The block of zero columns has no rows:
     its nullspace mod the first prime is the identity, which certifies.
     """
-    dense = arrays.dense()[:, ::-1]
+    block = arrays.block(cols)
+    dense = block.dense()[:, ::-1]
     best, kept = None, []  # kept: (p, nullspace mod p) of the best signature
     rows = None  # the pivot rows later primes eliminate; None: the whole block
     for p in _PRIMES:
@@ -770,7 +770,10 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
             basis = hnf_rows(cands)
             if len(basis) == len(cands):
                 basis = _saturate_rows(basis)
-                if arrays.kills_rows(basis):
+                vectors = (
+                    ([j for j, x in zip(cols, row) if x], [x for x in row if x]) for row in basis
+                )
+                if arrays.kills(vectors):
                     # sandwich: rank_p <= rank_Q, rank_p the rank of the
                     # whole block mod the prime that chose the rows, so
                     # d = ncols - rank_p verified independent integer
@@ -778,7 +781,7 @@ def _kernel_block(arrays: _ColumnArrays) -> list:
                     return basis
             rows = None
     raise RuntimeError(
-        f"modular kernel failed to certify a {arrays.nrows}x{arrays.ncols} block: "
+        f"modular kernel failed to certify a {block.nrows}x{block.ncols} block: "
         f"no prime set certified within the pool of {len(_PRIMES)} primes"
     )
 
@@ -920,6 +923,6 @@ def intersect_columnspaces(bases: list) -> SparseMat:
         stacked = _ColumnArrays(current + [[(i, -v) for i, v in col] for col in other], nrows)
         touched = np.unique(stacked.rows).tolist()
         local = stacked.block(range(stacked.ncols))
-        images = [local.product(a, vec[: len(a)]).tolist() for vec in kernel_lattice(local)]
+        images = [local.product(a, vec[: len(a)])[1].tolist() for vec in kernel_lattice(local)]
         current = [[(touched[i], x) for i, x in enumerate(row) if x] for row in hnf_rows(images)]
     return SparseMat.from_columns(current, nrows)

@@ -9,6 +9,7 @@ _kernel_exact, the Hermite form of [M^T | I].
 
 from __future__ import annotations
 
+from mccool import exactla
 from mccool.exactla import CertificateError, SparseMat, _cleared, hnf_rows
 
 
@@ -115,10 +116,14 @@ def _kernel_exact(columns, nrows: int) -> list:
             row[i] = v
         row[nrows + j] = 1
         rows.append(row)
+    # hnf_rows reads its entry bound from exactla._HNF_BITS at each call
+    limit, exactla._HNF_BITS = exactla._HNF_BITS, _EXACT_KERNEL_BITS
     try:
-        reduced = hnf_rows(rows, _EXACT_KERNEL_BITS)
+        reduced = hnf_rows(rows)
     except RuntimeError as exc:
         raise RuntimeError(
             f"exact kernel entries exceed the {_EXACT_KERNEL_BITS}-bit bound"
         ) from exc
+    finally:
+        exactla._HNF_BITS = limit
     return [r[nrows:] for r in reduced if not any(r[:nrows])]

@@ -45,6 +45,12 @@ def is_prime_by_trial_division(m: int) -> bool:
     return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
+def dense_vector(vec):
+    """The (col_index, coeffs) pair that _ColumnArrays.kills takes for a
+    dense vector, zeros included."""
+    return range(len(vec)), vec
+
+
 def frac_rank(dense):
     """Independent oracle: plain Gaussian elimination over Fractions."""
     a = [[Fraction(v) for v in row] for row in dense]
@@ -225,7 +231,7 @@ class TestKernel:
         m = SparseMat.from_dense(prod)
         ker = kernel_lattice(m)
         assert len(ker) == 40 - frac_rank(prod)
-        assert _ColumnArrays(m.columns(), 30).kills_rows(ker)
+        assert _ColumnArrays(m.columns(), 30).kills(map(dense_vector, ker))
         assert [tuple(v) for v in _kernel_exact(m.columns(), m.rows)] == [tuple(v) for v in ker]
 
     @staticmethod
@@ -697,10 +703,10 @@ class TestSaturationGuard:
         from mccool import exactla
 
         arrays = _ColumnArrays([[(0, 5)], [(0, -1)]], 1)
-        reconstruct, solve, kills_rows = (
+        reconstruct, solve, kills = (
             exactla._reconstruct_candidates,
             exactla._nullspace_mod,
-            _ColumnArrays.kills_rows,
+            _ColumnArrays.kills,
         )
         shapes, products, lifts = [], [], []
 
@@ -712,33 +718,42 @@ class TestSaturationGuard:
             lifts.append(len(primes))
             return [[2, 2]] if len(lifts) == 1 else reconstruct(bases, primes)
 
-        def recorded(self, vecs):
-            killed = kills_rows(self, vecs)
-            products.append(([tuple(v) for v in vecs], killed))
+        def recorded(self, vectors):
+            vectors = list(vectors)
+            killed = kills(self, vectors)
+            dense = []
+            for cols, coeffs in vectors:
+                row = [0] * self.ncols
+                for j, x in zip(cols, coeffs):
+                    row[j] = x
+                dense.append(tuple(row))
+            products.append((dense, killed))
             return killed
 
         monkeypatch.setattr(exactla, "_nullspace_mod", counted)
-        assert exactla._kernel_block(arrays) == [(1, 5)]
+        assert exactla._kernel_block(arrays, [0, 1]) == [(1, 5)]
         assert shapes == [(1, 2)]
         shapes.clear()
         monkeypatch.setattr(exactla, "_reconstruct_candidates", planted)
-        monkeypatch.setattr(_ColumnArrays, "kills_rows", recorded)
-        assert exactla._kernel_block(arrays) == [(1, 5)]
+        monkeypatch.setattr(_ColumnArrays, "kills", recorded)
+        assert exactla._kernel_block(arrays, [0, 1]) == [(1, 5)]
         assert shapes == [(1, 2), (1, 2)]
         assert lifts == [1, 2]
         assert products == [([(1, 1)], False), ([(1, 5)], True)]
 
     def test_every_block_makes_one_product(self, monkeypatch):
-        # kernel_report(1..9): each block's one kills_rows call runs on the
-        # basis it returns, saturation multiplies nothing, and the report
-        # adds one whole-degree check per degree
+        # kernel_report(1..9): each block's one kills call runs on the
+        # basis it returns, against the degree's tau arrays themselves;
+        # saturation multiplies nothing, and nothing outside the blocks
+        # multiplies
         import mccool
         from mccool import exactla
-        from mccool.johnson import kernel_report
+        from mccool.johnson import _abc_tau_map, kernel_report
 
         block, saturate = exactla._kernel_block, exactla._saturate_rows
-        kills_rows = _ColumnArrays.kills_rows
+        kills = _ColumnArrays.kills
         frames, per_block, in_saturation, outside, repaired = [], [], [], [], []
+        degree, matrices = [], []
 
         def framed(name, fn):
             def call(*args, **kwargs):
@@ -755,28 +770,60 @@ class TestSaturationGuard:
 
             return call
 
-        def counted(self, vecs):
+        def counted(self, vectors):
             if "saturate" in frames:
-                in_saturation.append(vecs)
+                in_saturation.append(self)
             elif frames:
                 per_block[-1] += 1
+                matrices.append((degree[-1], self))
             else:
-                outside.append(len(vecs))
-            return kills_rows(self, vecs)
+                outside.append(self)
+            return kills(self, vectors)
 
         mccool.clear_caches()
         monkeypatch.setattr(exactla, "_kernel_block", framed("block", block))
         monkeypatch.setattr(exactla, "_saturate_rows", framed("saturate", saturate))
-        monkeypatch.setattr(_ColumnArrays, "kills_rows", counted)
+        monkeypatch.setattr(_ColumnArrays, "kills", counted)
         try:
-            dims = [kernel_report(k).kernel_dim for k in range(1, 10)]
+            dims = []
+            for k in range(1, 10):
+                degree.append(k)
+                dims.append(kernel_report(k).kernel_dim)
+            engine = _abc_tau_map()
+            assert all(arrays is engine.tau_arrays(k) for k, arrays in matrices)
         finally:
             mccool.clear_caches()
         assert len(per_block) == 364
         assert per_block == [1] * 364
+        assert len(matrices) == 364
         assert in_saturation == []
-        assert outside == dims == [0, 0, 0, 0, 0, 1, 6, 24, 92]
+        assert outside == []
+        assert dims == [0, 0, 0, 0, 0, 1, 6, 24, 92]
         assert repaired  # some blocks were saturated, and still multiplied once
+
+    def test_block_cut_is_checked_against_the_whole_matrix(self, monkeypatch):
+        # negative control: a block() that drops the last entry cuts the
+        # columns (1, 1), (1, 0), (0, 0) of [[1, 1, 0], [1, 0, 2]], whose
+        # kernel (0, 0, 1) the whole matrix does not kill; every prime
+        # lifts it, the product refuses it every time, and the pool runs out
+        from mccool import exactla
+
+        block = _ColumnArrays.block
+        cuts = []
+
+        def dropped(self, cols):
+            cut = block(self, cols)
+            columns = list(cut)
+            columns[-1] = columns[-1][:-1]
+            cuts.append(columns)
+            return _ColumnArrays(columns, cut.nrows)
+
+        columns = [[(0, 1), (1, 1)], [(0, 1)], [(1, 2)]]
+        assert kernel_lattice(_ColumnArrays(columns, 2)) == [(2, -2, -1)]
+        monkeypatch.setattr(_ColumnArrays, "block", dropped)
+        with pytest.raises(RuntimeError, match="modular kernel failed to certify a 2x3 block"):
+            exactla.kernel_lattice(_ColumnArrays(columns, 2))
+        assert cuts == [[[(0, 1), (1, 1)], [(0, 1)], []]]
 
     @staticmethod
     def _corrupt_column_lattice(monkeypatch, corrupt):
@@ -786,8 +833,8 @@ class TestSaturationGuard:
 
         calls = []
 
-        def patched(rows, max_bits=None):
-            out = hnf_rows(rows, max_bits)
+        def patched(rows):
+            out = hnf_rows(rows)
             calls.append(None)
             return corrupt(out) if len(calls) == 1 else out
 
@@ -878,24 +925,24 @@ class TestColumnArrays:
         # product to Python ints, where the residual is 2^64, not 0
         with np.errstate(over="ignore"):
             assert np.int64(1 << 32) * np.int64(1 << 32) == 0
-        assert not _ColumnArrays([[(0, 1 << 32)]], 1).kills_rows([[1 << 32]])
+        assert not _ColumnArrays([[(0, 1 << 32)]], 1).kills([([0], [1 << 32])])
         arrays = _ColumnArrays([[(0, 1 << 32)], [(0, -1)]], 1)
-        assert arrays.kills_rows([[1 << 32, 1 << 64]])
+        assert arrays.kills([([0, 1], [1 << 32, 1 << 64])])
 
     def test_row_bound_counts_the_entries_one_row_sums(self):
         # four entries 2^31 * 2^31 in one row: each product fits int64,
         # but their sum 2^64 wraps to 0, so the bound must count all four
         with np.errstate(over="ignore"):
             assert np.full(4, 1 << 62, dtype=np.int64).sum() == 0
-        assert not _ColumnArrays([[(0, 1 << 31)]] * 4, 1).kills_rows([[1 << 31] * 4])
+        assert not _ColumnArrays([[(0, 1 << 31)]] * 4, 1).kills([dense_vector([1 << 31] * 4)])
 
     def test_tall_columns_are_bounded_per_row(self):
         # two equal 1,000-row columns of 2^14: every row sums two products
         # of 2^54, though the columns hold 2,000 entries
         column = [(i, 1 << 14) for i in range(1000)]
         arrays = _ColumnArrays([column, column], 1000)
-        assert arrays.kills_rows([[1 << 40, -(1 << 40)]])
-        assert not arrays.kills_rows([[1 << 40, 1 - (1 << 40)]])
+        assert arrays.kills([([0, 1], [1 << 40, -(1 << 40)])])
+        assert not arrays.kills([([0, 1], [1 << 40, 1 - (1 << 40)])])
 
     @pytest.mark.parametrize("shift", [0, 20, 32, 64])
     @settings(max_examples=60, deadline=None)
@@ -914,21 +961,21 @@ class TestColumnArrays:
         arrays = _ColumnArrays(columns, nrows)
         killed = [not any(reference_residual(columns, nrows, v)) for v in vecs]
         for vec, expected in zip(vecs, killed):
-            assert arrays.kills_rows([vec]) == expected
-            assert _ColumnArrays(columns, nrows).kills_rows([vec]) == expected
-        assert arrays.kills_rows(vecs) == all(killed)
+            assert arrays.kills([dense_vector(vec)]) == expected
+            assert _ColumnArrays(columns, nrows).kills([dense_vector(vec)]) == expected
+        assert arrays.kills(map(dense_vector, vecs)) == all(killed)
         # one more column, -M @ vec, puts (vec, 1) in the kernel exactly;
         # moving one coordinate by 1 then adds its column to the residual
         vec = vecs[0]
         residual = reference_residual(columns, nrows, vec)
         columns.append([(i, -r) for i, r in enumerate(residual) if r])
         planted = _ColumnArrays(columns, nrows)
-        assert planted.kills_rows([vec + [1]])
+        assert planted.kills([dense_vector(vec + [1])])
         moved = vec + [1]
         moved[data.draw(st.integers(0, len(moved) - 1))] += 1
         expected = not any(reference_residual(columns, nrows, moved))
-        assert planted.kills_rows([moved]) == expected
-        assert planted.kills_rows([vec + [1], moved]) == expected
+        assert planted.kills([dense_vector(moved)]) == expected
+        assert planted.kills(map(dense_vector, [vec + [1], moved])) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_columns, st.sampled_from([8, 20, 70]))
@@ -979,7 +1026,7 @@ class TestColumnArrays:
         with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
             _ColumnArrays([[(0, Fraction(1, 2))], [(0, 3)]], 1)
         with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
-            _ColumnArrays([[(0, 1)]], 1).kills_rows([[Fraction(1, 2)]])
+            _ColumnArrays([[(0, 1)]], 1).kills([([0], [Fraction(1, 2)])])
         # a bool, a float or a numpy float is refused as SparseMat refuses it,
         # alone or among ints, in a list or an array
         refused = ([True], [1, True], [1, 1.0], [np.float64(2)], np.array([1.5]), np.array([True]))
@@ -1019,29 +1066,48 @@ class TestColumnArrays:
         big = arrays.block([0])
         assert big.vals.dtype == object
         assert list(big) == [[(0, 1), (1, 1 << 70)]]
-        assert big.kills_rows([[0]]) and not big.kills_rows([[1]])
+        assert big.kills([([0], [0])]) and not big.kills([([0], [1])])
         assert arrays.block([1]).vals.dtype == np.int64
         assert arrays.block([2]).vals.dtype == np.int16
 
+    def test_rows_beyond_the_dense_row_count_multiply_exactly(self):
+        # two entries in row 5 of 2^62 rows: the product sums only the
+        # rows the vector touches, and no array of the row count is made
+        arrays = _ColumnArrays([[(5, 2)], [(5, -1)]], 1 << 62)
+        assert arrays.kills([([0, 1], [1, 2])])
+        assert not arrays.kills([([0, 1], [1, 1])])
+        assert arrays.apply([(0, 1), (1, 1)]) == [(5, 1)]
+        assert arrays.apply([(0, 1 << 70), (1, 1)]) == [(5, (1 << 71) - 1)]
+        assert arrays.apply([(0, 1), (1, 2)]) == []
+        wide = _ColumnArrays([[(5, 2), ((1 << 62) - 1, 3)], [(0, -1)]], 1 << 62)
+        assert wide.apply([(0, 1), (1, 1)]) == [(0, -1), (5, 2), ((1 << 62) - 1, 3)]
+
     def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
+        # negative control: every saturated basis is moved off the kernel
+        # by one unit before the block's one product, which must refuse it;
+        # no prime certifies, so the corruption is never returned
         from mccool import exactla
         from mccool.johnson import kernel_report
 
-        solve = exactla._kernel_lattice_columns
+        saturate = exactla._saturate_rows
+        corrupted = []
 
-        def corrupted(columns, nrows):
-            basis = [list(v) for v in solve(columns, nrows)]
-            j = next(j for j, x in enumerate(basis[0]) if x)
-            basis[0][j] += 1
+        def corrupt(rows):
+            basis = [list(v) for v in saturate(rows)]
+            if basis:
+                j = next(j for j, x in enumerate(basis[0]) if x)
+                basis[0][j] += 1
+                corrupted.append(basis)
             return [tuple(v) for v in basis]
 
         kernel_report.cache_clear()
-        monkeypatch.setattr(exactla, "_kernel_lattice_columns", corrupted)
+        monkeypatch.setattr(exactla, "_saturate_rows", corrupt)
         try:
-            with pytest.raises(exactla.CertificateError, match="not killed by tau"):
+            with pytest.raises(RuntimeError, match="modular kernel failed to certify"):
                 kernel_report(7)
         finally:
             kernel_report.cache_clear()
+        assert corrupted
 
 
 def _rref_mod_small(a: np.ndarray, p: int):
@@ -1332,7 +1398,8 @@ class TestHNF:
         monkeypatch.setattr(exactla, "_HNF_BITS", 70)
         with pytest.raises(RuntimeError, match="hnf_rows entries exceed the supported range"):
             hnf_rows(rows)
-        assert hnf_rows(rows, max_bits=72) == [(1, 1 << 71), (0, 3 << 70)]
+        monkeypatch.setattr(exactla, "_HNF_BITS", 72)
+        assert hnf_rows(rows) == [(1, 1 << 71), (0, 3 << 70)]
 
 
 class TestIntersection:

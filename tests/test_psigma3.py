@@ -144,20 +144,25 @@ class TestSDTau:
         assert list(arrays) == [sd_tau(b).column() for b in _sd_basis(k)]
 
     def test_corrupted_basis_vector_is_refused(self, monkeypatch):
-        # negative control: a basis vector moved off the kernel by one unit
-        # must fail the exact product with the stacked matrix
+        # negative control: every saturated basis is moved off the kernel
+        # by one unit before the block's one product with the stacked
+        # matrix, which must refuse it; the corruption is never returned
         from mccool import exactla
 
-        solve = exactla._kernel_lattice_columns
+        saturate = exactla._saturate_rows
+        corrupted = []
 
-        def corrupted(columns, nrows):
-            basis = [list(v) for v in solve(columns, nrows)]
-            basis[0][0] += 1
+        def corrupt(rows):
+            basis = [list(v) for v in saturate(rows)]
+            if basis:
+                basis[0][0] += 1
+                corrupted.append(basis)
             return [tuple(v) for v in basis]
 
-        monkeypatch.setattr(exactla, "_kernel_lattice_columns", corrupted)
-        with pytest.raises(exactla.CertificateError, match="not killed by the sd_tau matrix"):
+        monkeypatch.setattr(exactla, "_saturate_rows", corrupt)
+        with pytest.raises(RuntimeError, match="modular kernel failed to certify"):
             sd_tau_kernel.__wrapped__(6)
+        assert corrupted
 
     def test_results_recompute_equal_after_clear_caches(self, rng):
         import mccool
