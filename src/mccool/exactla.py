@@ -366,23 +366,17 @@ class _ColumnArrays:
         np.add.at(a, (self.rows, self.entry_columns()), self.vals.astype(dtype))
         return a
 
-    def product(self, col_index, coeffs) -> tuple:
-        """(touched, sums): sum_j x_j * column_j, exactly, for the vector x
-        with the nonzero entries coeffs at col_index.  sums is dense and
-        touched None, unless the matrix has more rows than entries (as in
-        _column_blocks): then sums holds the rows at the ascending indices
-        touched, those the vector's columns touch.
+    def product(self, vector) -> np.ndarray:
+        """sum_j x_j * column_j, exactly, as the dense array of its nrows
+        sums, for the vector x of (column, coeff) pairs.
 
         A row sums at most n products, n the most entries of the vector's
         columns in any one row, so it is accumulated in int64 when
         n * max|a| * max|x| < 2^63 holds (a bound computed in Python
         ints), and in Python ints (dtype=object) when it does not.
         """
-        x = _exact_array(coeffs)
-        rows, vals, lengths = _gather(self.csr, np.asarray(col_index, dtype=np.int64))
-        touched = None
-        if self.nrows > self.rows.size:
-            touched, rows = np.unique(rows, return_inverse=True)
+        x = _exact_array([c for _, c in vector])
+        rows, vals, lengths = _gather(self.csr, np.array([j for j, _ in vector], dtype=np.int64))
         fits = (
             vals.dtype != object
             and x.dtype != object
@@ -392,22 +386,21 @@ class _ColumnArrays:
         dtype = np.int64 if fits else object
         prod = vals.astype(dtype)
         prod *= np.repeat(x.astype(dtype), lengths)
-        acc = np.zeros(self.nrows if touched is None else touched.size, dtype=dtype)
+        acc = np.zeros(self.nrows, dtype=dtype)
         np.add.at(acc, rows, prod)
-        return touched, acc
+        return acc
 
-    def apply(self, col) -> list:
-        """The product with the vector of (column, coeff) pairs col, as
-        the sorted (row, value) pairs of its nonzero entries."""
-        touched, acc = self.product([j for j, _ in col], [c for _, c in col])
+    def apply(self, vector) -> list:
+        """The product with the vector of (column, coeff) pairs, as the
+        sorted (row, value) pairs of its nonzero entries."""
+        acc = self.product(vector)
         nonzero = np.flatnonzero(acc)
-        rows = nonzero if touched is None else touched[nonzero]
-        return list(zip(rows.tolist(), acc[nonzero].tolist()))
+        return list(zip(nonzero.tolist(), acc[nonzero].tolist()))
 
     def kills(self, vectors) -> bool:
         """Exact check that sum_j x_j * column_j == 0 for every vector x,
-        each a pair (col_index, coeffs) of its nonzero entries."""
-        return not any(self.product(*vector)[1].any() for vector in vectors)
+        each a list of (column, coeff) pairs."""
+        return not any(self.product(vector).any() for vector in vectors)
 
 
 def _forward_elim_deferred(a: np.ndarray, p: int) -> tuple:
@@ -698,17 +691,14 @@ def _column_blocks(arrays: _ColumnArrays) -> list:
     each column the smallest label over its rows, hooks the column a label
     names onto the smaller label (union by index) and jumps every label to
     its root (path compression).  Labels only fall, and a round that
-    changes none leaves one label per component.
+    changes none leaves one label per component.  The row minima take an
+    array of arrays.nrows: a SparseMat arrives through _column_arrays,
+    which keeps only its nonzero rows.
     """
-    ncols, nrows = arrays.ncols, arrays.nrows
+    ncols, rows = arrays.ncols, arrays.rows
     cols = arrays.entry_columns()
-    rows = arrays.rows
-    if nrows > rows.size:
-        # more rows than entries: number the touched rows alone
-        touched, rows = np.unique(rows, return_inverse=True)
-        nrows = touched.size
     label = np.arange(ncols)
-    row_min = np.empty(nrows, dtype=np.int64)
+    row_min = np.empty(arrays.nrows, dtype=np.int64)
     while True:
         row_min.fill(ncols)
         np.minimum.at(row_min, rows, label[cols])
@@ -770,10 +760,7 @@ def _kernel_block(arrays: _ColumnArrays, cols) -> list:
             basis = hnf_rows(cands)
             if len(basis) == len(cands):
                 basis = _saturate_rows(basis)
-                vectors = (
-                    ([j for j, x in zip(cols, row) if x], [x for x in row if x]) for row in basis
-                )
-                if arrays.kills(vectors):
+                if arrays.kills([(j, x) for j, x in zip(cols, row) if x] for row in basis):
                     # sandwich: rank_p <= rank_Q, rank_p the rank of the
                     # whole block mod the prime that chose the rows, so
                     # d = ncols - rank_p verified independent integer
@@ -818,8 +805,15 @@ def _reconstruct_candidates(bases, primes):
 
 
 def _column_arrays(m: "SparseMat | _ColumnArrays") -> _ColumnArrays:
-    """Column arrays as they are; a SparseMat as column arrays, each row's Fractions cleared."""
-    return _ColumnArrays(_cleared(m, 0).columns(), m.rows) if isinstance(m, SparseMat) else m
+    """Column arrays as they are.  A SparseMat becomes column arrays of its
+    nonzero rows, numbered 0.. in ascending order, each row's Fractions
+    cleared: the kernel, the rank and the Smith form do not see zero rows,
+    and a huge declared row count costs no array of its size."""
+    if not isinstance(m, SparseMat):
+        return m
+    local = {i: t for t, i in enumerate(sorted({i for i, _ in m.entries}))}
+    columns = [[(local[i], v) for i, v in col] for col in _cleared(m, 0).columns()]
+    return _ColumnArrays(columns, len(local))
 
 
 def kernel_lattice(m: "SparseMat | _ColumnArrays") -> list:
@@ -914,15 +908,18 @@ def intersect_columnspaces(bases: list) -> SparseMat:
     nrows = bases[0].rows
     if any(b.rows != nrows for b in bases):
         raise ValueError("row counts differ")
-    # a column scaled by the lcm of its denominators spans the same line
-    current, *others = (_cleared(b, 1).columns() for b in bases)
+    # the columns are read on the rows they touch, numbered 0.. in
+    # ascending order; a column scaled by the lcm of its denominators
+    # spans the same line
+    touched = sorted({i for b in bases for i, _ in b.entries})
+    local = {i: t for t, i in enumerate(touched)}
+    current, *others = (
+        [[(local[i], v) for i, v in col] for col in _cleared(b, 1).columns()] for b in bases
+    )
     for other in others:
-        # x = A y = B z exactly when (y, z) is in the kernel of [A | -B];
-        # the images A y are taken on the rows the columns touch
-        a = range(len(current))
-        stacked = _ColumnArrays(current + [[(i, -v) for i, v in col] for col in other], nrows)
-        touched = np.unique(stacked.rows).tolist()
-        local = stacked.block(range(stacked.ncols))
-        images = [local.product(a, vec[: len(a)])[1].tolist() for vec in kernel_lattice(local)]
-        current = [[(touched[i], x) for i, x in enumerate(row) if x] for row in hnf_rows(images)]
-    return SparseMat.from_columns(current, nrows)
+        # x = A y = B z exactly when (y, z) is in the kernel of [A | -B]
+        stacked = _ColumnArrays(current + [[(i, -v) for i, v in col] for col in other], len(touched))
+        a = len(current)
+        images = [stacked.product(list(enumerate(vec[:a]))).tolist() for vec in kernel_lattice(stacked)]
+        current = [[(i, x) for i, x in enumerate(row) if x] for row in hnf_rows(images)]
+    return SparseMat.from_columns([[(touched[i], x) for i, x in col] for col in current], nrows)

@@ -120,7 +120,7 @@ class TauMap:
     same tables).
     It sums one (group, letter-content class) chunk at a time, so its
     temporaries follow the largest class.  Readers:
-    kernel_report (the solve and the whole-degree product check),
+    kernel_report (the solve, whose blocks certify against these arrays),
     elementary_divisors (the Smith form), bracket_map_rank, and
     psigma3.sd_tau_kernel, which stacks it beside the inner columns.
     Tests check the two granularities against each other from degree 2.
@@ -726,8 +726,7 @@ def bracket_map_rank(k: int) -> BracketMapReport:
         for col in cols:
             codes = table.code(1, x, np.array([w for w, _ in col])).tolist()
             family.append(brackets.apply([(code, c) for code, (_, c) in zip(codes, col)]))
-    vectors = (([j for j, _ in col], [c for _, c in col]) for col in family)
-    if not engine.tau_arrays(k + 1).kills(vectors):
+    if not engine.tau_arrays(k + 1).kills(family):
         raise exactla.CertificateError("bracket of a kernel element left the kernel")
     return BracketMapReport(
         degree=k,

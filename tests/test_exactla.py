@@ -46,9 +46,9 @@ def is_prime_by_trial_division(m: int) -> bool:
 
 
 def dense_vector(vec):
-    """The (col_index, coeffs) pair that _ColumnArrays.kills takes for a
+    """The (column, coeff) pairs that _ColumnArrays.kills takes for a
     dense vector, zeros included."""
-    return range(len(vec)), vec
+    return list(enumerate(vec))
 
 
 def frac_rank(dense):
@@ -722,9 +722,9 @@ class TestSaturationGuard:
             vectors = list(vectors)
             killed = kills(self, vectors)
             dense = []
-            for cols, coeffs in vectors:
+            for vector in vectors:
                 row = [0] * self.ncols
-                for j, x in zip(cols, coeffs):
+                for j, x in vector:
                     row[j] = x
                 dense.append(tuple(row))
             products.append((dense, killed))
@@ -925,9 +925,9 @@ class TestColumnArrays:
         # product to Python ints, where the residual is 2^64, not 0
         with np.errstate(over="ignore"):
             assert np.int64(1 << 32) * np.int64(1 << 32) == 0
-        assert not _ColumnArrays([[(0, 1 << 32)]], 1).kills([([0], [1 << 32])])
+        assert not _ColumnArrays([[(0, 1 << 32)]], 1).kills([[(0, 1 << 32)]])
         arrays = _ColumnArrays([[(0, 1 << 32)], [(0, -1)]], 1)
-        assert arrays.kills([([0, 1], [1 << 32, 1 << 64])])
+        assert arrays.kills([[(0, 1 << 32), (1, 1 << 64)]])
 
     def test_row_bound_counts_the_entries_one_row_sums(self):
         # four entries 2^31 * 2^31 in one row: each product fits int64,
@@ -941,8 +941,8 @@ class TestColumnArrays:
         # of 2^54, though the columns hold 2,000 entries
         column = [(i, 1 << 14) for i in range(1000)]
         arrays = _ColumnArrays([column, column], 1000)
-        assert arrays.kills([([0, 1], [1 << 40, -(1 << 40)])])
-        assert not arrays.kills([([0, 1], [1 << 40, 1 - (1 << 40)])])
+        assert arrays.kills([[(0, 1 << 40), (1, -(1 << 40))]])
+        assert not arrays.kills([[(0, 1 << 40), (1, 1 - (1 << 40))]])
 
     @pytest.mark.parametrize("shift", [0, 20, 32, 64])
     @settings(max_examples=60, deadline=None)
@@ -1026,7 +1026,7 @@ class TestColumnArrays:
         with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
             _ColumnArrays([[(0, Fraction(1, 2))], [(0, 3)]], 1)
         with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
-            _ColumnArrays([[(0, 1)]], 1).kills([([0], [Fraction(1, 2)])])
+            _ColumnArrays([[(0, 1)]], 1).kills([[(0, Fraction(1, 2))]])
         # a bool, a float or a numpy float is refused as SparseMat refuses it,
         # alone or among ints, in a list or an array
         refused = ([True], [1, True], [1, 1.0], [np.float64(2)], np.array([1.5]), np.array([True]))
@@ -1066,21 +1066,47 @@ class TestColumnArrays:
         big = arrays.block([0])
         assert big.vals.dtype == object
         assert list(big) == [[(0, 1), (1, 1 << 70)]]
-        assert big.kills([([0], [0])]) and not big.kills([([0], [1])])
+        assert big.kills([[(0, 0)]]) and not big.kills([[(0, 1)]])
         assert arrays.block([1]).vals.dtype == np.int64
         assert arrays.block([2]).vals.dtype == np.int16
 
-    def test_rows_beyond_the_dense_row_count_multiply_exactly(self):
-        # two entries in row 5 of 2^62 rows: the product sums only the
-        # rows the vector touches, and no array of the row count is made
-        arrays = _ColumnArrays([[(5, 2)], [(5, -1)]], 1 << 62)
-        assert arrays.kills([([0, 1], [1, 2])])
-        assert not arrays.kills([([0, 1], [1, 1])])
-        assert arrays.apply([(0, 1), (1, 1)]) == [(5, 1)]
-        assert arrays.apply([(0, 1 << 70), (1, 1)]) == [(5, (1 << 71) - 1)]
-        assert arrays.apply([(0, 1), (1, 2)]) == []
-        wide = _ColumnArrays([[(5, 2), ((1 << 62) - 1, 3)], [(0, -1)]], 1 << 62)
-        assert wide.apply([(0, 1), (1, 1)]) == [(0, -1), (5, 2), ((1 << 62) - 1, 3)]
+    @pytest.mark.parametrize("bits", [None, 40, 70])
+    def test_product_is_dense_over_every_row(self, bits):
+        # tau_arrays(1) declares 9 rows and holds 3 entries; the seeded
+        # matrices hold entries up to 2^40 (int64 sums) and 2^70 (Python
+        # ints).  Every product is the dense array of all nrows sums, and
+        # a column repeated with opposite coefficients cancels
+        from mccool.johnson import _abc_tau_map
+
+        rng = random.Random(bits)
+        if bits is None:
+            arrays = _abc_tau_map().tau_arrays(1)
+            assert (arrays.nrows, arrays.rows.size) == (9, 3)
+            columns, nrows = list(arrays), arrays.nrows
+        else:
+            nrows, big = 12, 1 << bits
+            columns = [
+                sorted({rng.randrange(nrows): rng.randint(-big, big) for _ in range(rng.randint(0, 4))}.items())
+                for _ in range(8)
+            ]
+            arrays = _ColumnArrays(columns, nrows)
+        for _ in range(30):
+            vector = [
+                (rng.randrange(len(columns)), rng.randint(-(1 << 10), 1 << 10))
+                for _ in range(rng.randint(0, 3))
+            ]
+            if rng.random() < 0.3:
+                vector += [(j, -x) for j, x in vector]
+            got = arrays.product(vector)
+            assert got.dtype == (object if bits == 70 else np.int64)
+            assert got.shape == (nrows,)
+            assert got.tolist() == reference_residual(
+                [columns[j] for j, _ in vector], nrows, [x for _, x in vector]
+            )
+            assert arrays.apply(vector) == [(i, v) for i, v in enumerate(got.tolist()) if v]
+            assert arrays.kills([vector]) == (not got.any())
+        with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+            arrays.product([(0, Fraction(1, 2))])
 
     def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
         # negative control: every saturated basis is moved off the kernel
@@ -1438,6 +1464,48 @@ class TestIntersection:
         # step see only the rows the columns touch
         m = SparseMat(1 << 62, 1, {(1 << 61, 0): 1})
         assert intersect_columnspaces([m, m]) == m
+
+
+class TestZeroRows:
+    """The public functions read a SparseMat on its nonzero rows alone."""
+
+    @staticmethod
+    def _spread(data, nrows, huge):
+        """New ascending indices for the rows 0..nrows-1 of a matrix, with
+        up to two zero rows before each, and the declared row count: a few
+        rows past the last or, when huge, 2^62 with the indices from 2^61."""
+        placed, row = [], (1 << 61) if huge else 0
+        for _ in range(nrows):
+            row += data.draw(st.integers(0, 2))
+            placed.append(row)
+            row += 1
+        return placed, (1 << 62) if huge else row + data.draw(st.integers(0, 2))
+
+    @staticmethod
+    def _moved(m, placed, nrows):
+        return SparseMat(nrows, m.cols, {(placed[i], j): v for (i, j), v in m.entries.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices, st.booleans(), st.data())
+    def test_kernel_rank_and_smith_form(self, dense, huge, data):
+        m = SparseMat.from_dense(dense)
+        spread = self._moved(m, *self._spread(data, m.rows, huge))
+        assert kernel_lattice(spread) == kernel_lattice(m)
+        assert rank(spread) == rank(m)
+        assert smith_normal_form(spread) == smith_normal_form(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.booleans(), st.data())
+    def test_intersection_keeps_the_row_indices(self, nrows, huge, data):
+        def basis():
+            width = data.draw(st.integers(1, 3))
+            entries = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+            return SparseMat.from_dense(data.draw(st.lists(entries, min_size=nrows, max_size=nrows)))
+
+        a, b = basis(), basis()
+        placed, total = self._spread(data, nrows, huge)
+        moved = [self._moved(m, placed, total) for m in (a, b, intersect_columnspaces([a, b]))]
+        assert intersect_columnspaces(moved[:2]) == moved[2]
 
 
 class TestMatrixText:
