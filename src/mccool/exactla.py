@@ -246,10 +246,6 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _row_dtype(nrows: int):
-    return np.int32 if nrows < 1 << 31 else np.int64
-
-
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions start, ..., start + length - 1 of every span, concatenated."""
     pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -311,28 +307,27 @@ class _ColumnArrays:
 
     def __init__(self, columns, nrows: int):
         entries = [e for col in columns for e in col]
-        rows = np.array([i for i, _ in entries], dtype=_row_dtype(nrows))
-        vals = _narrowest(_exact_array([v for _, v in entries]))
-        self._set(_indptr([len(col) for col in columns]), rows, vals, nrows)
+        self._set(_indptr([len(col) for col in columns]), [i for i, _ in entries], [v for _, v in entries], nrows)
 
     @classmethod
     def from_csr(cls, indptr, rows, vals, nrows: int) -> "_ColumnArrays":
-        """Arrays from compressed columns (indptr, rows, vals), with the
-        dtypes a build from the same columns gives: int64 indptr, rows
-        narrowed by nrows and values by _narrowest."""
+        """Arrays from compressed columns (indptr, rows, vals)."""
         out = cls.__new__(cls)
-        out._set(
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(rows).astype(_row_dtype(nrows), copy=False),
-            _narrowest(np.asarray(vals)),
-            nrows,
-        )
+        out._set(indptr, rows, vals, nrows)
         return out
 
     def _set(self, indptr, rows, vals, nrows) -> None:
-        self.indptr, self.rows, self.vals = indptr, rows, vals
+        """Both constructors' one body: int64 indptr, int32 rows (so under
+        2^31) and narrowed values, a non-integer dtype read by _exact_array."""
+        if nrows >= 1 << 31:
+            raise ValueError(f"column arrays number fewer than 2^31 rows, not {nrows}")
+        if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "i"):
+            vals = _exact_array(vals)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.rows = np.asarray(rows).astype(np.int32, copy=False)
+        self.vals = _narrowest(vals)
         self.nrows = nrows
-        self.ncols = len(indptr) - 1
+        self.ncols = len(self.indptr) - 1
 
     def __len__(self) -> int:
         return self.ncols

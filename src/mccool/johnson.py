@@ -275,9 +275,8 @@ class _BracketTable:
                     child.append(self.code(np.repeat(m1[sel], lengths), np.repeat(i1[sel], lengths), words))
                 parent.append(np.repeat(nodes[sel], lengths))
                 coef.append(coeffs)
-        dtype = exactla._row_dtype(todo.size)
-        return (todo, word_codes, np.concatenate(parent).astype(dtype),
-                np.concatenate(child).astype(dtype), exactla._narrowest(np.concatenate(coef)))
+        return (todo, word_codes, np.concatenate(parent), np.concatenate(child),
+                exactla._narrowest(np.concatenate(coef)))
 
     def _evaluate(self, todo, word_codes, parent, child, coef) -> tuple:
         """The CSR rows of every pair, in rounds from the standard pairs:
@@ -287,7 +286,7 @@ class _BracketTable:
         # for the equal pairs, rows 1.. the standard pairs, then each
         # round's rows, their words narrowed as the finished table's
         ones = np.ones(width, dtype=np.int64)
-        store = exactla._indptr(np.append(0, ones)), np.arange(width, dtype=exactla._row_dtype(width)), ones
+        store = exactla._indptr(np.append(0, ones)), np.arange(width, dtype=np.int32), ones
         slot = np.zeros(npairs, dtype=np.int64)
         slot[word_codes] = np.arange(1, width + 1)
         while todo.any():
@@ -360,8 +359,8 @@ def _scaled_rows(csr, keys, target, coef) -> tuple:
 def _sum_products(parts, width: int):
     """Sum of the products a * b of the parts (target, word, a, b), grouped
     by key = target * width + word: the sorted keys and their sums, with
-    zero sums dropped.  parts may be a generator; each part is reduced to
-    keys and products as it comes.
+    zero sums dropped.  parts is nonempty and may be a generator; each part
+    is reduced to keys and products as it comes.
 
     Every sum has at most N terms, N the number of products, so int64 is
     exact when N * max|a| * max|b| < 2^63, with the maxima taken part by
@@ -380,8 +379,6 @@ def _sum_products(parts, width: int):
             )
         keys.append(np.multiply(target, width, dtype=np.int64) + word)
         products.append(np.multiply(a, b, dtype=np.int64))
-    if not keys:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     keys, products = np.concatenate(keys), np.concatenate(products)
     order = np.argsort(keys)
     keys, products = keys[order], products[order]
@@ -407,7 +404,7 @@ def _assemble(chunks, ncols: int, nrows: int) -> exactla._ColumnArrays:
     gives for the whole."""
     counts = sum(np.bincount(cols, minlength=ncols) for cols, _, _ in chunks)
     indptr = exactla._indptr(counts)
-    rows = np.empty(indptr[-1], dtype=exactla._row_dtype(nrows))
+    rows = np.empty(indptr[-1], dtype=np.int32)
     vals = np.empty(indptr[-1], dtype=np.result_type(*(v.dtype for _, _, v in chunks)))
     for cols, chunk_rows, chunk_vals in chunks:
         # the entries of a column follow its first one in the chunk
@@ -484,8 +481,7 @@ class _DegreeBuild:
                     1,
                 )
                 cols, rows = np.divmod(keys, nrows)
-                rows = rows.astype(exactla._row_dtype(nrows))
-                yield cols.astype(np.int32), rows, exactla._narrowest(sums)
+                yield cols.astype(np.int32), rows.astype(np.int32), exactla._narrowest(sums)
 
     def _terms(self, w, d, a, e, sign) -> tuple:
         """D_d, deg d = a, on the image slots of tau(e) for the words w:

@@ -6,9 +6,9 @@ through tau under the identification C_i <-> X_i, which sd_bracket
 applies with johnson.tau_apply through the tau engine's per-word memos.
 The combined Johnson map sd_tau is ad on the h part plus tau on the g
 part; its kernel in every degree lives in the g summand.  sd_tau_kernel
-solves ad on the inner words stacked beside johnson's tau arrays of the
-degree; the solve certifies each basis vector by one exact product
-with that matrix.
+solves ad on the inner words, read from johnson's bracket table of the
+next degree, stacked beside johnson's tau arrays of the degree; the
+solve certifies each basis vector by one exact product with that matrix.
 intersection_kappa checks this independently through the S3 translates
 of g: g ^ c.g ^ c^2.g is the kernel of the h-parts of the c- and
 c^2-translates of g, stacked.
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import exactla
 from .derivations import Derivation, inner_derivation
@@ -32,7 +34,7 @@ from .freelie import (
     substitute,
     x_alphabet,
 )
-from .johnson import _ABC_PAIRS, _abc_tau_map, tau_apply, tau_evaluate
+from .johnson import _ABC_PAIRS, _abc_tau_map, _assemble, _bracket_table, tau_apply, tau_evaluate
 from .symmetry import _SYMBOL_CLASSES, S3_123, S3_132, S3Element, _permutation_images
 from .words import lyndon_tuples, witt_dimension
 
@@ -167,13 +169,16 @@ def _sd_basis(k: int):
 
 def _sd_tau_arrays(k: int) -> exactla._ColumnArrays:
     """The matrix of sd_tau on _sd_basis(k), column j as sd_tau(b_j).column():
-    ad of the inner words, then tau_arrays(k), the degree's tau matrix."""
+    ad of the inner words, then tau_arrays(k), the degree's tau matrix.
+    Slot i of ad(b(w)) is [b(w), X_i], the row of the pair (w, X_i) in
+    _bracket_table(3, k + 1), placed from row i * witt(3, k + 1)."""
     tau = _abc_tau_map().tau_arrays(k)
-    inner = [
-        inner_derivation(LieElement(x_alphabet(3), k, {w: 1}, _trust=True)).column()
-        for w in lyndon_tuples(3, k)
-    ]
-    return exactla._ColumnArrays(inner + list(tau), tau.nrows)
+    table, width = _bracket_table(3, k + 1), witt_dimension(3, k + 1)
+    col, slot = np.divmod(np.arange(3 * tau.ncols), 3)
+    words, vals, lengths = exactla._gather(table.csr, table.code(k, col, slot))
+    inner = np.repeat(col, lengths), words + np.repeat(slot * width, lengths), vals
+    tau_part = tau.entry_columns() + tau.ncols, tau.rows, tau.vals
+    return _assemble([inner, tau_part], 2 * tau.ncols, tau.nrows)
 
 
 @functools.lru_cache(maxsize=None)

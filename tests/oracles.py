@@ -3,8 +3,9 @@
 No product path calls them; the tests check the certified route of
 mccool.exactla against them by name: _rank_bareiss, a fraction-free
 Bareiss elimination over Z (sparse, Markowitz-style pivoting, lazy
-telescoped rescaling of rows that miss the pivot column), and
-_kernel_exact, the Hermite form of [M^T | I].
+telescoped rescaling of rows that miss the pivot column),
+_kernel_exact, the Hermite form of [M^T | I], and _conv_accumulated,
+the tensor product of freelie._conv summed and cancelled word by word.
 """
 
 from __future__ import annotations
@@ -127,3 +128,19 @@ def _kernel_exact(columns, nrows: int) -> list:
     finally:
         exactla._HNF_BITS = limit
     return [r[nrows:] for r in reduced if not any(r[:nrows])]
+
+
+def _conv_accumulated(a: dict, b: dict) -> dict:
+    """The tensor product of two coefficient dicts, word to coefficient:
+    every pair of words adds its product to their concatenation, and a
+    word whose sum cancels is dropped.  It assumes nothing of the factors'
+    degrees, where freelie._conv relies on both being homogeneous."""
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            val = out.get(wa + wb, 0) + ca * cb
+            if val:
+                out[wa + wb] = val
+            else:
+                out.pop(wa + wb, None)
+    return out

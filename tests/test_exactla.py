@@ -1108,6 +1108,53 @@ class TestColumnArrays:
         with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
             arrays.product([(0, Fraction(1, 2))])
 
+    def test_row_counts_past_int32_are_refused(self):
+        # rows are int32, so a count of 2^31 or more is refused where the
+        # arrays are made, by either constructor, and the refusal names it;
+        # numpy would otherwise fail later, sizing a product's accumulator
+        with pytest.raises(ValueError, match=str(1 << 62)):
+            _ColumnArrays([[(5, 2)], [(5, -1)]], 1 << 62)
+        with pytest.raises(ValueError, match=str(1 << 31)):
+            _ColumnArrays.from_csr([0, 1], [5], [2], 1 << 31)
+        arrays = _ColumnArrays.from_csr([0, 1], [5], [2], (1 << 31) - 1)
+        assert arrays.rows.dtype == np.int32 and list(arrays) == [[(5, 2)]]
+
+    @pytest.mark.parametrize(
+        "vals",
+        [np.array([1.5]), np.array([True]), np.array([Fraction(1, 2)], dtype=object)],
+        ids=["float", "bool", "fraction"],
+    )
+    def test_csr_values_are_read_as_exact_integers(self, vals):
+        # from_csr reads values by _exact_array's rule, as the build from
+        # columns does: a cast alone would store 1.5 as 1 and 1/2 as 0
+        with pytest.raises(TypeError, match="exact integer arrays take ints"):
+            _ColumnArrays.from_csr([0, 1], [0], vals, 1)
+
+    def test_product_arrays_have_int32_rows(self, monkeypatch):
+        # every column array that kernel_report(1..9) (the tau arrays and
+        # each kernel block), the letter-map arrays and _sd_tau_arrays
+        # build, recorded from a cold start
+        import mccool
+        from mccool import johnson, psigma3
+        from mccool.symmetry import S3_12, S3_123, _abc_images
+
+        built = []
+        store = _ColumnArrays._set
+
+        def recording(self, *args):
+            store(self, *args)
+            built.append((self.indptr.dtype, self.rows.dtype))
+
+        monkeypatch.setattr(_ColumnArrays, "_set", recording)
+        mccool.clear_caches()
+        for k in range(1, 10):
+            johnson.kernel_report(k)
+            psigma3._sd_tau_arrays(k)
+            for sigma in (S3_12, S3_123):
+                johnson._letter_map_arrays(_abc_images(sigma), k)
+        assert len(built) > 300
+        assert set(built) == {(np.dtype(np.int64), np.dtype(np.int32))}
+
     def test_corrupted_kernel_report_basis_is_caught(self, monkeypatch):
         # negative control: every saturated basis is moved off the kernel
         # by one unit before the block's one product, which must refuse it;

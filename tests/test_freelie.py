@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lie_elements, random_lie_element
+from oracles import _conv_accumulated
 from mccool.freelie import (
     Alphabet,
     LieElement,
@@ -208,6 +209,29 @@ class TestTensor:
         u = data.draw(lie_elements(alphabet, du))
         v = data.draw(lie_elements(alphabet, dv))
         assert to_tensor(lie_bracket(u, v)) == to_tensor(u).commutator(to_tensor(v))
+
+    def test_product_is_the_accumulated_product(self, rng):
+        # seeded factors of degrees 1..4, random words or the expansions of
+        # Lie elements, with int or Fraction coefficients: the product,
+        # one dict entry per pair of words, against accumulate-and-cancel
+        alphabet = abc_alphabet()
+
+        def coefficient():
+            c = rng.randint(-3, 3)
+            return Fraction(c, rng.randint(1, 4)) if rng.random() < 0.5 else c
+
+        def factor():
+            degree = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                return to_tensor(random_lie_element(rng, alphabet, degree)) * coefficient()
+            words = [tuple(rng.randrange(3) for _ in range(degree)) for _ in range(rng.randint(0, 6))]
+            return TensorElement(alphabet, degree, {w: coefficient() for w in words})
+
+        for _ in range(300):
+            a, b = factor(), factor()
+            product = a * b
+            assert product.degree == a.degree + b.degree
+            assert product.coeffs == _conv_accumulated(a.coeffs, b.coeffs)
 
     def test_expand_memo_holds_factors_not_top_level_words(self, rng):
         # the memo serves the recursion: after a degree-10 round trip it

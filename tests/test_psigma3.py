@@ -135,11 +135,20 @@ class TestSDTau:
         m = SparseMat.from_columns(cols, 3 * wd)
         assert (rank(m) if k > 6 else _rank_bareiss(m)) == witt_dimension(3, k)
 
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_stacked_matrix_is_the_per_word_route(self, k):
-        # the inner columns beside tau_arrays(k) are the columns of sd_tau
-        # on the basis, evaluated word by word through tau_evaluate
+        # the ad columns, read from the bracket table of degree k + 1, beside
+        # tau_arrays(k) are the columns of sd_tau on the basis, evaluated
+        # word by word through inner_derivation and tau_evaluate; once the
+        # tau arrays and the table exist, reading them fills no _bw entry
+        from mccool import freelie
+        from mccool.johnson import _abc_tau_map, _bracket_table
+
+        _abc_tau_map().tau_arrays(k)
+        _bracket_table(3, k + 1)
+        freelie._bw.cache_clear()
         arrays = _sd_tau_arrays(k)
+        assert freelie._bw.cache_info().currsize == 0
         assert arrays.nrows == 3 * witt_dimension(3, k + 1)
         assert list(arrays) == [sd_tau(b).column() for b in _sd_basis(k)]
 
